@@ -86,10 +86,11 @@ pub struct FlowBackend;
 type DescriptorKey = (AppKind, u64, u32, u64, u32, u32);
 
 /// Process-wide memo of extracted application descriptors. The walk is
-/// pure in [`DescriptorKey`] but costs tens of milliseconds per app
-/// (every rank program runs to completion), and it used to dominate
-/// every flow-backend measurement; memoizing it leaves the equilibrium
-/// solve — microseconds — as the marginal cost of a flow answer.
+/// pure in [`DescriptorKey`] but runs every rank program to completion:
+/// about 1–11 ms per app at Cab scale in a release build, bound by the
+/// op generators once collectives are memoized per rank. Memoizing it
+/// here leaves the equilibrium solve — microseconds — as the marginal
+/// cost of a flow answer.
 static APP_DESCRIPTORS: OnceLock<Mutex<BTreeMap<DescriptorKey, TrafficDescriptor>>> =
     OnceLock::new();
 
