@@ -6,10 +6,17 @@
 //! unchanged must leave every pinned value here unchanged; a change that
 //! moves one on purpose re-pins it and says why in CHANGES.md.
 
-use anp_core::journal::fnv1a;
-use anp_core::ExperimentConfig;
-use anp_flowsim::{describe_members, TrafficDescriptor};
-use anp_workloads::{AppKind, RunMode};
+use anp_bench::xval::run_xval_supervised;
+use anp_core::journal::{fnv1a, Journaled};
+use anp_core::{
+    all_models, calibrate_with, loss_sweep_supervised, Backend, DesBackend, ExperimentConfig,
+    LookupTable, MuPolicy, Parallelism, Study, Supervisor,
+};
+use anp_flowsim::{describe_members, FlowBackend, TrafficDescriptor};
+use anp_monitor::{monitor_records, run_monitor_study, MonitorOpts, MonitorRecord};
+use anp_simmpi::ReliabilityConfig;
+use anp_simnet::{SimDuration, SwitchConfig};
+use anp_workloads::{AppKind, CompressionConfig, ImpactConfig, RunMode};
 
 /// FNV-1a over the label, the rank count and `f64::to_bits` of every
 /// numeric field of `d`.
@@ -65,4 +72,230 @@ fn flow_traffic_descriptors_match_their_pinned_digests() {
         }
     }
     assert_eq!(got, PINNED);
+}
+
+// ---------------------------------------------------------------------
+// Sweep surfaces, computed through the supervised entry points with no
+// budget and no journal. Progress lines are part of each digest: they are
+// the text every harness prints.
+
+/// The bit pattern of `x` as hex.
+fn bits(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+/// FNV-1a over `parts`.
+fn digest(parts: &[String]) -> u64 {
+    fnv1a(&parts.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+/// The deterministic 18-node fabric of `tests/parallel_equivalence.rs`.
+fn tiny_cfg() -> ExperimentConfig {
+    let mut switch = SwitchConfig::tiny_deterministic();
+    switch.nodes = 18;
+    switch.route_servers = 18;
+    ExperimentConfig {
+        switch,
+        impact: ImpactConfig {
+            period: SimDuration::from_micros(100),
+            pairs_per_node: 1,
+            ..ImpactConfig::default()
+        },
+        measure_window: SimDuration::from_millis(5),
+        warmup_frac: 0.1,
+        run_cap: SimDuration::from_secs(60),
+        seed: 7,
+        jobs: Parallelism::fixed(2),
+        audit: false,
+    }
+}
+
+/// The quick CompressionB subset the harnesses use (one configuration
+/// per (B, M) group).
+fn quick_sweep() -> Vec<CompressionConfig> {
+    CompressionConfig::paper_sweep()
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| i % 5 == (i / 5) % 5)
+        .map(|(_, c)| c)
+        .collect()
+}
+
+/// Measures the look-up table, the app profiles and the pairing grid on
+/// `backend` and returns one digest for each, in that order.
+fn study_digests(
+    backend: &dyn Backend,
+    cfg: &ExperimentConfig,
+    apps: &[AppKind],
+    configs: &[CompressionConfig],
+) -> [u64; 3] {
+    let sup = Supervisor::none();
+    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).unwrap();
+
+    let mut lines = Vec::new();
+    let (lut, _) =
+        LookupTable::measure_supervised_with(backend, cfg, calib, apps, configs, &sup, None, |l| {
+            lines.push(l.to_owned())
+        })
+        .unwrap();
+    assert!(lut.is_complete());
+    let table = lut.table.unwrap();
+    for (app, t) in &table.solo {
+        lines.push(format!("{}={}", app.name(), t.as_nanos()));
+    }
+    for e in &table.entries {
+        lines.push(e.config.label());
+        lines.push(e.profile.encode_journal());
+        lines.push(bits(e.utilization));
+        for (app, d) in &e.slowdown {
+            lines.push(format!("{}={}", app.name(), bits(*d)));
+        }
+    }
+    let lut_digest = digest(&lines);
+
+    let mut lines = Vec::new();
+    let (study, failures, _) =
+        Study::measure_profiles_supervised_with(backend, cfg, table, apps, &sup, None, |l| {
+            lines.push(l.to_owned())
+        })
+        .unwrap();
+    assert!(failures.is_empty());
+    for (app, p) in &study.app_profiles {
+        lines.push(format!("{}={}", app.name(), p.encode_journal()));
+    }
+    let profile_digest = digest(&lines);
+
+    let mut lines = Vec::new();
+    let mut outcomes = study.predict_all(apps, &all_models());
+    let (failures, _) = study
+        .measure_pairs_supervised_with(backend, cfg, &mut outcomes, &sup, None, |l| {
+            lines.push(l.to_owned())
+        })
+        .unwrap();
+    assert!(failures.is_empty());
+    for o in &outcomes {
+        lines.push(format!("{}+{}", o.victim.name(), o.other.name()));
+        lines.push(bits(o.measured.unwrap()));
+        for (model, p) in &o.predicted {
+            lines.push(format!("{model}={}", bits(*p)));
+        }
+    }
+    [lut_digest, profile_digest, digest(&lines)]
+}
+
+#[test]
+fn des_study_on_the_tiny_fabric_matches_its_pinned_digests() {
+    let apps = [AppKind::Lulesh, AppKind::Mcb];
+    let configs = [
+        CompressionConfig::new(1, 25_000_000, 1),
+        CompressionConfig::new(17, 25_000, 10),
+    ];
+    let got = study_digests(&DesBackend, &tiny_cfg(), &apps, &configs);
+    assert_eq!(
+        got,
+        [0x602614b0e0717b85, 0x2234d92c9280215d, 0xfe5897656a066e52],
+        "lut, profiles, pairings"
+    );
+}
+
+#[test]
+fn flow_study_on_cab_matches_its_pinned_digests() {
+    let apps = [AppKind::Fftw, AppKind::Lulesh, AppKind::Milc];
+    let cfg = ExperimentConfig::cab().with_jobs(2);
+    let got = study_digests(&FlowBackend, &cfg, &apps, &quick_sweep());
+    assert_eq!(
+        got,
+        [0x5a81e30f1297eeca, 0x81a863bfd8f66a99, 0xe26dd43d4b4a6fbc],
+        "lut, profiles, pairings"
+    );
+}
+
+#[test]
+fn loss_sweep_on_the_tiny_fabric_matches_its_pinned_digest() {
+    let rel = ReliabilityConfig {
+        retransmit_timeout: SimDuration::from_millis(50),
+        max_retries: 10,
+    };
+    let (points, _) = loss_sweep_supervised(
+        &tiny_cfg(),
+        AppKind::Lulesh,
+        &[0.0, 1e-4, 1e-3],
+        rel,
+        &Supervisor::none(),
+        None,
+    )
+    .unwrap();
+    let lines: Vec<String> = points
+        .iter()
+        .map(|(loss, t)| format!("{}={}", bits(*loss), t.as_ref().unwrap().as_nanos()))
+        .collect();
+    assert_eq!(digest(&lines), 0xb42e97cbf0fdbc2d);
+}
+
+#[test]
+fn reduced_monitor_study_matches_its_pinned_digests() {
+    let mut opts = MonitorOpts::quick(7, 2);
+    opts.ladder.truncate(1);
+    opts.detect_apps = vec![AppKind::Fftw];
+    opts.apps = vec![AppKind::Fftw];
+    let mut progress = Vec::new();
+    let report = run_monitor_study(&opts, |l| progress.push(l.to_owned())).unwrap();
+
+    let mut rows = Vec::new();
+    for r in &report.utilization {
+        rows.push(r.rung.clone());
+        rows.push(bits(r.true_util));
+        rows.push(bits(r.est_util));
+        rows.push(r.windows.to_string());
+    }
+    for r in &report.detection {
+        rows.push(format!(
+            "{} {:?} {:?} {} {}",
+            r.app.name(),
+            r.arrival_lag,
+            r.departure_lag,
+            r.departed,
+            r.windows
+        ));
+    }
+    for r in &report.overhead {
+        rows.push(format!(
+            "{} {} {}",
+            r.app.name(),
+            r.solo.as_nanos(),
+            r.monitored.as_nanos()
+        ));
+    }
+    let records: Vec<String> = monitor_records(&report)
+        .iter()
+        .map(MonitorRecord::to_json)
+        .collect();
+    assert_eq!(
+        [digest(&rows), digest(&records), digest(&progress)],
+        [0xb640896afb3ca03d, 0xb7b8b06317e7c24e, 0xab0488f2725966d2],
+        "rows, window records, progress"
+    );
+}
+
+#[test]
+fn backend_xval_on_the_tiny_fabric_matches_its_pinned_digest() {
+    let cfg = tiny_cfg();
+    let xval = run_xval_supervised(
+        &cfg,
+        &[AppKind::Lulesh],
+        &[CompressionConfig::new(7, 2_500_000, 10)],
+        &DesBackend,
+        &FlowBackend,
+        &Supervisor::none(),
+        None,
+    )
+    .unwrap();
+    assert!(xval.failures.is_empty());
+    let r = &xval.report;
+    let lines: Vec<String> = [&r.probe_means, &r.utilizations, &r.slowdown_ratios]
+        .into_iter()
+        .flatten()
+        .map(|c| format!("{} {} {}", c.label, bits(c.des), bits(c.flow)))
+        .collect();
+    assert_eq!(digest(&lines), 0xc132c664f85309a9);
 }
