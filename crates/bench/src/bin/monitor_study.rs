@@ -10,8 +10,13 @@
 //!
 //! ```text
 //! cargo run --release -p anp-bench --bin monitor_study \
-//!     [--quick] [--seed N] [--jobs N] [--no-bench-json]
+//!     [--quick] [--seed N] [--jobs N] [--no-bench-json] \
+//!     [--max-retries N] [--run-budget SECS] [--event-budget N] [--resume P]
 //! ```
+//!
+//! Every study cell runs under the supervision flags; with `--resume`
+//! completed cells are journaled and a re-run decodes them instead of
+//! re-simulating.
 //!
 //! Exit 0 when every gate holds, 1 on any violation (each printed to
 //! stderr). Stdout is wall-clock-free and byte-identical across
@@ -40,17 +45,20 @@ fn main() {
         mopts.cfg.jobs = Parallelism::Auto;
     }
 
-    let report =
-        run_monitor_study(&mopts, |line| println!("  [monitor] {line}")).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let journal = opts.open_journal();
+    let report = run_monitor_study(&mopts, &opts.supervisor(), journal.as_ref(), |line| {
+        println!("  [monitor] {line}")
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     println!();
     print!("{}", render_report(&mopts, &report));
 
     let sweeps = [&report.telemetry];
-    opts.emit_bench_json_monitor("monitor_study", &sweeps, &monitor_records(&report));
+    opts.emit_bench_json_full("monitor_study", &sweeps, &[], &monitor_records(&report));
 
     let violations = gate_violations(&mopts, &report);
     for v in &violations {

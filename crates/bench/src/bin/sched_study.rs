@@ -131,6 +131,6 @@ fn main() {
         );
     }
 
-    opts.emit_bench_json_sched("sched_study", &sweeps, &records(&outcomes));
+    opts.emit_bench_json_full("sched_study", &sweeps, &records(&outcomes), &[]);
     std::process::exit(campaign.exit_code());
 }

@@ -42,9 +42,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use anp_core::{
-    calibrate_with, error_summaries, partial_exit_code, Backend, Calibration, DesBackend,
-    ExperimentConfig, JournalError, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome,
-    Parallelism, RetryPolicy, RunBudget, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
+    calibrate_with, error_summaries, partial_exit_code, Backend, Calibration, ExperimentConfig,
+    JournalError, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome, Parallelism,
+    RetryPolicy, RunBudget, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
 };
 use anp_monitor::MonitorRecord;
 use anp_sched::SchedRecord;
@@ -274,32 +274,10 @@ impl HarnessOpts {
         self.emit_bench_json_full(harness, sweeps, &[], &[]);
     }
 
-    /// [`HarnessOpts::emit_bench_json`] with per-policy scheduling
-    /// records for the `sched` array (the `sched_study` harness and
-    /// the `anp sched` subcommand).
-    pub fn emit_bench_json_sched(
-        &self,
-        harness: &str,
-        sweeps: &[&SweepTelemetry],
-        sched: &[SchedRecord],
-    ) {
-        self.emit_bench_json_full(harness, sweeps, sched, &[]);
-    }
-
-    /// [`HarnessOpts::emit_bench_json`] with per-window monitor records
-    /// for the v5 `monitor` array (the `monitor_study` harness and the
-    /// `anp monitor` subcommand).
-    pub fn emit_bench_json_monitor(
-        &self,
-        harness: &str,
-        sweeps: &[&SweepTelemetry],
-        monitor: &[MonitorRecord],
-    ) {
-        self.emit_bench_json_full(harness, sweeps, &[], monitor);
-    }
-
-    /// The full emitter behind every `emit_bench_json*` front: writes the
-    /// v5 document with whichever arrays the harness populated.
+    /// [`HarnessOpts::emit_bench_json`] with the optional arrays: per-policy
+    /// `sched` records (`sched_study`) and per-window `monitor` records
+    /// (`monitor_study`). Harnesses that populate neither call
+    /// [`HarnessOpts::emit_bench_json`].
     pub fn emit_bench_json_full(
         &self,
         harness: &str,
@@ -308,7 +286,7 @@ impl HarnessOpts {
         monitor: &[MonitorRecord],
     ) {
         let Some(path) = &self.bench_json else { return };
-        match write_bench_json_v5(
+        match write_bench_json(
             path,
             harness,
             self.seed,
@@ -364,63 +342,6 @@ pub fn banner(artifact: &str, what: &str, opts: &HarnessOpts) {
     println!();
 }
 
-/// Measures the queue calibration, look-up table, and app impact profiles
-/// — everything the prediction study needs except co-run ground truth.
-pub fn measure_study(
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> Study {
-    measure_study_recorded(cfg, apps, sweep, verbose).0
-}
-
-/// [`measure_study`], additionally returning the telemetry of the
-/// look-up-table and app-profile sweeps. Runs on the reference DES
-/// backend.
-pub fn measure_study_recorded(
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> (Study, Vec<SweepTelemetry>) {
-    measure_study_recorded_with(&DesBackend, cfg, apps, sweep, verbose)
-}
-
-/// [`measure_study_recorded`] on an explicit measurement backend: the
-/// calibration, the look-up table, and the app impact profiles all come
-/// from the same engine, so a flow-model study is internally consistent
-/// rather than mixing analytic profiles with DES calibration.
-pub fn measure_study_recorded_with(
-    backend: &dyn Backend,
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> (Study, Vec<SweepTelemetry>) {
-    let progress = |line: &str| {
-        if verbose {
-            println!("  [measure] {line}");
-        }
-    };
-    let calibration: Calibration =
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        calibrate_with(backend, cfg, MuPolicy::MinLatency).expect("idle calibration failed");
-    let (table, lut_telemetry) =
-        LookupTable::measure_recorded_with(backend, cfg, calibration, apps, sweep, progress)
-            // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-            .expect("look-up table measurement failed");
-    let (study, profile_telemetry) =
-        Study::measure_profiles_recorded_with(backend, cfg, table, apps, |line| {
-            if verbose {
-                println!("  [measure] {line}");
-            }
-        })
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        .expect("app impact profiles failed");
-    (study, vec![lut_telemetry, profile_telemetry])
-}
-
 /// Typed holes and cell counts accumulated across the sweeps of one
 /// supervised measurement campaign.
 #[derive(Debug, Default)]
@@ -472,12 +393,17 @@ impl Supervision {
     }
 }
 
-/// [`measure_study_recorded_with`] under a supervision envelope: failing
-/// cells leave typed holes instead of aborting the harness, and with a
-/// journal every completed cell survives a crash. The study comes back
-/// `None` when no look-up-table entry completed (nothing to predict
-/// from); otherwise it is partial where cells failed and byte-identical
-/// to the plain path where they did not.
+/// Measures the queue calibration, look-up table, and app impact profiles
+/// — everything the prediction study needs except co-run ground truth.
+/// The calibration, the table, and the profiles all come from `backend`,
+/// so a flow-model study is internally consistent rather than mixing
+/// analytic profiles with DES calibration.
+///
+/// Every sweep runs under `supervisor`: failing cells leave typed holes
+/// instead of aborting the harness, and with a journal every completed
+/// cell survives a crash. The study comes back `None` when no
+/// look-up-table entry completed (nothing to predict from); otherwise it
+/// is partial where cells failed and complete where they did not.
 pub fn measure_study_supervised_with(
     backend: &dyn Backend,
     cfg: &ExperimentConfig,
@@ -542,7 +468,10 @@ pub struct SupervisedOutcomes {
     pub telemetry: Vec<SweepTelemetry>,
 }
 
-/// [`full_outcomes_recorded`] under the options' supervision envelope
+/// Runs (or loads from cache) the complete prediction study: isolated
+/// measurements, predictions for every ordered pair, and co-run ground
+/// truth, in victim-major order, plus the telemetry of every sweep that
+/// actually ran. Every sweep runs under the options' supervision envelope
 /// (`--max-retries`, `--run-budget`, `--event-budget`, `--resume`):
 /// failures leave typed holes, siblings complete, and the caller maps
 /// [`Supervision::exit_code`] onto the 0/3/1 convention. The cache is
@@ -627,49 +556,6 @@ pub fn full_outcomes_supervised(opts: &HarnessOpts) -> SupervisedOutcomes {
     }
 }
 
-/// Runs (or loads from cache) the complete prediction study: isolated
-/// measurements, predictions for every ordered pair, and co-run ground
-/// truth. Returns outcomes in victim-major order, plus the telemetry of
-/// every sweep that actually ran (empty when served from cache).
-pub fn full_outcomes_recorded(opts: &HarnessOpts) -> (Vec<PairOutcome>, Vec<SweepTelemetry>) {
-    if let Some(path) = &opts.cache {
-        if let Some(outcomes) = load_outcomes(path) {
-            println!(
-                "(loaded {} cached pairings from {})",
-                outcomes.len(),
-                path.display()
-            );
-            return (outcomes, Vec::new());
-        }
-    }
-    let cfg = opts.experiment_config();
-    let backend = opts.resolve_backend();
-    let apps = opts.apps();
-    let sweep = opts.compression_sweep();
-    let (study, mut telemetry) =
-        measure_study_recorded_with(backend.as_ref(), &cfg, &apps, &sweep, true);
-    let models = anp_core::all_models();
-    let mut outcomes = study.predict_all(&apps, &models);
-    let pair_telemetry = study
-        .measure_pairs_recorded_with(backend.as_ref(), &cfg, &mut outcomes, |line| {
-            println!("  [corun] {line}")
-        })
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        .expect("co-run measurement failed");
-    telemetry.push(pair_telemetry);
-    if let Some(path) = &opts.cache {
-        if save_outcomes(path, &outcomes) {
-            println!("(cached pairings to {})", path.display());
-        }
-    }
-    (outcomes, telemetry)
-}
-
-/// [`full_outcomes_recorded`] without the telemetry.
-pub fn full_outcomes(opts: &HarnessOpts) -> Vec<PairOutcome> {
-    full_outcomes_recorded(opts).0
-}
-
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
 /// directory is written, flushed to disk, and renamed over the target,
 /// so a crash (or kill) mid-write can never leave a torn artefact — the
@@ -724,31 +610,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// empty for harnesses that do not monitor (see DESIGN.md, "Telemetry
 /// schema"). The file is written atomically ([`write_atomic`]).
 pub fn write_bench_json(
-    path: &Path,
-    harness: &str,
-    seed: u64,
-    journal: Option<&Path>,
-    sweeps: &[&SweepTelemetry],
-) -> std::io::Result<()> {
-    write_bench_json_v5(path, harness, seed, journal, sweeps, &[], &[])
-}
-
-/// [`write_bench_json`] with the `sched` array populated: one record
-/// per placement policy of a scheduling study.
-pub fn write_bench_json_v4(
-    path: &Path,
-    harness: &str,
-    seed: u64,
-    journal: Option<&Path>,
-    sweeps: &[&SweepTelemetry],
-    sched: &[SchedRecord],
-) -> std::io::Result<()> {
-    write_bench_json_v5(path, harness, seed, journal, sweeps, sched, &[])
-}
-
-/// [`write_bench_json`] with both optional arrays: per-policy `sched`
-/// records and per-window `monitor` records.
-pub fn write_bench_json_v5(
     path: &Path,
     harness: &str,
     seed: u64,
@@ -1019,7 +880,7 @@ mod tests {
                 retries: 1,
             }],
         };
-        write_bench_json(&path, "h", 7, Some(Path::new("run.jsonl")), &[&t]).unwrap();
+        write_bench_json(&path, "h", 7, Some(Path::new("run.jsonl")), &[&t], &[], &[]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"schema\": \"anp-bench-v5\""));
         assert!(text.contains("\"journal\": \"run.jsonl\""));
@@ -1064,7 +925,7 @@ mod tests {
             utilization: 0.0,
             shift: None,
         };
-        write_bench_json_v5(&path, "h", 7, None, &[&t], &[rec], &[win, quiet]).unwrap();
+        write_bench_json(&path, "h", 7, None, &[&t], &[rec], &[win, quiet]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"journal\": null"));
         assert!(text.contains("\"policy\":\"predictive:Queue:flow\""));

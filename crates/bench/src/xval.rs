@@ -15,11 +15,10 @@
 //! Wall-clock per backend comes from the sweep telemetry, so the
 //! reported speedup is the same number `BENCH_anp.json` records.
 
-use anp_core::sweep::{sweep_recorded_for, SweepTelemetry};
 use anp_core::{
     calibrate_with, completed_count, config_fingerprint, sweep_supervised_for, Backend,
     Calibration, CellResult, ExperimentConfig, ExperimentError, JournalError, Journaled,
-    LatencyProfile, MuPolicy, RunJournal, Supervisor, TaskError, WorkloadSpec,
+    LatencyProfile, MuPolicy, RunJournal, Supervisor, SweepTelemetry, TaskError, WorkloadSpec,
 };
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
@@ -129,56 +128,10 @@ impl Journaled for Cell {
 }
 
 /// Runs the full grid on one backend, returning cells in spec order plus
-/// the sweep telemetry (whose `wall_secs` is the backend's cost).
-fn measure_grid(
-    backend: &dyn Backend,
-    cfg: &ExperimentConfig,
-    specs: &[Spec<'_>],
-) -> Result<(Vec<Cell>, SweepTelemetry), ExperimentError> {
-    type Task<'s> = Box<dyn FnOnce() -> Result<Cell, ExperimentError> + Send + 's>;
-    let tasks: Vec<(String, Task<'_>)> = specs
-        .iter()
-        .map(|spec| -> (String, Task<'_>) {
-            match *spec {
-                Spec::Idle => (
-                    "probe:idle".to_owned(),
-                    Box::new(move || {
-                        backend
-                            .measure_impact_profile(cfg, WorkloadSpec::Idle)
-                            .map(Cell::Profile)
-                    }),
-                ),
-                Spec::Impact(comp) => (
-                    format!("probe:{}", comp.label()),
-                    Box::new(move || {
-                        backend
-                            .measure_impact_profile(cfg, WorkloadSpec::Compression(comp))
-                            .map(Cell::Profile)
-                    }),
-                ),
-                Spec::Solo(app) => (
-                    format!("solo:{}", app.name()),
-                    Box::new(move || backend.measure_solo_runtime(cfg, app).map(Cell::Runtime)),
-                ),
-                Spec::Loaded(app, comp) => (
-                    format!("run:{}@{}", app.name(), comp.label()),
-                    Box::new(move || {
-                        backend
-                            .measure_compression_run(cfg, app, comp)
-                            .map(Cell::Runtime)
-                    }),
-                ),
-            }
-        })
-        .collect();
-    let (results, telemetry) = sweep_recorded_for("backend-xval", backend.name(), cfg.jobs, tasks);
-    let cells = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok((cells, telemetry))
-}
-
-/// [`measure_grid`] under a supervision envelope: failing cells come back
-/// as typed holes instead of aborting the grid, and with a journal every
-/// completed cell survives a crash. One journaled sweep per backend
+/// the sweep telemetry (whose `wall_secs` is the backend's cost). Every
+/// cell runs under `sup`: failing cells come back as typed holes instead
+/// of aborting the grid, and with a journal every completed cell
+/// survives a crash. One journaled sweep per backend
 /// (`xval-des` / `xval-flow`), fingerprinted per backend so the two grids
 /// never replay each other's cells.
 fn measure_grid_supervised(
@@ -312,40 +265,6 @@ fn assemble(
     (probe_means, utilizations, slowdown_ratios)
 }
 
-/// Cross-validates the flow backend against the DES on one grid.
-///
-/// The grid is `{idle} ∪ {impact(c)} ∪ {solo(a)} ∪ {loaded(a, c)}` for
-/// every `a` in `apps` and `c` in `comps`, run once per backend through
-/// the telemetry-recording sweep engine. Any failing cell aborts the
-/// whole grid; [`run_xval_supervised`] is the hole-tolerant variant.
-pub fn run_xval(
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    comps: &[CompressionConfig],
-    des: &dyn Backend,
-    flow: &dyn Backend,
-) -> Result<XvalReport, ExperimentError> {
-    let specs = grid_specs(apps, comps);
-    let (des_cells, des_telemetry) = measure_grid(des, cfg, &specs)?;
-    let (flow_cells, flow_telemetry) = measure_grid(flow, cfg, &specs)?;
-
-    let des_cal = calibrate_with(des, cfg, MuPolicy::MinLatency)?;
-    let flow_cal = calibrate_with(flow, cfg, MuPolicy::MinLatency)?;
-
-    let des_cells: Vec<Option<Cell>> = des_cells.into_iter().map(Some).collect();
-    let flow_cells: Vec<Option<Cell>> = flow_cells.into_iter().map(Some).collect();
-    let (probe_means, utilizations, slowdown_ratios) =
-        assemble(&specs, &des_cells, &flow_cells, &des_cal, &flow_cal);
-
-    Ok(XvalReport {
-        probe_means,
-        utilizations,
-        slowdown_ratios,
-        des_telemetry,
-        flow_telemetry,
-    })
-}
-
 /// Why a supervised cross-validation could not produce a report at all
 /// (cell-level failures become holes, not errors).
 #[derive(Debug)]
@@ -393,10 +312,13 @@ pub struct XvalSupervised {
     pub total: usize,
 }
 
-/// [`run_xval`] under a supervision envelope: each backend's grid runs
-/// through the supervised sweep engine (panic isolation, budgets,
-/// retries, journaled resume), failing cells leave typed holes, and the
-/// report compares every cell both backends completed.
+/// Cross-validates the flow backend against the DES on one grid.
+///
+/// The grid is `{idle} ∪ {impact(c)} ∪ {solo(a)} ∪ {loaded(a, c)}` for
+/// every `a` in `apps` and `c` in `comps`, run once per backend through
+/// the sweep engine under `sup` (panic isolation, budgets, retries,
+/// journaled resume). Failing cells leave typed holes, and the report
+/// compares every cell both backends completed.
 pub fn run_xval_supervised(
     cfg: &ExperimentConfig,
     apps: &[AppKind],

@@ -15,7 +15,8 @@ use anp_sched::{measure_truth_supervised, records, run_suite, PolicySpec, StudyO
 #[test]
 fn quick_monitor_study_passes_every_gate() {
     let opts = MonitorOpts::quick(0xA11CE, 1);
-    let report = run_monitor_study(&opts, |_| {}).expect("monitor study must not error");
+    let report = run_monitor_study(&opts, &Supervisor::none(), None, |_| {})
+        .expect("monitor study must not error");
 
     let violations = gate_violations(&opts, &report);
     assert!(

@@ -5,8 +5,8 @@
 //! floor. This is the same check `backend_xval --quick` runs, pinned
 //! here so `cargo test` catches a model regression without the binary.
 
-use anp_bench::xval::{run_xval, MIN_SPEEDUP, PROBE_TOLERANCE, SLOWDOWN_TOLERANCE};
-use anp_core::{DesBackend, ExperimentConfig};
+use anp_bench::xval::{run_xval_supervised, MIN_SPEEDUP, PROBE_TOLERANCE, SLOWDOWN_TOLERANCE};
+use anp_core::{DesBackend, ExperimentConfig, Supervisor};
 use anp_flowsim::FlowBackend;
 use anp_workloads::{AppKind, CompressionConfig};
 
@@ -20,7 +20,19 @@ fn flow_backend_stays_inside_its_error_envelope_on_the_cab_ladder() {
         CompressionConfig::new(17, 25_000, 10),
     ];
     let apps = [AppKind::Fftw, AppKind::Milc];
-    let report = run_xval(&cfg, &apps, &comps, &DesBackend, &FlowBackend).unwrap();
+    let xval = run_xval_supervised(
+        &cfg,
+        &apps,
+        &comps,
+        &DesBackend,
+        &FlowBackend,
+        &Supervisor::none(),
+        None,
+    )
+    .unwrap();
+    assert!(xval.failures.is_empty(), "every grid cell must complete");
+    assert_eq!(xval.completed, xval.total);
+    let report = &xval.report;
 
     assert!(
         report.max_probe_err() <= PROBE_TOLERANCE,

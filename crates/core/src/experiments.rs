@@ -372,54 +372,21 @@ pub fn runtime_under_loss(
     runtime_in_world(world, cfg, app.name(), members, None)
 }
 
-/// [`runtime_under_loss`] over a list of loss rates: the degradation
-/// curve `(loss, runtime)` for one application. Loss rates where the
-/// application could not finish (retry budget exhausted, horizon hit)
-/// yield an `Err` entry rather than aborting the sweep.
-pub fn loss_sweep(
-    cfg: &ExperimentConfig,
-    app: AppKind,
-    losses: &[f64],
-    reliability: ReliabilityConfig,
-) -> LossCurve {
-    loss_sweep_recorded(cfg, app, losses, reliability).0
-}
-
-/// The result of a loss sweep: one `(loss rate, runtime-or-error)` point
-/// per requested rate, in request order.
-pub type LossCurve = Vec<(f64, Result<SimDuration, ExperimentError>)>;
-
-/// [`loss_sweep`], additionally returning the sweep's telemetry record.
-/// The loss points are independent simulations, so they fan out across
-/// [`ExperimentConfig::jobs`] workers; results come back in `losses`
-/// order regardless of scheduling.
-pub fn loss_sweep_recorded(
-    cfg: &ExperimentConfig,
-    app: AppKind,
-    losses: &[f64],
-    reliability: ReliabilityConfig,
-) -> (LossCurve, SweepTelemetry) {
-    let tasks: Vec<(String, _)> = losses
-        .iter()
-        .map(|&loss| {
-            let label = format!("loss:{}:{loss}", app.name());
-            (label, move || {
-                runtime_under_loss(cfg, app, loss, reliability)
-            })
-        })
-        .collect();
-    let (results, telemetry) = sweep::sweep_recorded("loss-sweep", cfg.jobs, tasks);
-    (losses.iter().copied().zip(results).collect(), telemetry)
-}
-
 /// A supervised loss curve: one `(loss rate, value-or-typed-hole)`
 /// point per requested rate, in request order.
 pub type SupervisedLossCurve = Vec<(f64, crate::supervise::CellResult<SimDuration>)>;
 
-/// [`loss_sweep_recorded`] under the supervision envelope: panics are
-/// isolated into typed holes, each loss point respects the supervisor's
-/// run budget and retry policy, and with a journal the sweep is
-/// resumable (completed points decode instead of re-simulating).
+/// [`runtime_under_loss`] over a list of loss rates: the degradation
+/// curve `(loss, runtime)` for one application. The loss points are
+/// independent simulations, so they fan out across
+/// [`ExperimentConfig::jobs`] workers; results come back in `losses`
+/// order regardless of scheduling.
+///
+/// Loss rates where the application could not finish (retry budget
+/// exhausted, horizon hit) or whose cell panicked yield a typed hole
+/// rather than aborting the sweep. Each loss point respects the
+/// supervisor's run budget and retry policy, and with a journal the
+/// sweep is resumable (completed points decode instead of re-simulating).
 pub fn loss_sweep_supervised(
     cfg: &ExperimentConfig,
     app: AppKind,
@@ -691,11 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn supervised_loss_sweep_matches_plain_results() {
+    fn supervised_loss_sweep_matches_a_direct_run() {
         let cfg = app_cfg();
         let rel = ReliabilityConfig::default();
         let losses = [0.0];
-        let plain = loss_sweep(&cfg, AppKind::Fftw, &losses, rel);
         let (supervised, t) = loss_sweep_supervised(
             &cfg,
             AppKind::Fftw,
@@ -705,10 +671,10 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(supervised.len(), plain.len());
-        let plain_t = plain[0].1.as_ref().unwrap();
+        assert_eq!(supervised.len(), losses.len());
+        let direct = runtime_under_loss(&cfg, AppKind::Fftw, losses[0], rel).unwrap();
         let sup_t = supervised[0].1.as_ref().unwrap();
-        assert_eq!(sup_t, plain_t, "supervision must not change the physics");
+        assert_eq!(*sup_t, direct, "supervision must not change the physics");
         assert_eq!(t.runs[0].outcome, "ok");
     }
 
@@ -805,7 +771,15 @@ mod tests {
             retransmit_timeout: SimDuration::from_millis(50),
             max_retries: 10,
         };
-        let results = loss_sweep(&cfg, AppKind::Lulesh, &[0.0, 0.001], rel);
+        let (results, _) = loss_sweep_supervised(
+            &cfg,
+            AppKind::Lulesh,
+            &[0.0, 0.001],
+            rel,
+            &crate::supervise::Supervisor::none(),
+            None,
+        )
+        .unwrap();
         let clean = results[0].1.clone().expect("lossless run completes");
         let lossy = results[1].1.clone().expect("0.1% loss must still recover");
         assert!(

@@ -94,6 +94,21 @@ impl<A: Journaled, B: Journaled> Journaled for (A, B) {
     }
 }
 
+/// `None` is journaled as `null`, `Some(x)` as `x`'s own encoding (no
+/// codec in this crate encodes a value as `null`).
+impl<T: Journaled> Journaled for Option<T> {
+    fn encode_journal(&self) -> String {
+        self.as_ref()
+            .map_or_else(|| "null".to_owned(), Journaled::encode_journal)
+    }
+    fn decode_journal(s: &str) -> Option<Self> {
+        match s.trim() {
+            "null" => Some(None),
+            v => T::decode_journal(v).map(Some),
+        }
+    }
+}
+
 /// Splits `a,b` at the first top-level comma (not inside brackets,
 /// braces, or strings).
 fn split_pair(s: &str) -> Option<(&str, &str)> {
@@ -690,6 +705,13 @@ mod tests {
         let enc = quad.encode_journal();
         let back = <((f64, f64), (f64, f64))>::decode_journal(&enc).unwrap();
         assert_eq!(back, quad);
+        for opt in [None, Some(anp_simnet::SimDuration::from_nanos(42))] {
+            let pair = (7u64, opt);
+            let back =
+                <(u64, Option<anp_simnet::SimDuration>)>::decode_journal(&pair.encode_journal());
+            assert_eq!(back, Some(pair));
+        }
+        assert_eq!(Option::<u64>::decode_journal("nul"), None, "strict decode");
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! * [`prediction`] — the pairing study: predict all N² co-run slowdowns
 //!   from N isolated measurements and score them against ground truth
 //!   (§V);
-//! * [`sweep`] — the parallel sweep engine: fans independent experiment
-//!   cells across worker threads with index-ordered (byte-identical)
-//!   collection, and records per-run wall/event telemetry;
-//! * [`supervise`] — the supervision envelope around sweep cells: panic
-//!   isolation, per-cell event/wall budgets, deterministic retries, and
-//!   typed holes for the cells that still fail;
+//! * [`sweep`] — what every sweep shares: worker counts, per-cell event
+//!   attribution, and per-run wall/event telemetry records;
+//! * [`supervise`] — the sweep engine: fans independent experiment cells
+//!   across worker threads with index-ordered (byte-identical)
+//!   collection, inside a supervision envelope — panic isolation,
+//!   per-cell event/wall budgets, deterministic retries, and typed holes
+//!   for the cells that still fail;
 //! * [`journal`] — crash-safe append-only run journals (JSONL, fsync'd
 //!   per cell) with bit-exact value encoding and fingerprint-verified
 //!   `--resume`;
@@ -42,8 +43,8 @@
 //! ([`experiments::impact_profile_of_app`]); the latency distribution of
 //! the probes is the workload's *footprint*. Separately, run each
 //! application against a sweep of CompressionB interference configurations
-//! ([`lut::LookupTable::measure`]) to learn how it degrades as switch
-//! capability shrinks. To predict A's slowdown next to B, summarize B's
+//! ([`lut::LookupTable::measure_supervised_with`]) to learn how it degrades
+//! as switch capability shrinks. To predict A's slowdown next to B, summarize B's
 //! footprint (mean / interval / PDF / P-K utilization), find the
 //! CompressionB configuration with the matching footprint, and read off
 //! A's measured degradation under that configuration
@@ -68,10 +69,9 @@ pub use anp_simnet::{audit_compiled, AuditReport, AuditViolation, InvariantKind}
 pub use backend::{calibrate_with, Backend, BackendError, DesBackend, WorkloadSpec};
 pub use experiments::{
     calibrate, degradation_percent, idle_profile, impact_profile, impact_profile_of_app,
-    impact_profile_of_compression, impact_series, impact_series_of_app, loss_sweep,
-    loss_sweep_recorded, loss_sweep_supervised, runtime_of, runtime_under_compression,
-    runtime_under_corun, runtime_under_loss, solo_runtime, ExperimentConfig, ExperimentError,
-    LossCurve, Members, SupervisedLossCurve,
+    impact_profile_of_compression, impact_series, impact_series_of_app, loss_sweep_supervised,
+    runtime_of, runtime_under_compression, runtime_under_corun, runtime_under_loss, solo_runtime,
+    ExperimentConfig, ExperimentError, Members, SupervisedLossCurve,
 };
 pub use journal::{
     config_fingerprint, CellStatus, JournalEntry, JournalError, Journaled, RunJournal,
@@ -93,6 +93,4 @@ pub use supervise::{
     completed_count, partial_exit_code, sweep_supervised, sweep_supervised_for, BudgetReport,
     CellResult, RetryPolicy, RunBudget, Supervisor, TaskError,
 };
-pub use sweep::{
-    sweep as run_sweep, sweep_recorded, sweep_recorded_for, Parallelism, RunRecord, SweepTelemetry,
-};
+pub use sweep::{Parallelism, RunRecord, SweepTelemetry};

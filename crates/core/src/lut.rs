@@ -18,13 +18,13 @@ use std::collections::BTreeMap;
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
 
-use crate::backend::{Backend, DesBackend, WorkloadSpec};
+use crate::backend::{Backend, WorkloadSpec};
 use crate::experiments::{degradation_percent, ExperimentConfig, ExperimentError};
 use crate::journal::{config_fingerprint, JournalError, Journaled, RunJournal};
 use crate::queue::Calibration;
 use crate::samples::LatencyProfile;
 use crate::supervise::{partial_exit_code, sweep_supervised_for, Supervisor, TaskError};
-use crate::sweep::{sweep_recorded_for, SweepTelemetry};
+use crate::sweep::SweepTelemetry;
 
 /// Everything measured for one CompressionB configuration.
 #[derive(Debug, Clone)]
@@ -94,7 +94,7 @@ pub struct SupervisedTable {
 }
 
 impl SupervisedTable {
-    /// True when every cell completed — the table equals an unsupervised
+    /// True when every cell completed — the table equals an uninterrupted
     /// measurement byte-for-byte.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
@@ -137,183 +137,26 @@ impl LookupTable {
 
     /// Measures the complete table: for every configuration an impact
     /// profile, and for every (app, configuration) pair a compression
-    /// experiment. This is the expensive path — `configs.len()` impact
-    /// runs plus `apps.len() × configs.len()` runtime runs; use
-    /// [`LookupTable::from_parts`] to assemble pre-measured pieces.
+    /// experiment. This is the expensive path — `apps.len()` solo runs,
+    /// `configs.len()` impact runs, plus `apps.len() × configs.len()`
+    /// runtime runs; use [`LookupTable::from_parts`] to assemble
+    /// pre-measured pieces.
     ///
     /// Every run is an independent simulation, so the whole grid fans out
-    /// across [`ExperimentConfig::jobs`] worker threads; results are
-    /// collected by index, making the table byte-identical to a serial
-    /// measurement for any worker count.
+    /// across [`ExperimentConfig::jobs`] worker threads on `backend`;
+    /// results are collected by index, making the table — and every
+    /// `progress` line — byte-identical to a serial measurement for any
+    /// worker count. Pass `|_| {}` to discard the progress lines.
     ///
-    /// `progress` is called with a human-readable line as each measurement
-    /// lands (pass `|_| {}` to discard).
-    pub fn measure(
-        cfg: &ExperimentConfig,
-        calibration: Calibration,
-        apps: &[AppKind],
-        configs: &[CompressionConfig],
-        progress: impl FnMut(&str),
-    ) -> Result<Self, ExperimentError> {
-        Self::measure_recorded(cfg, calibration, apps, configs, progress).map(|(t, _)| t)
-    }
-
-    /// [`LookupTable::measure`], additionally returning the sweep's
-    /// telemetry record (per-run wall time and event counts). Runs on the
-    /// reference DES backend.
-    pub fn measure_recorded(
-        cfg: &ExperimentConfig,
-        calibration: Calibration,
-        apps: &[AppKind],
-        configs: &[CompressionConfig],
-        progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        Self::measure_recorded_with(&DesBackend, cfg, calibration, apps, configs, progress)
-    }
-
-    /// [`LookupTable::measure_recorded`] on an explicit measurement
-    /// backend. With [`DesBackend`] this is byte-identical to the classic
-    /// path; with the flow-level backend every cell is analytic.
-    pub fn measure_recorded_with(
-        backend: &dyn Backend,
-        cfg: &ExperimentConfig,
-        calibration: Calibration,
-        apps: &[AppKind],
-        configs: &[CompressionConfig],
-        mut progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        /// One cell of the flattened measurement grid.
-        enum Cell {
-            Solo(Result<SimDuration, ExperimentError>),
-            Impact(Result<LatencyProfile, ExperimentError>),
-            Runtime(Result<SimDuration, ExperimentError>),
-        }
-
-        // Flatten all three independent run families into one task list:
-        // solo runtimes, per-config impact profiles, and the app × config
-        // runtime grid. Task order is the serial measurement order, and
-        // the sweep returns results in task order.
-        let mut tasks: Vec<(String, Box<dyn FnOnce() -> Cell + Send + '_>)> = Vec::new();
-        for &app in apps {
-            tasks.push((
-                format!("solo:{}", app.name()),
-                Box::new(move || Cell::Solo(backend.measure_solo_runtime(cfg, app))),
-            ));
-        }
-        for comp in configs {
-            tasks.push((
-                format!("impact:{}", comp.label()),
-                Box::new(move || {
-                    Cell::Impact(
-                        backend.measure_impact_profile(cfg, WorkloadSpec::Compression(comp)),
-                    )
-                }),
-            ));
-        }
-        for comp in configs {
-            for &app in apps {
-                tasks.push((
-                    format!("grid:{}:{}", app.name(), comp.label()),
-                    Box::new(move || {
-                        Cell::Runtime(backend.measure_compression_run(cfg, app, comp))
-                    }),
-                ));
-            }
-        }
-        let (cells, telemetry) =
-            sweep_recorded_for("lookup-table", backend.name(), cfg.jobs, tasks);
-        let mut cells = cells.into_iter();
-
-        // Reassemble in the exact order the serial loop produced, so
-        // progress lines and error precedence are unchanged.
-        let mut solo = BTreeMap::new();
-        let mut solo_results = Vec::with_capacity(apps.len());
-        for &app in apps {
-            match cells
-                .next()
-                .ok_or(ExperimentError::SweepShape { stage: "solo" })?
-            {
-                Cell::Solo(r) => solo_results.push((app, r)),
-                _ => unreachable!("cell order mismatch"),
-            }
-        }
-        let mut profiles = Vec::with_capacity(configs.len());
-        for _ in configs {
-            match cells
-                .next()
-                .ok_or(ExperimentError::SweepShape { stage: "impact" })?
-            {
-                Cell::Impact(r) => profiles.push(r),
-                _ => unreachable!("cell order mismatch"),
-            }
-        }
-        let mut grid = Vec::with_capacity(configs.len() * apps.len());
-        for _ in 0..configs.len() * apps.len() {
-            match cells
-                .next()
-                .ok_or(ExperimentError::SweepShape { stage: "grid" })?
-            {
-                Cell::Runtime(r) => grid.push(r),
-                _ => unreachable!("cell order mismatch"),
-            }
-        }
-
-        for (app, r) in solo_results {
-            let t = r?;
-            progress(&format!("solo {} = {t}", app.name()));
-            solo.insert(app, t);
-        }
-        let mut grid = grid.into_iter();
-        let mut entries = Vec::with_capacity(configs.len());
-        for (comp, profile) in configs.iter().zip(profiles) {
-            let profile = profile?;
-            let utilization = calibration.utilization(&profile);
-            progress(&format!(
-                "impact {} -> mean {:.2}us util {:.1}%",
-                comp.label(),
-                profile.mean(),
-                utilization * 100.0
-            ));
-            let mut slowdown = BTreeMap::new();
-            for &app in apps {
-                let t = grid
-                    .next()
-                    .ok_or(ExperimentError::SweepShape { stage: "grid" })??;
-                let d = degradation_percent(solo[&app], t);
-                progress(&format!(
-                    "  {} under {} -> {:.1}%",
-                    app.name(),
-                    comp.label(),
-                    d
-                ));
-                slowdown.insert(app, d);
-            }
-            entries.push(CompressionEntry {
-                config: *comp,
-                profile,
-                utilization,
-                slowdown,
-            });
-        }
-        Ok((
-            LookupTable::from_parts(calibration, entries, solo),
-            telemetry,
-        ))
-    }
-
-    /// [`LookupTable::measure_recorded_with`] under a supervision
-    /// envelope: every cell runs with panic isolation, the supervisor's
-    /// per-cell budget and retry policy, and (with a journal) crash-safe
-    /// resume. Instead of aborting on the first failure, the measurement
-    /// keeps every sibling cell and returns a [`SupervisedTable`] whose
-    /// typed holes say exactly which cells are missing and why.
-    ///
-    /// A fully completed measurement is byte-identical to
-    /// [`LookupTable::measure_recorded_with`] — same table, same progress
-    /// lines — and so is a `--resume` completion of a partial journal.
-    /// Failed cells emit `… FAILED: <error>` progress lines; runtimes
-    /// whose solo baseline is missing cannot become slowdowns and are
-    /// reported as `(no solo baseline)`.
+    /// Every cell runs inside the `supervisor`'s envelope: panic
+    /// isolation, its per-cell budget and retry policy, and (with a
+    /// journal) crash-safe resume. A failing cell does not abort the
+    /// measurement: its siblings complete and the returned
+    /// [`SupervisedTable`] names each hole. A `--resume` completion of a
+    /// partial journal is byte-identical to an uninterrupted run. Failed
+    /// cells emit `… FAILED: <error>` progress lines; runtimes whose solo
+    /// baseline is missing cannot become slowdowns and are reported as
+    /// `(no solo baseline)`.
     #[allow(clippy::too_many_arguments)]
     pub fn measure_supervised_with(
         backend: &dyn Backend,
@@ -327,8 +170,11 @@ impl LookupTable {
     ) -> Result<(SupervisedTable, SweepTelemetry), JournalError> {
         type LutTask<'a> = Box<dyn Fn() -> Result<LutCell, ExperimentError> + Send + Sync + 'a>;
 
-        // The same flattening (and labels) as the plain path, but tasks
-        // are `Fn` so the supervisor can retry them.
+        // Flatten all three independent run families into one task list:
+        // solo runtimes, per-config impact profiles, and the app × config
+        // runtime grid. Task order is the serial measurement order, and
+        // the sweep returns results in task order. Tasks are `Fn` so the
+        // supervisor can retry them.
         let mut tasks: Vec<(String, LutTask<'_>)> = Vec::new();
         for &app in apps {
             tasks.push((
@@ -371,8 +217,8 @@ impl LookupTable {
         let mut results = results.into_iter();
         let mut failures = Vec::new();
 
-        // Reassemble in serial order, exactly like the plain path, but
-        // route failures into typed holes instead of `?`-ing out.
+        // Reassemble in serial order, so progress lines come out exactly
+        // as a serial loop would print them; failures become typed holes.
         let mut solo = BTreeMap::new();
         for &app in apps {
             match results.next().ok_or_else(|| JournalError::ShapeMismatch {
@@ -751,46 +597,61 @@ mod tests {
         assert!(LutCell::decode_journal("{\"kind\":\"other\",\"v\":1}").is_none());
     }
 
+    /// A clean measurement of `apps × configs` on the fake backend: the
+    /// table, its progress lines, and the sweep telemetry.
+    fn clean_measurement(
+        cfg: &ExperimentConfig,
+        apps: &[AppKind],
+        configs: &[CompressionConfig],
+    ) -> (LookupTable, Vec<String>, SweepTelemetry) {
+        let mut lines = Vec::new();
+        let (outcome, t) = LookupTable::measure_supervised_with(
+            &FakeBackend::clean(),
+            cfg,
+            synthetic_calibration(),
+            apps,
+            configs,
+            &Supervisor::none(),
+            None,
+            |l| lines.push(l.to_owned()),
+        )
+        .unwrap();
+        assert!(outcome.is_complete());
+        assert_eq!(outcome.exit_code(), 0);
+        (outcome.table.unwrap(), lines, t)
+    }
+
     #[test]
-    fn supervised_measurement_matches_plain_when_clean() {
-        let cfg = ExperimentConfig::cab();
+    fn clean_measurement_is_identical_across_worker_counts() {
         let apps = [AppKind::Fftw, AppKind::Milc];
         let configs = [
             CompressionConfig::new(1, 25_000, 1),
             CompressionConfig::new(2, 50_000, 1),
         ];
-        let mut plain_lines = Vec::new();
-        let (plain, _) = LookupTable::measure_recorded_with(
-            &FakeBackend::clean(),
-            &cfg,
-            synthetic_calibration(),
-            &apps,
-            &configs,
-            |l| plain_lines.push(l.to_owned()),
-        )
-        .unwrap();
-        let mut sup_lines = Vec::new();
-        let (outcome, t) = LookupTable::measure_supervised_with(
-            &FakeBackend::clean(),
-            &cfg,
-            synthetic_calibration(),
-            &apps,
-            &configs,
-            &Supervisor::none(),
-            None,
-            |l| sup_lines.push(l.to_owned()),
-        )
-        .unwrap();
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.exit_code(), 0);
-        assert_eq!(sup_lines, plain_lines, "identical progress lines");
-        let table = outcome.table.unwrap();
-        assert_eq!(table.solo, plain.solo);
-        assert_eq!(table.entries.len(), plain.entries.len());
-        for (a, b) in table.entries.iter().zip(&plain.entries) {
+        let (serial, serial_lines, _) =
+            clean_measurement(&ExperimentConfig::cab().with_jobs(1), &apps, &configs);
+        let (table, lines, t) =
+            clean_measurement(&ExperimentConfig::cab().with_jobs(4), &apps, &configs);
+        assert_eq!(lines, serial_lines, "identical progress lines");
+        assert_eq!(table.solo, serial.solo);
+        assert_eq!(table.entries.len(), serial.entries.len());
+        for (a, b) in table.entries.iter().zip(&serial.entries) {
             assert_eq!(a.profile.encode_journal(), b.profile.encode_journal());
             assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
             assert_eq!(a.slowdown, b.slowdown);
+        }
+        // The values are the fake backend's: 100 ms solo, 150 ms loaded.
+        assert_eq!(
+            lines[0],
+            format!(
+                "solo {} = {}",
+                AppKind::Fftw.name(),
+                SimDuration::from_millis(100)
+            )
+        );
+        for e in &table.entries {
+            assert_eq!(e.slowdown.len(), apps.len());
+            assert!(e.slowdown.values().all(|&d| d == 50.0));
         }
         assert_eq!(t.runs.len(), 2 + 2 + 4);
         assert!(t.runs.iter().all(|r| r.outcome == "ok"));
@@ -895,25 +756,16 @@ mod tests {
         assert_eq!(clean.call_count(), 1, "only the failed grid cell re-runs");
         assert_eq!(t.runs.iter().filter(|r| r.outcome == "resumed").count(), 2);
 
-        // The resumed table is byte-identical to an unfaulted plain run.
-        let mut plain_lines = Vec::new();
-        let (plain, _) = LookupTable::measure_recorded_with(
-            &FakeBackend::clean(),
-            &cfg,
-            synthetic_calibration(),
-            &apps,
-            &configs,
-            |l| plain_lines.push(l.to_owned()),
-        )
-        .unwrap();
-        assert_eq!(resumed_lines, plain_lines);
+        // The resumed table is byte-identical to an unfaulted run.
+        let (clean_table, clean_lines, _) = clean_measurement(&cfg, &apps, &configs);
+        assert_eq!(resumed_lines, clean_lines);
         let table = second.table.unwrap();
-        assert_eq!(table.solo, plain.solo);
+        assert_eq!(table.solo, clean_table.solo);
         assert_eq!(
             table.entries[0].profile.encode_journal(),
-            plain.entries[0].profile.encode_journal()
+            clean_table.entries[0].profile.encode_journal()
         );
-        assert_eq!(table.entries[0].slowdown, plain.entries[0].slowdown);
+        assert_eq!(table.entries[0].slowdown, clean_table.entries[0].slowdown);
         std::fs::remove_file(&path).ok();
     }
 

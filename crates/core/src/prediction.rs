@@ -18,7 +18,7 @@ use crate::lut::LookupTable;
 use crate::models::{ModelKind, SlowdownModel};
 use crate::samples::LatencyProfile;
 use crate::supervise::{sweep_supervised_for, Supervisor, TaskError};
-use crate::sweep::{sweep_recorded_for, SweepTelemetry};
+use crate::sweep::SweepTelemetry;
 
 /// Why a pairing has no slowdown value to offer.
 ///
@@ -132,70 +132,17 @@ impl Study {
         }
     }
 
-    /// Measures the application impact profiles for `apps` (the table must
-    /// already exist). The per-app runs are independent simulations and
-    /// fan out across [`ExperimentConfig::jobs`] workers.
-    pub fn measure_profiles(
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        progress: impl FnMut(&str),
-    ) -> Result<Self, ExperimentError> {
-        Self::measure_profiles_recorded(cfg, table, apps, progress).map(|(s, _)| s)
-    }
-
-    /// [`Study::measure_profiles`], additionally returning the sweep's
-    /// telemetry record. Runs on the reference DES backend.
-    pub fn measure_profiles_recorded(
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        Self::measure_profiles_recorded_with(&DesBackend, cfg, table, apps, progress)
-    }
-
-    /// [`Study::measure_profiles_recorded`] on an explicit measurement
-    /// backend.
-    pub fn measure_profiles_recorded_with(
-        backend: &dyn Backend,
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        mut progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        let tasks: Vec<(String, _)> = apps
-            .iter()
-            .map(|&app| {
-                let label = format!("profile:{}", app.name());
-                (label, move || {
-                    backend.measure_impact_profile(cfg, WorkloadSpec::App(app))
-                })
-            })
-            .collect();
-        let (results, telemetry) =
-            sweep_recorded_for("app-profiles", backend.name(), cfg.jobs, tasks);
-        let mut app_profiles = BTreeMap::new();
-        for (&app, r) in apps.iter().zip(results) {
-            let p = r?;
-            progress(&format!(
-                "impact {} -> mean {:.2}us sd {:.2}us util {:.1}%",
-                app.name(),
-                p.mean(),
-                p.std_dev(),
-                table.calibration.utilization(&p) * 100.0
-            ));
-            app_profiles.insert(app, p);
-        }
-        Ok((Study::from_parts(table, app_profiles), telemetry))
-    }
-
-    /// [`Study::measure_profiles_recorded_with`] under a supervision
-    /// envelope: failing apps leave typed holes (their profiles are
-    /// simply absent from the study, so [`Study::predict_pair`] yields no
-    /// predictions for them) instead of aborting the whole measurement.
-    /// A clean run is byte-identical to the plain path; with a journal,
-    /// completed profiles resume instead of re-simulating.
+    /// Measures the application impact profiles for `apps` on `backend`
+    /// (the table must already exist). The per-app runs are independent
+    /// simulations and fan out across [`ExperimentConfig::jobs`] workers;
+    /// profiles and `progress` lines come back in `apps` order.
+    ///
+    /// Every cell runs inside the `supervisor`'s envelope. A failing app
+    /// leaves a typed hole: its profile is simply absent from the study
+    /// (so [`Study::predict_pair`] yields no predictions for it) and the
+    /// reason is in the returned failure list, while every sibling app
+    /// completes. With a journal, completed profiles resume instead of
+    /// re-simulating.
     pub fn measure_profiles_supervised_with(
         backend: &dyn Backend,
         cfg: &ExperimentConfig,
@@ -320,60 +267,17 @@ impl Study {
     }
 
     /// Measures the co-run ground truth for every pairing in `outcomes`
-    /// (the quadratic Table-I grid). Each pairing is an independent
-    /// simulation, so the grid fans out across [`ExperimentConfig::jobs`]
-    /// workers; `outcomes` is filled in place, in its own order. Returns
-    /// the sweep's telemetry record.
-    pub fn measure_pairs_recorded(
-        &self,
-        cfg: &ExperimentConfig,
-        outcomes: &mut [PairOutcome],
-        progress: impl FnMut(&str),
-    ) -> Result<SweepTelemetry, ExperimentError> {
-        self.measure_pairs_recorded_with(&DesBackend, cfg, outcomes, progress)
-    }
-
-    /// [`Study::measure_pairs_recorded`] on an explicit measurement
-    /// backend.
-    pub fn measure_pairs_recorded_with(
-        &self,
-        backend: &dyn Backend,
-        cfg: &ExperimentConfig,
-        outcomes: &mut [PairOutcome],
-        mut progress: impl FnMut(&str),
-    ) -> Result<SweepTelemetry, ExperimentError> {
-        let tasks: Vec<(String, _)> = outcomes
-            .iter()
-            .map(|o| {
-                let (victim, other) = (o.victim, o.other);
-                let label = format!("corun:{}+{}", victim.name(), other.name());
-                (label, move || {
-                    backend.measure_corun_runtime(cfg, victim, other)
-                })
-            })
-            .collect();
-        let (results, telemetry) =
-            sweep_recorded_for("pairing-grid", backend.name(), cfg.jobs, tasks);
-        for (o, r) in outcomes.iter_mut().zip(results) {
-            let solo = self.table.solo[&o.victim];
-            let measured = degradation_percent(solo, r?);
-            o.measured = Some(measured);
-            progress(&format!(
-                "{} with {} -> measured {measured:+.1}%",
-                o.victim.name(),
-                o.other.name(),
-            ));
-        }
-        Ok(telemetry)
-    }
-
-    /// [`Study::measure_pairs_recorded_with`] under a supervision
-    /// envelope. Pairings whose cell fails keep `measured: None` — the
-    /// natural typed hole of [`PairOutcome`] — and the reason comes back
-    /// in the failure list; every sibling pairing still completes. A
-    /// pairing whose victim has no solo baseline in the (possibly
-    /// partial) table also stays unmeasured. A clean run fills `outcomes`
-    /// byte-identically to the plain path.
+    /// (the quadratic Table-I grid) on `backend`. Each pairing is an
+    /// independent simulation, so the grid fans out across
+    /// [`ExperimentConfig::jobs`] workers; `outcomes` is filled in place,
+    /// in its own order, byte-identically for any worker count.
+    ///
+    /// Every cell runs inside the `supervisor`'s envelope. Pairings whose
+    /// cell fails keep `measured: None` — the natural typed hole of
+    /// [`PairOutcome`] — and the reason comes back in the failure list;
+    /// every sibling pairing still completes. A pairing whose victim has
+    /// no solo baseline in the (possibly partial) table also stays
+    /// unmeasured.
     pub fn measure_pairs_supervised_with(
         &self,
         backend: &dyn Backend,
@@ -588,39 +492,39 @@ mod tests {
     }
 
     #[test]
-    fn supervised_pairs_match_plain_when_clean_and_hole_on_panic() {
+    fn clean_pairs_match_across_worker_counts_and_hole_on_panic() {
         let cfg = ExperimentConfig::cab();
         let s = study();
         let apps = [AppKind::Fftw, AppKind::Milc];
         let models = all_models();
 
-        let mut plain = s.predict_all(&apps, &models);
-        let mut plain_lines = Vec::new();
-        s.measure_pairs_recorded_with(&FakeBackend::clean(), &cfg, &mut plain, |l| {
-            plain_lines.push(l.to_owned())
-        })
-        .unwrap();
-
-        let mut supervised = s.predict_all(&apps, &models);
-        let mut sup_lines = Vec::new();
-        let (failures, _) = s
-            .measure_pairs_supervised_with(
-                &FakeBackend::clean(),
-                &cfg,
-                &mut supervised,
-                &Supervisor::none(),
-                None,
-                |l| sup_lines.push(l.to_owned()),
-            )
-            .unwrap();
-        assert!(failures.is_empty());
-        assert_eq!(sup_lines, plain_lines, "identical progress lines");
-        for (a, b) in supervised.iter().zip(&plain) {
+        let clean = |jobs: usize| {
+            let mut outcomes = s.predict_all(&apps, &models);
+            let mut lines = Vec::new();
+            let (failures, _) = s
+                .measure_pairs_supervised_with(
+                    &FakeBackend::clean(),
+                    &cfg.clone().with_jobs(jobs),
+                    &mut outcomes,
+                    &Supervisor::none(),
+                    None,
+                    |l| lines.push(l.to_owned()),
+                )
+                .unwrap();
+            assert!(failures.is_empty());
+            (outcomes, lines)
+        };
+        let (serial, serial_lines) = clean(1);
+        let (parallel, parallel_lines) = clean(4);
+        assert_eq!(parallel_lines, serial_lines, "identical progress lines");
+        for (a, b) in parallel.iter().zip(&serial) {
             assert_eq!(
                 a.measured.unwrap().to_bits(),
                 b.measured.unwrap().to_bits(),
                 "bit-identical measurements"
             );
+            // The fake backend's co-run takes 130 ms against a 100 ms solo.
+            assert!((a.measured.unwrap() - 30.0).abs() < 1e-9);
         }
 
         // Now panic one pairing: its hole stays `measured: None`, every

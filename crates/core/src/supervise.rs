@@ -1,10 +1,13 @@
-//! The sweep supervisor: panic isolation, per-cell run budgets, retries,
-//! and journal-backed resume.
+//! The sweep engine: index-ordered parallel fan-out of independent
+//! cells, each run inside a supervision envelope — panic isolation,
+//! per-cell run budgets, retries, and journal-backed resume.
 //!
-//! The plain engine in [`crate::sweep`] trusts its tasks: a panicking
-//! cell poisons result slots and aborts the whole sweep, and a wedged
-//! simulation holds a worker forever. This module wraps every cell in a
-//! supervision envelope instead:
+//! Every sweep in the workspace runs through [`sweep_supervised_for`]
+//! (or its `"des"`-attributed shorthand [`sweep_supervised`]). A caller
+//! with no supervision flags passes [`Supervisor::none`] and no journal:
+//! cells then run exactly once, in task order on one worker or claimed
+//! by index across several, and a panic still becomes a typed hole
+//! instead of aborting the siblings. The envelope:
 //!
 //! * **Panic isolation** — each cell runs under
 //!   [`std::panic::catch_unwind`]; a panic becomes
@@ -26,11 +29,11 @@
 //!   and a later run with `--resume` decodes completed cells instead of
 //!   re-simulating them, after fingerprint verification.
 //!
-//! Results come back as index-ordered `Vec<CellResult<T>>` — completed
-//! sweeps are byte-identical to the plain engine; incomplete sweeps have
-//! typed holes where cells failed, and callers map the hole pattern onto
-//! the 0 (complete) / 3 (partial) / 1 (failed) exit-code convention via
-//! [`partial_exit_code`].
+//! Results come back as index-ordered `Vec<CellResult<T>>` — a completed
+//! sweep is byte-identical to a serial loop over the tasks, for any
+//! worker count; an incomplete sweep has typed holes where cells failed,
+//! and callers map the hole pattern onto the 0 (complete) / 3 (partial) /
+//! 1 (failed) exit-code convention via [`partial_exit_code`].
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -333,16 +336,17 @@ where
     sweep_supervised_for(name, "des", par, sup, journal, config_fp, tasks)
 }
 
-/// The supervised sweep engine: like
-/// [`crate::sweep::sweep_recorded_for`], but every cell runs inside the
+/// The sweep engine: fans `tasks` out across up to
+/// [`Parallelism::workers`] threads, runs every cell inside the
 /// supervision envelope (panic isolation, budgets, retries) and, with a
-/// journal, is recorded for resume. Tasks are `Fn` rather than `FnOnce`
+/// journal, records it for resume. Telemetry attributes every cell to
+/// `backend` (`"des"`, `"flow"`, …). Tasks are `Fn` rather than `FnOnce`
 /// because retries re-invoke them; cells are pure functions of the
 /// experiment config, so re-invocation is deterministic.
 ///
 /// Results are index-ordered; completed cells are byte-identical to a
-/// plain serial sweep. The only error is a journal/fingerprint conflict
-/// — cell failures come back *inside* the vector as typed holes.
+/// serial loop over the tasks. The only error is a journal/fingerprint
+/// conflict — cell failures come back *inside* the vector as typed holes.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_supervised_for<T, F>(
     name: &str,
@@ -481,9 +485,10 @@ where
         }
         (results, runs)
     } else {
-        // Parallel path, mirroring the plain engine's index-claiming
-        // loop — but cells cannot poison anything: the closure never
-        // panics (panics are caught and typed inside `finish_cell`).
+        // Parallel path: workers claim indices from an atomic counter and
+        // each result lands in its own slot, so collection order is task
+        // order. Cells cannot poison anything: the closure never panics
+        // (panics are caught and typed inside `finish_cell`).
         type CellSlot<T> = Mutex<Option<(CellResult<T>, RunRecord)>>;
         let next = AtomicUsize::new(0);
         let slots: Vec<CellSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -547,6 +552,128 @@ mod tests {
     }
 
     type CellFn = Box<dyn Fn() -> Result<u64, ExperimentError> + Send + Sync>;
+
+    /// An unsupervised-style sweep: no budget, no journal, every cell
+    /// must complete. Returns the values in task order.
+    fn clean_sweep<T, F>(
+        name: &str,
+        par: Parallelism,
+        tasks: Vec<(String, F)>,
+    ) -> (Vec<T>, SweepTelemetry)
+    where
+        T: Send + Journaled,
+        F: Fn() -> Result<T, ExperimentError> + Send + Sync,
+    {
+        let (results, t) = sweep_supervised(name, par, &sup(), None, 0, tasks).unwrap();
+        let values = results.into_iter().map(|r| r.unwrap()).collect();
+        (values, t)
+    }
+
+    #[test]
+    fn results_come_back_in_task_order() {
+        // Give later tasks *less* work so they finish first under any
+        // parallel schedule; the output must still be index-ordered.
+        let tasks: Vec<(String, _)> = (0..64u64)
+            .map(|i| {
+                (format!("cell{i}"), move || {
+                    let spin = (64 - i) * 1_000;
+                    let mut acc = 0u64;
+                    for k in 0..spin {
+                        acc = acc.wrapping_add(k ^ i);
+                    }
+                    Ok((i, acc.wrapping_mul(0))) // value depends only on i
+                })
+            })
+            .collect();
+        let (out, _) = clean_sweep("order", Parallelism::fixed(8), tasks);
+        let ids: Vec<u64> = out.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ids, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_matches_serial_output() {
+        let mk = || {
+            (0..40u64)
+                .map(|i| {
+                    (format!("cell{i}"), move || {
+                        Ok(i.wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 13))
+                    })
+                })
+                .collect::<Vec<_>>()
+        };
+        let (serial, _) = clean_sweep::<u64, _>("s", Parallelism::fixed(1), mk());
+        let (parallel, _) = clean_sweep::<u64, _>("p", Parallelism::fixed(7), mk());
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn empty_and_single_task_sweeps() {
+        let none: Vec<(String, CellFn)> = vec![];
+        assert!(clean_sweep("empty", Parallelism::Auto, none).0.is_empty());
+        let one = vec![("one".to_owned(), || Ok(41u64 + 1))];
+        assert_eq!(clean_sweep("one", Parallelism::Auto, one).0, vec![42]);
+    }
+
+    #[test]
+    fn telemetry_counts_runs_and_events() {
+        let tasks: Vec<(String, _)> = (0..5u64)
+            .map(|i| {
+                (format!("cell{i}"), move || {
+                    crate::sweep::note_events(100 + i);
+                    Ok(i)
+                })
+            })
+            .collect();
+        let (values, t) = clean_sweep("unit", Parallelism::fixed(3), tasks);
+        assert_eq!(values, vec![0, 1, 2, 3, 4]);
+        assert_eq!(t.runs.len(), 5);
+        assert_eq!(t.name, "unit");
+        assert_eq!(t.workers, 3);
+        assert_eq!(t.events_total(), 100 + 101 + 102 + 103 + 104);
+        assert_eq!(t.runs[2].label, "cell2");
+        assert_eq!(t.runs[2].events, 102);
+        assert!(t.serial_secs() >= 0.0);
+    }
+
+    #[test]
+    fn serial_telemetry_reports_one_worker() {
+        let (_, t) = clean_sweep(
+            "serial",
+            Parallelism::fixed(1),
+            vec![("a".to_owned(), || Ok(0u64))],
+        );
+        assert_eq!(t.workers, 1);
+    }
+
+    #[test]
+    fn stale_events_do_not_leak_between_cells() {
+        crate::sweep::note_events(999); // tally left by an earlier, unswept experiment
+        let tasks = vec![("only".to_owned(), || {
+            crate::sweep::note_events(5);
+            Ok(0u64)
+        })];
+        let (_, t) = clean_sweep("leak", Parallelism::fixed(1), tasks);
+        assert_eq!(t.events_total(), 5);
+    }
+
+    #[test]
+    fn backend_attribution_defaults_to_des_and_mixes_on_absorb() {
+        let cell = || vec![("a".to_owned(), || Ok(0u64))];
+        let (_, des) = clean_sweep("d", Parallelism::fixed(1), cell());
+        assert_eq!(des.backend, "des");
+        assert_eq!(des.runs[0].backend, "des");
+        let (_, flow) =
+            sweep_supervised_for("f", "flow", Parallelism::fixed(1), &sup(), None, 0, cell())
+                .unwrap();
+        assert_eq!(flow.backend, "flow");
+        assert_eq!(flow.runs[0].backend, "flow");
+        let mut agg = des.clone();
+        agg.absorb(des.clone());
+        assert_eq!(agg.backend, "des", "same-backend absorb stays pure");
+        agg.absorb(flow);
+        assert_eq!(agg.backend, "mixed");
+        assert_eq!(agg.runs[2].backend, "flow", "per-run attribution survives");
+    }
 
     #[test]
     fn panicking_cell_does_not_kill_siblings() {

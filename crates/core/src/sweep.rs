@@ -1,4 +1,5 @@
-//! The parallel experiment sweep engine.
+//! Shared vocabulary of the sweep engine: worker counts, per-cell event
+//! attribution, and telemetry records.
 //!
 //! Every expensive artefact of the paper is a grid of *independent,
 //! deterministic* simulations: one impact run per CompressionB
@@ -7,25 +8,23 @@
 //! [`anp_simmpi::World`] from the experiment config alone, so cells share
 //! no state and can execute on any thread in any order.
 //!
-//! [`sweep`] exploits that: it fans a slice of experiment closures out
-//! across `N` worker threads (std [`std::thread::scope`], no runtime
-//! dependencies) and collects results **by index**. Workers pull the next
-//! unclaimed index from an atomic counter; each result lands in its own
-//! slot, so the output vector is byte-identical to what a serial loop in
-//! index order would produce, regardless of scheduling. With
-//! [`Parallelism::Fixed`]`(1)` the tasks run in order on the calling
-//! thread — exactly the old serial behavior.
+//! The engine that exploits this is
+//! [`crate::supervise::sweep_supervised_for`]: it fans the cells out
+//! across [`Parallelism::workers`] threads and collects results **by
+//! index**, so the output is byte-identical to a serial loop in task
+//! order regardless of scheduling. This module holds what that engine
+//! and the experiment drivers share:
 //!
-//! [`sweep_recorded`] additionally captures a [`SweepTelemetry`] record:
-//! per-run wall time and simulation events processed (reported by the
-//! experiment drivers via [`note_events`]), plus whole-sweep wall time and
-//! worker count. Harnesses serialize these records to `BENCH_anp.json` so
-//! the performance trajectory of the engine is tracked run over run.
+//! * [`Parallelism`] — how many workers a sweep may use;
+//! * [`note_events`] / [`take_events`] — a thread-local tally through
+//!   which experiment drivers credit simulation events to the cell
+//!   running on their thread;
+//! * [`RunRecord`] / [`SweepTelemetry`] — per-cell wall time, events and
+//!   outcome, plus whole-sweep wall time and worker count. Harnesses
+//!   serialize these records to `BENCH_anp.json` so the performance
+//!   trajectory of the engine is tracked run over run.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// How many worker threads a sweep may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,12 +92,11 @@ pub struct RunRecord {
     /// [`anp_simmpi::World::events_processed`] via [`note_events`]).
     /// Zero for analytic backends, which process no events.
     pub events: u64,
-    /// How the cell ended: `"ok"` (also for plain unsupervised sweeps),
-    /// `"resumed"` (decoded from a run journal), or a failure kind from
-    /// [`crate::journal::CellStatus`] (`"failed"`, `"panicked"`,
-    /// `"budget"`).
+    /// How the cell ended: `"ok"`, `"resumed"` (decoded from a run
+    /// journal), or a failure kind from [`crate::journal::CellStatus`]
+    /// (`"failed"`, `"panicked"`, `"budget"`).
     pub outcome: String,
-    /// Retries the supervisor spent on the cell (0 in plain sweeps).
+    /// Retries the supervisor spent on the cell.
     pub retries: u32,
 }
 
@@ -228,222 +226,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Runs `tasks` across up to [`Parallelism::workers`] threads and returns
-/// the results **in task order** — byte-identical to running the closures
-/// serially, regardless of how the scheduler interleaves them.
-///
-/// Tasks must be independent: each closure owns (or shares immutably)
-/// everything it needs. A panicking task propagates out of the sweep.
-pub fn sweep<T, F>(par: Parallelism, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let labeled: Vec<(String, F)> = tasks.into_iter().map(|f| (String::new(), f)).collect();
-    sweep_recorded("sweep", par, labeled).0
-}
-
-/// [`sweep`], additionally recording a [`SweepTelemetry`]: per-run wall
-/// time and simulation events, whole-sweep wall time, worker count. The
-/// telemetry is attributed to the `"des"` backend (the default engine);
-/// use [`sweep_recorded_for`] to attribute another.
-pub fn sweep_recorded<T, F>(
-    name: &str,
-    par: Parallelism,
-    tasks: Vec<(String, F)>,
-) -> (Vec<T>, SweepTelemetry)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    sweep_recorded_for(name, "des", par, tasks)
-}
-
-/// [`sweep_recorded`] with an explicit backend attribution: every
-/// [`RunRecord`] and the [`SweepTelemetry`] itself record which
-/// measurement engine produced the cells (`"des"`, `"flow"`, …).
-pub fn sweep_recorded_for<T, F>(
-    name: &str,
-    backend: &str,
-    par: Parallelism,
-    tasks: Vec<(String, F)>,
-) -> (Vec<T>, SweepTelemetry)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = tasks.len();
-    let workers = par.workers().min(n.max(1));
-    let sweep_start = Instant::now();
-
-    let run_task = |label: String, f: F| -> (T, RunRecord) {
-        let _ = take_events(); // drop any stale tally from a previous cell
-        let start = Instant::now();
-        let value = f();
-        let record = RunRecord {
-            label,
-            backend: backend.to_owned(),
-            wall_secs: start.elapsed().as_secs_f64(),
-            events: take_events(),
-            outcome: "ok".to_owned(),
-            retries: 0,
-        };
-        (value, record)
-    };
-
-    if workers <= 1 || n <= 1 {
-        // Serial path: in order, on the calling thread — the exact
-        // pre-engine behavior.
-        let mut values = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        for (label, f) in tasks {
-            let (v, r) = run_task(label, f);
-            values.push(v);
-            runs.push(r);
-        }
-        let telemetry = SweepTelemetry {
-            name: name.to_owned(),
-            backend: backend.to_owned(),
-            workers: 1,
-            wall_secs: sweep_start.elapsed().as_secs_f64(),
-            runs,
-        };
-        return (values, telemetry);
-    }
-
-    // Parallel path: workers claim indices from an atomic counter; every
-    // result is written to its own slot, so collection order is the task
-    // order no matter which worker ran what.
-    let next = AtomicUsize::new(0);
-    let task_slots: Vec<Mutex<Option<(String, F)>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let result_slots: Vec<Mutex<Option<(T, RunRecord)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (label, f) = task_slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    // anp-lint: allow(D003) — the atomic counter hands each index to exactly one worker; a double claim is engine corruption that must halt loudly
-                    .expect("sweep task claimed twice");
-                let out = run_task(label, f);
-                *result_slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-            });
-        }
-    });
-
-    let mut values = Vec::with_capacity(n);
-    let mut runs = Vec::with_capacity(n);
-    for slot in result_slots {
-        let (v, r) = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            // anp-lint: allow(D003) — thread::scope joins every worker before collection, so each slot holds exactly one result
-            .expect("sweep task did not produce a result");
-        values.push(v);
-        runs.push(r);
-    }
-    let telemetry = SweepTelemetry {
-        name: name.to_owned(),
-        backend: backend.to_owned(),
-        workers,
-        wall_secs: sweep_start.elapsed().as_secs_f64(),
-        runs,
-    };
-    (values, telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_come_back_in_task_order() {
-        // Give later tasks *less* work so they finish first under any
-        // parallel schedule; the output must still be index-ordered.
-        let tasks: Vec<_> = (0..64u64)
-            .map(|i| {
-                move || {
-                    let spin = (64 - i) * 1_000;
-                    let mut acc = 0u64;
-                    for k in 0..spin {
-                        acc = acc.wrapping_add(k ^ i);
-                    }
-                    (i, acc.wrapping_mul(0)) // value depends only on i
-                }
-            })
-            .collect();
-        let out = sweep(Parallelism::fixed(8), tasks);
-        let ids: Vec<u64> = out.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ids, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_matches_serial_output() {
-        let mk = || {
-            (0..40u64)
-                .map(|i| move || i.wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 13))
-                .collect::<Vec<_>>()
-        };
-        let serial = sweep(Parallelism::fixed(1), mk());
-        let parallel = sweep(Parallelism::fixed(7), mk());
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn empty_and_single_task_sweeps() {
-        let none: Vec<fn() -> u32> = vec![];
-        assert!(sweep(Parallelism::Auto, none).is_empty());
-        assert_eq!(sweep(Parallelism::Auto, vec![|| 41 + 1]), vec![42]);
-    }
-
-    #[test]
-    fn telemetry_counts_runs_and_events() {
-        let tasks: Vec<(String, _)> = (0..5u64)
-            .map(|i| {
-                (format!("cell{i}"), move || {
-                    note_events(100 + i);
-                    i
-                })
-            })
-            .collect();
-        let (values, t) = sweep_recorded("unit", Parallelism::fixed(3), tasks);
-        assert_eq!(values, vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.runs.len(), 5);
-        assert_eq!(t.name, "unit");
-        assert_eq!(t.workers, 3);
-        assert_eq!(t.events_total(), 100 + 101 + 102 + 103 + 104);
-        assert_eq!(t.runs[2].label, "cell2");
-        assert_eq!(t.runs[2].events, 102);
-        assert!(t.serial_secs() >= 0.0);
-    }
-
-    #[test]
-    fn serial_telemetry_reports_one_worker() {
-        let (_, t) = sweep_recorded(
-            "serial",
-            Parallelism::fixed(1),
-            vec![("a".to_owned(), || ())],
-        );
-        assert_eq!(t.workers, 1);
-    }
-
-    #[test]
-    fn stale_events_do_not_leak_between_cells() {
-        note_events(999); // tally left by an earlier, unswept experiment
-        let tasks = vec![("only".to_owned(), || note_events(5))];
-        let (_, t) = sweep_recorded("leak", Parallelism::fixed(1), tasks);
-        assert_eq!(t.events_total(), 5);
-    }
 
     #[test]
     fn json_record_is_well_formed() {
@@ -493,27 +278,6 @@ mod tests {
         };
         assert!((t.speedup() - 1.0).abs() < 1e-9);
         assert!((t.events_per_sec() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backend_attribution_defaults_to_des_and_mixes_on_absorb() {
-        let (_, des) = sweep_recorded("d", Parallelism::fixed(1), vec![("a".to_owned(), || ())]);
-        assert_eq!(des.backend, "des");
-        assert_eq!(des.runs[0].backend, "des");
-        let (_, flow) = sweep_recorded_for(
-            "f",
-            "flow",
-            Parallelism::fixed(1),
-            vec![("b".to_owned(), || ())],
-        );
-        assert_eq!(flow.backend, "flow");
-        assert_eq!(flow.runs[0].backend, "flow");
-        let mut agg = des.clone();
-        agg.absorb(des.clone());
-        assert_eq!(agg.backend, "des", "same-backend absorb stays pure");
-        agg.absorb(flow);
-        assert_eq!(agg.backend, "mixed");
-        assert_eq!(agg.runs[2].backend, "flow", "per-run attribution survives");
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub use scenario::{
 pub use slowdown::{live_slowdowns, LiveSlowdown};
 pub use stream::{LiveEstimator, MonitorConfig, WindowEstimate};
 pub use study::{
-    gate_violations, monitor_records, render_report, run_monitor_study, DetectionRow, MonitorOpts,
-    MonitorRecord, MonitorReport, OverheadRow, UtilizationRow,
+    gate_violations, monitor_records, render_report, run_monitor_study, DetectionRow, MonitorError,
+    MonitorOpts, MonitorRecord, MonitorReport, OverheadRow, UtilizationRow,
 };
 
 /// The shared four-rung utilization ladder (canonically

@@ -2,7 +2,8 @@
 //! online pipeline, measured against DES ground truth.
 //!
 //! Three cell families, all fanned out through the index-ordered sweep
-//! engine (so `--jobs N` is byte-identical to serial):
+//! engine (so `--jobs N` is byte-identical to serial) under the caller's
+//! supervisor and optional resume journal:
 //!
 //! * **utilization** — per ladder rung, the live streaming estimate vs.
 //!   the offline full-window inversion of the *same* simulated load;
@@ -11,10 +12,12 @@
 //! * **overhead** — per application, solo runtime vs. runtime with the
 //!   probe train co-resident: the monitoring tax on real work.
 
+use anp_core::journal::fnv1a;
 use anp_core::{
-    calibrate, degradation_percent, impact_series, runtime_of, solo_runtime, sweep_recorded,
-    Calibration, ExperimentConfig, ExperimentError, LatencyProfile, MuPolicy, Parallelism,
-    SweepTelemetry,
+    calibrate, config_fingerprint, degradation_percent, impact_series, runtime_of, solo_runtime,
+    sweep_supervised, Calibration, CellResult, ExperimentConfig, ExperimentError, JournalError,
+    LatencyProfile, MuPolicy, Parallelism, RunJournal, Supervisor, SweepTelemetry, TaskError,
+    TimedSeries,
 };
 use anp_metrics::Shift;
 use anp_simnet::{SimDuration, SimTime, SwitchConfig};
@@ -255,8 +258,9 @@ pub fn monitor_records(report: &MonitorReport) -> Vec<MonitorRecord> {
         .collect()
 }
 
-/// Runs the probe train against one endless workload and returns the
-/// streaming pipeline's reading plus every closed window.
+/// Feeds a probe series recorded next to one endless workload through
+/// the streaming pipeline and returns its reading plus every closed
+/// window.
 ///
 /// The accuracy gate compares against an offline *whole-window* truth, so
 /// the fair live-side reading is the time average of the per-window means
@@ -264,13 +268,11 @@ pub fn monitor_records(report: &MonitorReport) -> Vec<MonitorRecord> {
 /// final instantaneous value, which on bursty rungs reflects whichever
 /// phase of the burst cycle the stream happened to end in.
 fn live_estimate(
-    cfg: &ExperimentConfig,
     monitor: &MonitorConfig,
     calib: &Calibration,
     idle_live: &LatencyProfile,
-    workload: anp_core::Members,
-) -> Result<(f64, Vec<WindowEstimate>), ExperimentError> {
-    let series = train_series(cfg, Some(workload))?;
+    series: &TimedSeries,
+) -> (f64, Vec<WindowEstimate>) {
     let mut est = LiveEstimator::new(monitor.clone(), *calib, idle_live);
     let windows = est.run(series.samples());
     let means: Vec<f64> = windows.iter().filter_map(|w| w.mean_us).collect();
@@ -279,17 +281,73 @@ fn live_estimate(
     } else {
         calib.utilization_from_sojourn(means.iter().sum::<f64>() / means.len() as f64)
     };
-    Ok((util, windows))
+    (util, windows)
 }
 
-/// Runs the full study. `progress` receives one line per completed cell
-/// family (wall-clock-free, so callers can mirror it to stdout without
-/// breaking byte-identity).
+/// Why a monitor study produced no report.
+#[derive(Debug)]
+pub enum MonitorError {
+    /// The calibration or the idle probe-train run failed.
+    Experiment(ExperimentError),
+    /// The resume journal conflicts with this study.
+    Journal(JournalError),
+    /// A study cell produced no value; the error names the cell.
+    Cell(Box<TaskError>),
+}
+
+impl std::fmt::Display for MonitorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MonitorError::Experiment(e) => write!(f, "{e}"),
+            MonitorError::Journal(e) => write!(f, "{e}"),
+            MonitorError::Cell(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for MonitorError {}
+
+impl From<ExperimentError> for MonitorError {
+    fn from(e: ExperimentError) -> Self {
+        MonitorError::Experiment(e)
+    }
+}
+
+impl From<JournalError> for MonitorError {
+    fn from(e: JournalError) -> Self {
+        MonitorError::Journal(e)
+    }
+}
+
+/// The journal fingerprint of a study: the experiment configuration plus
+/// the episode timing, the only study options that change what a cell
+/// simulates (ladder rungs and apps are in the cell labels).
+fn study_fingerprint(opts: &MonitorOpts) -> u64 {
+    fnv1a(&[
+        &format!("{:016x}", config_fingerprint(&opts.cfg, "des")),
+        &opts.episode_arrival.as_nanos().to_string(),
+        &opts.episode_horizon.as_nanos().to_string(),
+    ])
+}
+
+/// Runs the full study. Every cell runs inside `supervisor`'s envelope
+/// and, with a `journal`, is journaled for resume. A cell returns only
+/// what it simulated (probe series and runtimes); the deterministic
+/// streaming estimator and CUSUM then run over those series after each
+/// sweep, in cell order, so a resumed study reports byte-identical rows.
+/// A cell that fails after its retries ends the study with
+/// [`MonitorError::Cell`] naming the cell.
+///
+/// `progress` receives one line per completed cell (wall-clock-free, so
+/// callers can mirror it to stdout without breaking byte-identity).
 pub fn run_monitor_study(
     opts: &MonitorOpts,
+    supervisor: &Supervisor,
+    journal: Option<&RunJournal>,
     mut progress: impl FnMut(&str),
-) -> Result<MonitorReport, ExperimentError> {
+) -> Result<MonitorReport, MonitorError> {
     let cfg = &opts.cfg;
+    let fp = study_fingerprint(opts);
     // Calibration is shared by the offline truth and the live pipeline;
     // the CUSUM references the *train's* own idle footprint so jitter
     // noise is part of its in-control model.
@@ -301,41 +359,41 @@ pub fn run_monitor_study(
         idle_live.mean(),
         calib.mu
     ));
-    // Family 1: utilization accuracy over the ladder.
+    // Family 1: utilization accuracy over the ladder. Each cell records
+    // the offline truth series and the live train series of one rung.
     let util_tasks: Vec<(String, _)> = opts
         .ladder
         .iter()
-        .map(|comp| {
-            let comp = *comp;
-            let idle_live = idle_live.clone();
-            let monitor = opts.monitor.clone();
+        .map(|&comp| {
             let label = format!("monitor:util:{}", comp.label());
-            (
-                label,
-                move || -> Result<(UtilizationRow, Vec<WindowEstimate>), ExperimentError> {
-                    let noise = build_compressionb(&comp, cfg.switch.nodes, 2, cfg.switch.cpu_hz);
-                    let truth_series = impact_series(cfg, Some(noise))?;
-                    let true_util = calib.utilization(&truth_series.profile());
-                    let noise = build_compressionb(&comp, cfg.switch.nodes, 2, cfg.switch.cpu_hz);
-                    let (est_util, windows) =
-                        live_estimate(cfg, &monitor, &calib, &idle_live, noise)?;
-                    let row = UtilizationRow {
-                        rung: comp.label(),
-                        true_util,
-                        est_util,
-                        windows: windows.len(),
-                    };
-                    Ok((row, windows))
-                },
-            )
+            (label, move || -> Result<_, ExperimentError> {
+                let noise = build_compressionb(&comp, cfg.switch.nodes, 2, cfg.switch.cpu_hz);
+                let truth = impact_series(cfg, Some(noise))?;
+                let noise = build_compressionb(&comp, cfg.switch.nodes, 2, cfg.switch.cpu_hz);
+                let live = train_series(cfg, Some(noise))?;
+                Ok((truth, live))
+            })
         })
         .collect();
-    let (util_results, mut telemetry) = sweep_recorded("monitor-util", cfg.jobs, util_tasks);
+    let (util_results, mut telemetry) = sweep_supervised(
+        "monitor-util",
+        cfg.jobs,
+        supervisor,
+        journal,
+        fp,
+        util_tasks,
+    )?;
     telemetry.name = "monitor-study".to_owned();
     let mut window_log: Vec<(String, Vec<WindowEstimate>)> = Vec::new();
     let mut utilization = Vec::new();
-    for cell in util_results {
-        let (row, windows) = cell?;
+    for (comp, (truth, live)) in opts.ladder.iter().zip(values(util_results)?) {
+        let (est_util, windows) = live_estimate(&opts.monitor, &calib, &idle_live, &live);
+        let row = UtilizationRow {
+            rung: comp.label(),
+            true_util: calib.utilization(&truth.profile()),
+            est_util,
+            windows: windows.len(),
+        };
         window_log.push((format!("util:{}", row.rung), windows));
         utilization.push(row);
     }
@@ -350,51 +408,58 @@ pub fn run_monitor_study(
         ));
     }
 
-    // Family 2: change-point detection latency.
+    // Family 2: change-point detection latency. Each cell records one
+    // arrive-and-depart episode: its probe series and, if the job left
+    // inside the horizon, its departure offset.
+    let scenario = |app| ChangeScenario {
+        app,
+        arrival: opts.episode_arrival,
+        iterations: 1,
+        horizon: opts.episode_horizon,
+    };
     let detect_tasks: Vec<(String, _)> = opts
         .detect_apps
         .iter()
         .map(|&app| {
-            let idle_live = idle_live.clone();
-            let monitor = opts.monitor.clone();
-            let scenario = ChangeScenario {
-                app,
-                arrival: opts.episode_arrival,
-                iterations: 1,
-                horizon: opts.episode_horizon,
-            };
+            let scenario = scenario(app);
             let label = format!("monitor:detect:{}", app.name());
-            (
-                label,
-                move || -> Result<(DetectionRow, Vec<WindowEstimate>), ExperimentError> {
-                    let episode = run_change_scenario(cfg, &scenario)?;
-                    let mut est = LiveEstimator::new(monitor, calib, &idle_live);
-                    let windows = est.run(episode.series.samples());
-                    let lag_behind = |edge: SimTime, want: Shift| -> Option<u64> {
-                        let edge_idx = windows.iter().position(|w| w.end >= edge)?;
-                        windows[edge_idx..]
-                            .iter()
-                            .position(|w| w.shift == Some(want))
-                            .map(|off| off as u64)
-                    };
-                    let row = DetectionRow {
-                        app,
-                        arrival_lag: lag_behind(episode.arrival, Shift::Up),
-                        departure_lag: episode.departure.and_then(|d| lag_behind(d, Shift::Down)),
-                        departed: episode.departure.is_some(),
-                        windows: windows.len() as u64,
-                    };
-                    Ok((row, windows))
-                },
-            )
+            (label, move || -> Result<_, ExperimentError> {
+                let episode = run_change_scenario(cfg, &scenario)?;
+                let departure = episode.departure.map(|d| d.since(SimTime::ZERO));
+                Ok((episode.series, departure))
+            })
         })
         .collect();
-    let (detect_results, t) = sweep_recorded("monitor-detect", cfg.jobs, detect_tasks);
+    let (detect_results, t) = sweep_supervised(
+        "monitor-detect",
+        cfg.jobs,
+        supervisor,
+        journal,
+        fp,
+        detect_tasks,
+    )?;
     telemetry.absorb(t);
     let mut detection = Vec::new();
-    for cell in detect_results {
-        let (row, windows) = cell?;
-        window_log.push((format!("detect:{}", row.app.name()), windows));
+    for (&app, (series, departure)) in opts.detect_apps.iter().zip(values(detect_results)?) {
+        let arrival = SimTime::ZERO + opts.episode_arrival;
+        let departure = departure.map(|d| SimTime::ZERO + d);
+        let mut est = LiveEstimator::new(opts.monitor.clone(), calib, &idle_live);
+        let windows = est.run(series.samples());
+        let lag_behind = |edge: SimTime, want: Shift| -> Option<u64> {
+            let edge_idx = windows.iter().position(|w| w.end >= edge)?;
+            windows[edge_idx..]
+                .iter()
+                .position(|w| w.shift == Some(want))
+                .map(|off| off as u64)
+        };
+        let row = DetectionRow {
+            app,
+            arrival_lag: lag_behind(arrival, Shift::Up),
+            departure_lag: departure.and_then(|d| lag_behind(d, Shift::Down)),
+            departed: departure.is_some(),
+            windows: windows.len() as u64,
+        };
+        window_log.push((format!("detect:{}", app.name()), windows));
         detection.push(row);
     }
     for row in &detection {
@@ -413,24 +478,34 @@ pub fn run_monitor_study(
         .iter()
         .map(|&app| {
             let label = format!("monitor:overhead:{}", app.name());
-            (label, move || -> Result<OverheadRow, ExperimentError> {
+            (label, move || -> Result<_, ExperimentError> {
                 let solo = solo_runtime(cfg, app)?;
                 let members = app.build(RunMode::Iterations(0), cfg.workload_seed(app as u64 + 1));
                 let (train, _sink) = build_probe_train(&train_config(cfg), cfg.switch.nodes);
                 let monitored = runtime_of(cfg, app.name(), members, Some(train))?;
-                Ok(OverheadRow {
-                    app,
-                    solo,
-                    monitored,
-                })
+                Ok((solo, monitored))
             })
         })
         .collect();
-    let (overhead_results, t) = sweep_recorded("monitor-overhead", cfg.jobs, overhead_tasks);
+    let (overhead_results, t) = sweep_supervised(
+        "monitor-overhead",
+        cfg.jobs,
+        supervisor,
+        journal,
+        fp,
+        overhead_tasks,
+    )?;
     telemetry.absorb(t);
-    let overhead = overhead_results
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let overhead: Vec<OverheadRow> = opts
+        .apps
+        .iter()
+        .zip(values(overhead_results)?)
+        .map(|(&app, (solo, monitored))| OverheadRow {
+            app,
+            solo,
+            monitored,
+        })
+        .collect();
     for row in &overhead {
         progress(&format!(
             "overhead {}: solo {} monitored {} ({:+.2}%)",
@@ -449,6 +524,14 @@ pub fn run_monitor_study(
         windows: window_log,
         telemetry,
     })
+}
+
+/// The values of a sweep in cell order, or the first hole.
+fn values<T>(results: Vec<CellResult<T>>) -> Result<Vec<T>, MonitorError> {
+    results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| MonitorError::Cell(Box::new(e)))
 }
 
 fn lag_str(lag: Option<u64>) -> String {

@@ -12,7 +12,7 @@
 //! ```
 
 use active_netprobe::core::{
-    all_models, calibrate, ExperimentConfig, LookupTable, MuPolicy, Study,
+    all_models, calibrate, DesBackend, ExperimentConfig, LookupTable, MuPolicy, Study, Supervisor,
 };
 use active_netprobe::workloads::{AppKind, CompressionConfig};
 
@@ -31,8 +31,21 @@ fn main() {
         .filter(|(i, _)| i % 5 == (i / 5) % 5)
         .map(|(_, c)| c)
         .collect();
-    let table =
-        LookupTable::measure(&cfg, calib, &apps, &sweep, |_| {}).expect("table measurement");
+    let (lut, _) = LookupTable::measure_supervised_with(
+        &DesBackend,
+        &cfg,
+        calib,
+        &apps,
+        &sweep,
+        &Supervisor::none(),
+        None,
+        |_| {},
+    )
+    .expect("table measurement");
+    let table = lut
+        .table
+        .filter(|_| lut.failures.is_empty())
+        .expect("complete table");
     println!(
         "      table covers {:.0}%..{:.0}% switch utilization",
         table.utilization_range().0 * 100.0,
@@ -40,7 +53,17 @@ fn main() {
     );
 
     println!("[2/3] measuring each app's impact profile...");
-    let study = Study::measure_profiles(&cfg, table, &apps, |_| {}).expect("profiles");
+    let (study, failures, _) = Study::measure_profiles_supervised_with(
+        &DesBackend,
+        &cfg,
+        table,
+        &apps,
+        &Supervisor::none(),
+        None,
+        |_| {},
+    )
+    .expect("profiles");
+    assert!(failures.is_empty(), "every profile must complete");
 
     // Predict both directions of the pairing with all four models.
     println!("[3/3] predicting FFTW <-> MILC, then verifying with a co-run...\n");

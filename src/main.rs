@@ -24,7 +24,7 @@ use anp_core::{
     degradation_percent, loss_sweep_supervised, partial_exit_code, run_oracle,
     sweep_supervised_for, Backend, BackendError, DesBackend, ExperimentConfig, ExperimentError,
     LatencyProfile, LookupTable, ModelKind, MuPolicy, Parallelism, RetryPolicy, RunBudget,
-    RunJournal, Study, Supervisor, WorkloadSpec,
+    RunJournal, Study, Supervisor, TaskError, WorkloadSpec,
 };
 use anp_monitor::{
     gate_violations, render_report as render_monitor_report, run_monitor_study, MonitorOpts,
@@ -89,10 +89,11 @@ fn usage() -> ! {
          flow-level model; see DESIGN.md for its error envelope)\n\
          --max-retries N retries failed or panicked sweep cells (budget\n\
          trips are never retried); --run-budget / --event-budget cap each\n\
-         cell attempt; --resume JOURNAL makes 'sweep' and 'losses'\n\
-         crash-safe: completed cells are journaled and re-invocation\n\
-         re-runs only the missing ones. Sweeping commands exit 0 when\n\
-         every cell completed, 3 on a partial result, 1 when nothing did."
+         cell attempt; --resume JOURNAL makes 'sweep', 'losses',\n\
+         'predict', 'sched' and 'monitor' crash-safe: completed cells are\n\
+         journaled and re-invocation re-runs only the missing ones.\n\
+         Sweeping commands exit 0 when every cell completed, 3 on a\n\
+         partial result, 1 when nothing did."
     );
     std::process::exit(2);
 }
@@ -649,14 +650,49 @@ fn main() {
                 .filter(|(i, _)| i % 5 == (i / 5) % 5)
                 .map(|(_, c)| c)
                 .collect();
-            let (table, _) =
-                LookupTable::measure_recorded_with(backend, &cfg, calib, &apps, &sweep, |line| {
-                    eprintln!("  {line}");
-                })
-                .unwrap_or_else(|e| fail(e));
-            let (study, _) =
-                Study::measure_profiles_recorded_with(backend, &cfg, table, &apps, |_| {})
-                    .unwrap_or_else(|e| fail(e));
+            // Both sweeps run under the supervision envelope; with
+            // `--resume` their completed cells are journaled. A hole
+            // leaves nothing trustworthy to predict from, so it is
+            // reported and the command exits with the partial-result code.
+            let journal = open_journal(resume.as_deref());
+            let holed = |failures: &[TaskError], completed: usize, total: usize| -> ! {
+                for f in failures {
+                    eprintln!("error: {f}");
+                }
+                if let Some(p) = &resume {
+                    eprintln!("(re-run with --resume {} to complete)", p.display());
+                }
+                std::process::exit(partial_exit_code(completed, total));
+            };
+            let (lut, _) = LookupTable::measure_supervised_with(
+                backend,
+                &cfg,
+                calib,
+                &apps,
+                &sweep,
+                &supervisor,
+                journal.as_ref(),
+                |line| eprintln!("  {line}"),
+            )
+            .unwrap_or_else(|e| fail(e));
+            let table = match lut.table {
+                Some(table) if lut.failures.is_empty() => table,
+                _ => holed(&lut.failures, lut.completed, lut.total),
+            };
+            let (study, failures, _) = Study::measure_profiles_supervised_with(
+                backend,
+                &cfg,
+                table,
+                &apps,
+                &supervisor,
+                journal.as_ref(),
+                |_| {},
+            )
+            .unwrap_or_else(|e| fail(e));
+            if !failures.is_empty() {
+                let completed = lut.completed + study.app_profiles.len();
+                holed(&failures, completed, lut.total + apps.len());
+            }
             let models = all_models();
             for (victim, other) in [(a, b), (b, a)] {
                 let outcome = study.predict_pair(victim, other, &models);
@@ -770,9 +806,12 @@ fn main() {
             }
             // Progress narration (cell-by-cell results) goes to stderr;
             // stdout carries only the final wall-clock-free tables, so it
-            // is byte-identical for any --jobs setting.
-            let report = run_monitor_study(&mopts, |line| eprintln!("  [monitor] {line}"))
-                .unwrap_or_else(|e| fail(e));
+            // is byte-identical for any --jobs setting and on --resume.
+            let journal = open_journal(resume.as_deref());
+            let report = run_monitor_study(&mopts, &supervisor, journal.as_ref(), |line| {
+                eprintln!("  [monitor] {line}")
+            })
+            .unwrap_or_else(|e| fail(e));
             print!("{}", render_monitor_report(&mopts, &report));
             let violations = gate_violations(&mopts, &report);
             if !violations.is_empty() {

@@ -239,7 +239,10 @@ fn reduced_monitor_study_matches_its_pinned_digests() {
     opts.detect_apps = vec![AppKind::Fftw];
     opts.apps = vec![AppKind::Fftw];
     let mut progress = Vec::new();
-    let report = run_monitor_study(&opts, |l| progress.push(l.to_owned())).unwrap();
+    let report = run_monitor_study(&opts, &Supervisor::none(), None, |l| {
+        progress.push(l.to_owned())
+    })
+    .unwrap();
 
     let mut rows = Vec::new();
     for r in &report.utilization {

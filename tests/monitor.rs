@@ -2,9 +2,14 @@
 //! the monitor study's stdout must be byte-identical for any `--jobs`
 //! setting and deterministic per seed, a bad flag value must name the
 //! flag and the offending value on stderr before the usage text, and
-//! `anp apps` must carry the communication-skeleton column.
+//! `anp apps` must carry the communication-skeleton column. A journaled
+//! study must resume every cell and reproduce its report byte for byte.
 
 use std::process::{Command, Output};
+
+use active_netprobe::core::{RunJournal, Supervisor};
+use active_netprobe::workloads::AppKind;
+use anp_monitor::{monitor_records, render_report, run_monitor_study, MonitorOpts};
 
 const ANP: &str = env!("CARGO_BIN_EXE_anp");
 
@@ -113,4 +118,44 @@ fn apps_listing_carries_communication_skeletons() {
             "apps must describe skeletons ({needle}):\n{text}"
         );
     }
+}
+
+#[test]
+fn journaled_monitor_study_resumes_every_cell_byte_identically() {
+    let mut opts = MonitorOpts::quick(7, 2);
+    opts.ladder.truncate(1);
+    opts.detect_apps = vec![AppKind::Fftw];
+    opts.apps = vec![AppKind::Fftw];
+    let path =
+        std::env::temp_dir().join(format!("anp-monitor-resume-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+
+    let run = |journal: &RunJournal| {
+        let mut progress = Vec::new();
+        let report = run_monitor_study(&opts, &Supervisor::none(), Some(journal), |l| {
+            progress.push(l.to_owned())
+        })
+        .unwrap();
+        let records: Vec<String> = monitor_records(&report)
+            .iter()
+            .map(|r| r.to_json())
+            .collect();
+        let text = render_report(&opts, &report);
+        (report, text, records, progress)
+    };
+    let (first, first_text, first_records, first_progress) =
+        run(&RunJournal::create(&path).unwrap());
+    assert!(first.telemetry.runs.iter().all(|r| r.outcome == "ok"));
+
+    let (second, second_text, second_records, second_progress) =
+        run(&RunJournal::resume(&path).unwrap());
+    assert_eq!(second.telemetry.runs.len(), 3, "one cell per family");
+    assert!(
+        second.telemetry.runs.iter().all(|r| r.outcome == "resumed"),
+        "every cell must decode from the journal"
+    );
+    assert_eq!(second_text, first_text, "byte-identical report");
+    assert_eq!(second_records, first_records, "identical window records");
+    assert_eq!(second_progress, first_progress);
+    std::fs::remove_file(&path).ok();
 }

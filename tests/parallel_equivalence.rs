@@ -8,8 +8,8 @@
 //! `f64::to_bits` / integer comparisons on a small deterministic fabric.
 
 use anp_core::{
-    calibrate, loss_sweep, sweep_recorded, ExperimentConfig, LatencyProfile, LookupTable, MuPolicy,
-    Parallelism, Study,
+    calibrate, loss_sweep_supervised, sweep_supervised, Calibration, DesBackend, ExperimentConfig,
+    LatencyProfile, LookupTable, MuPolicy, Parallelism, Study, Supervisor, SweepTelemetry,
 };
 use anp_simmpi::ReliabilityConfig;
 use anp_simnet::{SimDuration, SwitchConfig};
@@ -35,6 +35,30 @@ fn tiny_cfg(jobs: usize) -> ExperimentConfig {
         jobs: Parallelism::fixed(jobs),
         audit: false,
     }
+}
+
+/// Measures a complete look-up table on the DES with no budget and no
+/// journal, as every harness without supervision flags does.
+fn measure_table(
+    cfg: &ExperimentConfig,
+    calib: Calibration,
+    apps: &[AppKind],
+    configs: &[CompressionConfig],
+    progress: impl FnMut(&str),
+) -> (LookupTable, SweepTelemetry) {
+    let (lut, t) = LookupTable::measure_supervised_with(
+        &DesBackend,
+        cfg,
+        calib,
+        apps,
+        configs,
+        &Supervisor::none(),
+        None,
+        progress,
+    )
+    .unwrap();
+    assert!(lut.is_complete(), "every table cell must complete");
+    (lut.table.unwrap(), t)
 }
 
 fn assert_profiles_identical(a: &LatencyProfile, b: &LatencyProfile, what: &str) {
@@ -73,15 +97,13 @@ fn lookup_table_is_bit_identical_across_worker_counts() {
     );
 
     let mut serial_lines = Vec::new();
-    let serial = LookupTable::measure(&serial_cfg, calib_serial, &apps, &configs, |l| {
+    let (serial, _) = measure_table(&serial_cfg, calib_serial, &apps, &configs, |l| {
         serial_lines.push(l.to_owned())
-    })
-    .unwrap();
+    });
     let mut parallel_lines = Vec::new();
-    let parallel = LookupTable::measure(&parallel_cfg, calib_parallel, &apps, &configs, |l| {
+    let (parallel, _) = measure_table(&parallel_cfg, calib_parallel, &apps, &configs, |l| {
         parallel_lines.push(l.to_owned())
-    })
-    .unwrap();
+    });
 
     // Even the progress lines must match, text and order.
     assert_eq!(serial_lines, parallel_lines);
@@ -118,12 +140,24 @@ fn app_profiles_and_pairings_are_bit_identical() {
     let run = |jobs: usize| {
         let cfg = tiny_cfg(jobs);
         let calib = calibrate(&cfg, MuPolicy::MinLatency).unwrap();
-        let table = LookupTable::measure(&cfg, calib, &apps, &configs, |_| {}).unwrap();
-        let study = Study::measure_profiles(&cfg, table, &apps, |_| {}).unwrap();
+        let sup = Supervisor::none();
+        let (table, _) = measure_table(&cfg, calib, &apps, &configs, |_| {});
+        let (study, failures, _) = Study::measure_profiles_supervised_with(
+            &DesBackend,
+            &cfg,
+            table,
+            &apps,
+            &sup,
+            None,
+            |_| {},
+        )
+        .unwrap();
+        assert!(failures.is_empty());
         let mut outcomes = study.predict_all(&apps, &anp_core::all_models());
-        study
-            .measure_pairs_recorded(&cfg, &mut outcomes, |_| {})
+        let (failures, _) = study
+            .measure_pairs_supervised_with(&DesBackend, &cfg, &mut outcomes, &sup, None, |_| {})
             .unwrap();
+        assert!(failures.is_empty());
         (study, outcomes)
     };
     let (study_serial, outcomes_serial) = run(1);
@@ -157,8 +191,13 @@ fn loss_sweep_is_bit_identical_across_worker_counts() {
         max_retries: 10,
     };
     let losses = [0.0, 1e-4, 1e-3];
-    let serial = loss_sweep(&tiny_cfg(1), AppKind::Lulesh, &losses, rel);
-    let parallel = loss_sweep(&tiny_cfg(6), AppKind::Lulesh, &losses, rel);
+    let sweep = |jobs| {
+        let sup = Supervisor::none();
+        loss_sweep_supervised(&tiny_cfg(jobs), AppKind::Lulesh, &losses, rel, &sup, None)
+            .unwrap()
+            .0
+    };
+    let (serial, parallel) = (sweep(1), sweep(6));
     assert_eq!(serial.len(), parallel.len());
     for ((ls, rs), (lp, rp)) in serial.iter().zip(&parallel) {
         assert_eq!(ls.to_bits(), lp.to_bits());
@@ -175,7 +214,7 @@ fn telemetry_reflects_the_grid_shape() {
         CompressionConfig::new(1, 25_000_000, 1),
         CompressionConfig::new(17, 25_000, 10),
     ];
-    let (_, t) = LookupTable::measure_recorded(&cfg, calib, &apps, &configs, |_| {}).unwrap();
+    let (_, t) = measure_table(&cfg, calib, &apps, &configs, |_| {});
     // apps + configs + apps×configs cells.
     assert_eq!(t.runs.len(), 1 + 2 + 2);
     assert_eq!(t.name, "lookup-table");
@@ -191,8 +230,8 @@ fn telemetry_reflects_the_grid_shape() {
 
 #[test]
 fn explicit_sweep_of_experiment_closures_keeps_order() {
-    // The raw engine, exercised the way harnesses use it: heterogeneous
-    // per-cell wall times, results must still land by index.
+    // The engine itself, exercised the way harnesses use it:
+    // heterogeneous per-cell wall times, results must still land by index.
     let cfg = tiny_cfg(8);
     let apps = [AppKind::Lulesh, AppKind::Mcb, AppKind::Fftw];
     let tasks: Vec<(String, _)> = apps
@@ -200,13 +239,26 @@ fn explicit_sweep_of_experiment_closures_keeps_order() {
         .map(|&app| {
             let cfg = &cfg;
             (format!("solo:{}", app.name()), move || {
-                anp_core::solo_runtime(cfg, app).unwrap()
+                anp_core::solo_runtime(cfg, app)
             })
         })
         .collect();
-    let (parallel, _) = sweep_recorded("solos", Parallelism::fixed(8), tasks);
+    let (parallel, _) = sweep_supervised(
+        "solos",
+        Parallelism::fixed(8),
+        &Supervisor::none(),
+        None,
+        0,
+        tasks,
+    )
+    .unwrap();
     for (i, &app) in apps.iter().enumerate() {
         let serial = anp_core::solo_runtime(&tiny_cfg(1), app).unwrap();
-        assert_eq!(parallel[i], serial, "{} solo runtime differs", app.name());
+        assert_eq!(
+            *parallel[i].as_ref().unwrap(),
+            serial,
+            "{} solo runtime differs",
+            app.name()
+        );
     }
 }

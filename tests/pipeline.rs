@@ -8,7 +8,8 @@
 //! debug-build test suite.
 
 use active_netprobe::core::{
-    all_models, calibrate, ExperimentConfig, LookupTable, ModelKind, MuPolicy, Study,
+    all_models, calibrate, Calibration, DesBackend, ExperimentConfig, LookupTable, ModelKind,
+    MuPolicy, Study, Supervisor,
 };
 use active_netprobe::workloads::{AppKind, CompressionConfig};
 
@@ -21,18 +22,50 @@ fn reduced_sweep() -> Vec<CompressionConfig> {
     ]
 }
 
+/// A complete DES look-up table, measured with no budget and no journal.
+fn measure_table(
+    cfg: &ExperimentConfig,
+    calib: Calibration,
+    apps: &[AppKind],
+    sweep: &[CompressionConfig],
+) -> LookupTable {
+    let (lut, _) = LookupTable::measure_supervised_with(
+        &DesBackend,
+        cfg,
+        calib,
+        apps,
+        sweep,
+        &Supervisor::none(),
+        None,
+        |_| {},
+    )
+    .expect("journal-free measurement");
+    assert!(lut.is_complete(), "every table cell must complete");
+    lut.table.expect("table")
+}
+
 #[test]
 fn full_pipeline_predicts_pairings_sanely() {
     let cfg = ExperimentConfig::cab().with_seed(21);
     let apps = [AppKind::Fftw, AppKind::Mcb];
 
     let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let table = LookupTable::measure(&cfg, calib, &apps, &reduced_sweep(), |_| {}).expect("table");
+    let table = measure_table(&cfg, calib, &apps, &reduced_sweep());
     let (lo, hi) = table.utilization_range();
     assert!(lo < hi, "sweep must span a utilization range");
     assert!(hi > 0.7, "heaviest config must be heavy (got {hi})");
 
-    let study = Study::measure_profiles(&cfg, table, &apps, |_| {}).expect("profiles");
+    let (study, failures, _) = Study::measure_profiles_supervised_with(
+        &DesBackend,
+        &cfg,
+        table,
+        &apps,
+        &Supervisor::none(),
+        None,
+        |_| {},
+    )
+    .expect("profiles");
+    assert!(failures.is_empty(), "every profile must complete");
     let models = all_models();
     let mut outcomes = study.predict_all(&apps, &models);
     assert_eq!(outcomes.len(), 4, "2 apps -> 4 ordered pairings");
@@ -83,7 +116,7 @@ fn study_is_deterministic() {
     let sweep = vec![CompressionConfig::new(7, 2_500_000, 10)];
     let run = || {
         let calib = calibrate(&cfg, MuPolicy::MinLatency).unwrap();
-        let table = LookupTable::measure(&cfg, calib, &apps, &sweep, |_| {}).unwrap();
+        let table = measure_table(&cfg, calib, &apps, &sweep);
         let entry = &table.entries[0];
         (
             entry.profile.mean().to_bits(),
