@@ -17,26 +17,24 @@
 //! partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin ablation_report \
+//! cargo run --release -- run ablation_report \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, idle_profile, impact_profile,
-    impact_profile_of_compression, sweep_supervised, ExperimentError, JournalError, LatencyProfile,
-    MuPolicy,
+    calibrate, idle_profile, impact_profile, impact_profile_of_compression, ExperimentError,
+    LatencyProfile, MuPolicy,
 };
 use anp_simmpi::{Looping, Op, Program, Src};
 use anp_simnet::NodeId;
 use anp_workloads::CompressionConfig;
 
+use crate::cli::{ArtefactError, Report, RunCtx};
+
 type Task<'a> = Box<dyn Fn() -> Result<LatencyProfile, ExperimentError> + Send + Sync + 'a>;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Ablations", "design-choice sensitivity", &opts);
-    let cfg = opts.experiment_config();
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
     let loads = [
         CompressionConfig::new(1, 25_000_000, 1),
         CompressionConfig::new(7, 2_500_000, 10),
@@ -44,36 +42,26 @@ fn main() {
     ];
     let mut mg1 = cfg.clone();
     mg1.switch.route_servers = 1;
-
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
+    let mg1 = &mg1;
 
     // All probe distributions the three sections read, as one supervised
     // sweep: idle, the three loads on the default switch, the same loads
     // on the literal M/G/1 switch, and the two exchange variants.
     let mut tasks: Vec<(String, Task<'_>)> =
-        vec![("idle".to_owned(), Box::new(|| idle_profile(&cfg)))];
+        vec![("idle".to_owned(), Box::new(|| idle_profile(cfg)))];
     for comp in &loads {
-        let cfg = &cfg;
         tasks.push((
             format!("impact:{}", comp.label()),
             Box::new(move || impact_profile_of_compression(cfg, comp)),
         ));
     }
     for comp in &loads {
-        let mg1 = &mg1;
         tasks.push((
             format!("mg1:{}", comp.label()),
             Box::new(move || impact_profile_of_compression(mg1, comp)),
         ));
     }
     for &chained in &[true, false] {
-        let cfg = &cfg;
         tasks.push((
             format!("exchange:{}", if chained { "chained" } else { "bulk" }),
             Box::new(move || {
@@ -120,24 +108,9 @@ fn main() {
             }),
         ));
     }
-    let (cells, telemetry) = sweep_supervised(
-        "ablation-profiles",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    let mut supervision = Supervision::default();
-    supervision.absorb(
-        cells
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&cells),
-        cells.len(),
-    );
+    let (cells, telemetry) = ctx.sweep("ablation-profiles", tasks)?;
+    let mut report = Report::default();
+    report.record(&cells, telemetry);
     let idle = cells[0].as_ref().ok();
     let impacts = &cells[1..1 + loads.len()];
     let mg1_impacts = &cells[1 + loads.len()..1 + 2 * loads.len()];
@@ -146,8 +119,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("## 1. mu policy: MinLatency (paper) vs MeanLatency");
-    let c_min = calibrate(&cfg, MuPolicy::MinLatency).expect("min calibration");
-    let c_mean = calibrate(&cfg, MuPolicy::MeanLatency).expect("mean calibration");
+    let c_min = calibrate(cfg, MuPolicy::MinLatency)?;
+    let c_mean = calibrate(cfg, MuPolicy::MeanLatency)?;
     println!(
         "   mu(min)={:.4}/us  mu(mean)={:.4}/us",
         c_min.mu, c_mean.mu
@@ -173,7 +146,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("## 2. routing parallelism: 18 servers (default) vs literal M/G/1");
     let c18 = c_min;
-    let c1 = calibrate(&mg1, MuPolicy::MinLatency).expect("calib k=1");
+    let c1 = calibrate(mg1, MuPolicy::MinLatency)?;
     println!("   {:<18} {:>10} {:>10}", "load", "util(k=18)", "util(k=1)");
     for ((comp, cell18), cell1) in loads.iter().zip(impacts).zip(mg1_impacts) {
         match (cell18.as_ref().ok(), cell1.as_ref().ok()) {
@@ -210,7 +183,5 @@ fn main() {
     println!("   (bulk posting overlaps rounds and loads the switch harder per");
     println!("   unit time; chaining is what makes small-message codes latency-");
     println!("   sensitive, motivating ALLTOALL_WINDOW = 1)");
-    opts.emit_bench_json("ablation_report", &[&telemetry]);
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

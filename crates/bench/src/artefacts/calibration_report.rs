@@ -11,100 +11,71 @@
 //! report crash-safe (exit code 0 complete, 3 partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin calibration_report \
+//! cargo run --release -- run calibration_report \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, degradation_percent, idle_profile,
-    impact_profile_of_app, impact_profile_of_compression, runtime_under_compression, solo_runtime,
-    sweep_supervised, ExperimentConfig, ExperimentError, JournalError, LatencyProfile, MuPolicy,
+    calibrate, degradation_percent, idle_profile, impact_profile_of_app,
+    impact_profile_of_compression, runtime_under_compression, solo_runtime, ExperimentConfig,
+    ExperimentError, LatencyProfile, MuPolicy,
 };
-use anp_simmpi::World;
+use anp_simmpi::{RunOutcome, World};
 use anp_simnet::{SimDuration, SimTime};
 use anp_workloads::{AppKind, CompressionConfig, RunMode};
 
+use crate::cli::{ArtefactError, Report, RunCtx};
+
 /// Measures the fraction of an app's solo runtime spent blocked on the
 /// network (via the world's phase accounting) — the ceiling on how much
-/// interference can hurt it.
-fn solo_wait_fraction(cfg: &ExperimentConfig, app: AppKind) -> f64 {
+/// interference can hurt it. A run that does not converge is an error.
+fn solo_wait_fraction(cfg: &ExperimentConfig, app: AppKind) -> Result<f64, ExperimentError> {
     let mut world = World::new(cfg.switch.clone());
     let job = world.add_job(app.name(), app.build(RunMode::Iterations(0), 17));
     world.enable_tracing();
-    let outcome = world.run_until_job_done(job, SimTime::ZERO + cfg.run_cap);
-    assert!(
-        outcome.completed(),
-        "solo calibration run did not converge: {outcome:?}"
-    );
-    world.job_phase_totals(job).waiting_fraction()
+    let cap = SimTime::ZERO + cfg.run_cap;
+    match world.run_until_job_done(job, cap) {
+        RunOutcome::Completed { .. } => Ok(world.job_phase_totals(job).waiting_fraction()),
+        RunOutcome::DeadlineExpired(report) => Err(ExperimentError::HorizonExceeded {
+            job: app.name().to_owned(),
+            cap,
+            report,
+        }),
+        RunOutcome::Stalled(report) => Err(ExperimentError::Stalled(report)),
+        RunOutcome::BudgetExhausted(report) => Err(ExperimentError::Budget(report)),
+    }
 }
 
 type ProfileTask<'a> = Box<dyn Fn() -> Result<LatencyProfile, ExperimentError> + Send + Sync + 'a>;
 type RuntimeTask<'a> = Box<dyn Fn() -> Result<SimDuration, ExperimentError> + Send + Sync + 'a>;
 
-/// Folds one sweep's holes and counts into the campaign totals.
-fn absorb<T>(supervision: &mut Supervision, cells: &[anp_core::CellResult<T>]) {
-    supervision.absorb(
-        cells
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(cells),
-        cells.len(),
-    );
-}
-
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Calibration", "substrate sanity report", &opts);
-    let cfg = opts.experiment_config();
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut supervision = Supervision::default();
-    let apps = opts.apps();
-    let heavy = CompressionConfig::new(17, 25_000, 10);
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let mut report = Report::default();
+    let apps = ctx.apps();
+    let heavy = &CompressionConfig::new(17, 25_000, 10);
 
     // Probe distributions: the idle baseline, the heaviest CompressionB
     // footprint, and one impact profile per app.
-    let mut profile_tasks: Vec<(String, ProfileTask<'_>)> =
-        vec![("idle".to_owned(), Box::new(|| idle_profile(&cfg)))];
-    {
-        let cfg = &cfg;
-        let heavy = &heavy;
-        profile_tasks.push((
+    let mut profile_tasks: Vec<(String, ProfileTask<'_>)> = vec![
+        ("idle".to_owned(), Box::new(|| idle_profile(cfg))),
+        (
             "impact:heavy".to_owned(),
             Box::new(move || impact_profile_of_compression(cfg, heavy)),
-        ));
-    }
+        ),
+    ];
     for &app in &apps {
-        let cfg = &cfg;
         profile_tasks.push((
             format!("profile:{}", app.name()),
             Box::new(move || impact_profile_of_app(cfg, app)),
         ));
     }
-    let (profiles, profile_telemetry) = sweep_supervised(
-        "calibration-profiles",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        profile_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &profiles);
+    let (profiles, profile_telemetry) = ctx.sweep("calibration-profiles", profile_tasks)?;
+    report.record(&profiles, profile_telemetry);
 
     // Runtimes: each app solo and under the heavy configuration.
     let mut runtime_tasks: Vec<(String, RuntimeTask<'_>)> = Vec::new();
     for &app in &apps {
-        let cfg = &cfg;
-        let heavy = &heavy;
         runtime_tasks.push((
             format!("solo:{}", app.name()),
             Box::new(move || solo_runtime(cfg, app)),
@@ -114,42 +85,25 @@ fn main() {
             Box::new(move || runtime_under_compression(cfg, app, heavy)),
         ));
     }
-    let (runtimes, runtime_telemetry) = sweep_supervised(
-        "calibration-runtimes",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        runtime_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &runtimes);
+    let (runtimes, runtime_telemetry) = ctx.sweep("calibration-runtimes", runtime_tasks)?;
+    report.record(&runtimes, runtime_telemetry);
 
-    // Network-wait fractions from phase tracing (a panicking cell —
-    // e.g. a non-converging run — is isolated into a typed hole).
+    // Network-wait fractions from phase tracing (a non-converging or
+    // panicking cell is isolated into a typed hole).
     let wait_tasks: Vec<(String, _)> = apps
         .iter()
         .map(|&app| {
-            let cfg = &cfg;
             (format!("wait:{}", app.name()), move || {
-                Ok(solo_wait_fraction(cfg, app))
+                solo_wait_fraction(cfg, app)
             })
         })
         .collect();
-    let (waits, wait_telemetry) = sweep_supervised(
-        "calibration-waits",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        wait_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &waits);
+    let (waits, wait_telemetry) = ctx.sweep("calibration-waits", wait_tasks)?;
+    report.record(&waits, wait_telemetry);
 
     let idle = profiles[0].as_ref().ok();
     let heavy_profile = profiles[1].as_ref().ok();
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
+    let calib = calibrate(cfg, MuPolicy::MinLatency)?;
     match idle {
         Some(idle) => {
             println!(
@@ -215,10 +169,5 @@ fn main() {
     println!();
     println!("net-wait is the solo run's network-blocked time fraction (phase");
     println!("tracing): the ceiling on how much switch contention can hurt.");
-    opts.emit_bench_json(
-        "calibration_report",
-        &[&profile_telemetry, &runtime_telemetry, &wait_telemetry],
-    );
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

@@ -9,59 +9,32 @@
 //! complete, 3 partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin fig3_latency_distributions \
+//! cargo run --release -- run fig3_latency_distributions \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, render_histogram, HarnessOpts, Supervision};
-use anp_core::{
-    completed_count, config_fingerprint, idle_profile, impact_profile_of_app, sweep_supervised,
-    ExperimentError, JournalError, LatencyProfile,
-};
+use anp_core::{idle_profile, impact_profile_of_app, ExperimentError, LatencyProfile};
+
+use crate::cli::{ArtefactError, Report, RunCtx};
+use crate::render_histogram;
 
 type Task<'a> = Box<dyn Fn() -> Result<LatencyProfile, ExperimentError> + Send + Sync + 'a>;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Fig. 3", "distributions of packet latencies on Cab", &opts);
-    let cfg = opts.experiment_config();
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
     // One cell per distribution: the idle baseline plus one per app.
-    let apps = opts.apps();
+    let apps = ctx.apps();
     let mut tasks: Vec<(String, Task<'_>)> =
-        vec![("idle".to_owned(), Box::new(|| idle_profile(&cfg)))];
+        vec![("idle".to_owned(), Box::new(|| idle_profile(cfg)))];
     for &app in &apps {
-        let cfg = &cfg;
         tasks.push((
             format!("app:{}", app.name()),
             Box::new(move || impact_profile_of_app(cfg, app)),
         ));
     }
-    let (profiles, telemetry) = sweep_supervised(
-        "fig3-distributions",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    let mut supervision = Supervision::default();
-    supervision.absorb(
-        profiles
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&profiles),
-        profiles.len(),
-    );
+    let (profiles, telemetry) = ctx.sweep("fig3-distributions", tasks)?;
+    let mut report = Report::default();
+    report.record(&profiles, telemetry);
 
     let names: Vec<String> = std::iter::once("No App".to_owned())
         .chain(apps.iter().map(|a| a.name().to_owned()))
@@ -88,7 +61,5 @@ fn main() {
     println!("Paper shape check: the idle distribution has a sharp mode near");
     println!("1.25us with a small far tail; applications shift mass right by");
     println!("app-specific amounts (all-to-all codes most, MCB via a tail).");
-    opts.emit_bench_json("fig3_latency_distributions", &[&telemetry]);
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

@@ -10,62 +10,35 @@
 //! sweep crash-safe (exit code 0 complete, 3 partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin fig6_compression_utilization \
+//! cargo run --release -- run fig6_compression_utilization \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
-use anp_core::{
-    calibrate, completed_count, config_fingerprint, impact_profile_of_compression,
-    sweep_supervised, JournalError, MuPolicy,
-};
+use anp_core::{calibrate, impact_profile_of_compression, MuPolicy};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Fig. 6", "switch usage of the CompressionB sweep", &opts);
-    let cfg = opts.experiment_config();
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
+use crate::cli::{ArtefactError, Report, RunCtx};
+
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let calib = calibrate(cfg, MuPolicy::MinLatency)?;
     println!(
         "calibration: mu={:.4}/us  Var(S)={:.4}us^2  idle mean={:.3}us",
         calib.mu, calib.var_s, calib.idle_mean
     );
     println!();
 
-    let sweep = opts.compression_sweep();
+    let sweep = ctx.compression_sweep();
     let tasks: Vec<(String, _)> = sweep
         .iter()
         .map(|comp| {
-            let cfg = &cfg;
             (format!("impact:{}", comp.label()), move || {
                 impact_profile_of_compression(cfg, comp)
             })
         })
         .collect();
-    let (profiles, telemetry) = sweep_supervised(
-        "fig6-impacts",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    let mut supervision = Supervision::default();
-    supervision.absorb(
-        profiles
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&profiles),
-        profiles.len(),
-    );
+    let (profiles, telemetry) = ctx.sweep("fig6-impacts", tasks)?;
+    let mut report = Report::default();
+    report.record(&profiles, telemetry);
 
     println!(
         "{:<7} {:<12} {:<5} {:>10} {:>8}  bar",
@@ -112,7 +85,5 @@ fn main() {
     println!("Paper shape check: utilization is driven primarily by the bubble");
     println!("size B (smaller bubbles -> higher utilization), secondarily by");
     println!("partner count P and message count M.");
-    opts.emit_bench_json("fig6_compression_utilization", &[&telemetry]);
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

@@ -13,102 +13,56 @@
 //! in `BENCH_anp.json`.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin fig7_degradation_curves \
+//! cargo run --release -- run fig7_degradation_curves \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, degradation_percent,
-    impact_profile_of_compression, runtime_under_compression, solo_runtime, sweep_supervised,
-    JournalError, MuPolicy,
+    calibrate, degradation_percent, impact_profile_of_compression, runtime_under_compression,
+    solo_runtime, MuPolicy,
 };
 use anp_metrics::linear_fit;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Fig. 7",
-        "performance degradation vs switch utilization",
-        &opts,
-    );
-    let cfg = opts.experiment_config();
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut supervision = Supervision::default();
+use crate::cli::{ArtefactError, Report, RunCtx};
+
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let calib = calibrate(cfg, MuPolicy::MinLatency)?;
+    let mut report = Report::default();
 
     // Measure each configuration's utilization once — one independent
     // impact run per configuration.
-    let sweep = opts.compression_sweep();
+    let sweep = ctx.compression_sweep();
     let impact_tasks: Vec<(String, _)> = sweep
         .iter()
         .map(|comp| {
-            let cfg = &cfg;
             (format!("impact:{}", comp.label()), move || {
                 impact_profile_of_compression(cfg, comp)
             })
         })
         .collect();
-    let (profiles, impact_telemetry) = sweep_supervised(
-        "fig7-impacts",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        impact_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
+    let (profiles, impact_telemetry) = ctx.sweep("fig7-impacts", impact_tasks)?;
     let utils: Vec<Option<f64>> = profiles
         .iter()
         .map(|r| r.as_ref().ok().map(|p| calib.utilization(p) * 100.0))
         .collect();
-    supervision.absorb(
-        profiles
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&profiles),
-        profiles.len(),
-    );
+    report.record(&profiles, impact_telemetry);
 
     // Solo baselines plus the full app × config runtime grid, app-major.
-    let apps = opts.apps();
+    let apps = ctx.apps();
     let solo_tasks: Vec<(String, _)> = apps
         .iter()
         .map(|&app| {
-            let cfg = &cfg;
             (format!("solo:{}", app.name()), move || {
                 solo_runtime(cfg, app)
             })
         })
         .collect();
-    let (solos, solo_telemetry) = sweep_supervised(
-        "fig7-solos",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        solo_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    supervision.absorb(
-        solos
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&solos),
-        solos.len(),
-    );
+    let (solos, solo_telemetry) = ctx.sweep("fig7-solos", solo_tasks)?;
+    report.record(&solos, solo_telemetry);
     let grid_tasks: Vec<(String, _)> = apps
         .iter()
         .flat_map(|&app| {
-            let cfg = &cfg;
             sweep.iter().map(move |comp| {
                 (format!("grid:{}:{}", app.name(), comp.label()), move || {
                     runtime_under_compression(cfg, app, comp)
@@ -116,22 +70,8 @@ fn main() {
             })
         })
         .collect();
-    let (grid, grid_telemetry) = sweep_supervised(
-        "fig7-grid",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        grid_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    supervision.absorb(
-        grid.iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&grid),
-        grid.len(),
-    );
+    let (grid, grid_telemetry) = ctx.sweep("fig7-grid", grid_tasks)?;
+    report.record(&grid, grid_telemetry);
 
     let mut cells = grid.iter();
     for (app, solo) in apps.iter().zip(&solos) {
@@ -143,7 +83,9 @@ fn main() {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for (comp, util) in sweep.iter().zip(&utils) {
-            let cell = cells.next().expect("grid cell");
+            let cell = cells.next().ok_or_else(|| {
+                ArtefactError::Check("fig7 grid has fewer cells than apps × configs".to_owned())
+            })?;
             match (solo, util, cell) {
                 (Ok(solo), Some(util), Ok(t)) => {
                     let d = degradation_percent(*solo, *t);
@@ -167,10 +109,5 @@ fn main() {
     println!("Paper shape check: FFTW and VPFFT degrade steepest (>100% at the");
     println!("top of the range), MILC is intermediate, Lulesh mild (~10-15%),");
     println!("MCB and AMG nearly flat (<5%).");
-    opts.emit_bench_json(
-        "fig7_degradation_curves",
-        &[&impact_telemetry, &solo_telemetry, &grid_telemetry],
-    );
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

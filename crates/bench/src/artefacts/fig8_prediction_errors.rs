@@ -12,21 +12,16 @@
 //! all cores); sweep telemetry lands in `BENCH_anp.json`.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin fig8_prediction_errors [--quick] [--cache study.tsv] [--jobs N]
+//! cargo run --release -- run fig8_prediction_errors [--quick] [--cache study.tsv] [--jobs N]
 //! ```
 
-use anp_bench::{banner, full_outcomes_supervised, HarnessOpts};
 use anp_core::ModelKind;
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Fig. 8",
-        "performance predictions for combined workloads",
-        &opts,
-    );
-    let campaign = full_outcomes_supervised(&opts);
-    let (outcomes, telemetry) = (campaign.outcomes, campaign.telemetry);
+use crate::cli::{ArtefactError, Report, RunCtx};
+use crate::full_outcomes;
+
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let (outcomes, report) = full_outcomes(ctx)?;
 
     println!();
     println!(
@@ -52,10 +47,5 @@ fn main() {
     println!("Paper shape check: the LUT models do well on Lulesh/AMG rows but");
     println!("miss on FFT/VPFFT; the queue model keeps most pairings under 10%");
     println!("with its worst case at FFTW predicted against AMG (phase-blind).");
-    if !telemetry.is_empty() {
-        let refs: Vec<_> = telemetry.iter().collect();
-        opts.emit_bench_json("fig8_prediction_errors", &refs);
-    }
-    campaign.supervision.report(opts.resume.as_deref());
-    std::process::exit(campaign.supervision.exit_code());
+    Ok(report)
 }

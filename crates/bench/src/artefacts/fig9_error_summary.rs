@@ -6,22 +6,20 @@
 //! reuse its measurements instead of re-running the whole study.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin fig9_error_summary [--quick] [--cache study.tsv]
+//! cargo run --release -- run fig9_error_summary [--quick] [--cache study.tsv]
 //! ```
 
-use anp_bench::{banner, full_outcomes_supervised, print_error_summary, HarnessOpts};
+use crate::cli::{ArtefactError, Report, RunCtx};
+use crate::{full_outcomes, print_error_summary};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Fig. 9", "summary of prediction errors per model", &opts);
-    let campaign = full_outcomes_supervised(&opts);
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let (outcomes, report) = full_outcomes(ctx)?;
     println!();
-    print_error_summary(&campaign.outcomes);
+    print_error_summary(&outcomes);
     println!();
     println!("Paper shape check: AverageStDevLT improves on AverageLT; PDFLT");
     println!("matches AverageStDevLT (mean+sd already summarize the PDF); the");
     println!("queue model wins overall, with >75% of its predictions under 10%");
     println!("absolute error in the paper.");
-    campaign.supervision.report(opts.resume.as_deref());
-    std::process::exit(campaign.supervision.exit_code());
+    Ok(report)
 }

@@ -9,7 +9,7 @@
 //! * probe-train overhead on co-running applications.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin monitor_study \
+//! cargo run --release -- run monitor_study \
 //!     [--quick] [--seed N] [--jobs N] [--no-bench-json] \
 //!     [--max-retries N] [--run-budget SECS] [--event-budget N] [--resume P]
 //! ```
@@ -22,49 +22,35 @@
 //! stderr). Stdout is wall-clock-free and byte-identical across
 //! `--jobs`, like every other harness.
 
-use anp_bench::{banner, HarnessOpts};
-use anp_core::Parallelism;
 use anp_monitor::{
     gate_violations, monitor_records, render_report, run_monitor_study, MonitorOpts,
 };
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Monitor study",
-        "online utilization estimation and interference detection",
-        &opts,
-    );
+use crate::cli::{ArtefactError, Report, RunCtx};
 
-    let mut mopts = if opts.quick {
-        MonitorOpts::quick(opts.seed, opts.jobs.unwrap_or(1))
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let mut mopts = if ctx.quick {
+        MonitorOpts::quick(ctx.seed, 1)
     } else {
-        MonitorOpts::full(opts.seed, opts.jobs.unwrap_or(1))
+        MonitorOpts::full(ctx.seed, 1)
     };
-    if opts.jobs.is_none() {
-        mopts.cfg.jobs = Parallelism::Auto;
-    }
+    mopts.cfg.jobs = ctx.cfg.jobs;
 
-    let journal = opts.open_journal();
-    let report = run_monitor_study(&mopts, &opts.supervisor(), journal.as_ref(), |line| {
+    let study = run_monitor_study(&mopts, &ctx.supervisor, ctx.journal.as_ref(), |line| {
         println!("  [monitor] {line}")
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    })?;
 
     println!();
-    print!("{}", render_report(&mopts, &report));
+    print!("{}", render_report(&mopts, &study));
 
-    let sweeps = [&report.telemetry];
-    opts.emit_bench_json_full("monitor_study", &sweeps, &[], &monitor_records(&report));
-
-    let violations = gate_violations(&mopts, &report);
+    let violations = gate_violations(&mopts, &study);
     for v in &violations {
         eprintln!("gate violation: {v}");
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    Ok(Report {
+        monitor: monitor_records(&study),
+        sweeps: vec![study.telemetry],
+        gate_failed: !violations.is_empty(),
+        ..Report::default()
+    })
 }

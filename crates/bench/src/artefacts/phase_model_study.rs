@@ -22,53 +22,28 @@
 //! the study crash-safe (exit code 0 complete, 3 partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin phase_model_study \
+//! cargo run --release -- run phase_model_study \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, degradation_percent, impact_series_of_app,
-    runtime_under_corun, solo_runtime, sweep_supervised, CellResult, DesBackend, ExperimentError,
-    JournalError, LookupTable, MuPolicy, QueueModel, QueuePhaseModel, SlowdownModel,
+    calibrate, degradation_percent, impact_series_of_app, runtime_under_corun, solo_runtime,
+    DesBackend, ExperimentError, LookupTable, MuPolicy, QueueModel, QueuePhaseModel, SlowdownModel,
 };
 use anp_simnet::SimDuration;
 use anp_workloads::AppKind;
 
+use crate::cli::{compression_sweep, ArtefactError, Report, RunCtx};
+
 type RuntimeTask<'a> = Box<dyn Fn() -> Result<SimDuration, ExperimentError> + Send + Sync + 'a>;
 
-/// Folds one sweep's holes and counts into the campaign totals.
-fn absorb<T>(supervision: &mut Supervision, cells: &[CellResult<T>]) {
-    supervision.absorb(
-        cells
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(cells),
-        cells.len(),
-    );
-}
-
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Phase model",
-        "time-aware utilization vs constant-utilization prediction",
-        &opts,
-    );
-    let cfg = opts.experiment_config();
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut supervision = Supervision::default();
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let mut report = Report::default();
 
     // Victims: the network-sensitive applications; co-runners: the phased
     // ones whose average footprint misrepresents their instantaneous one.
-    let victims = if opts.quick {
+    let victims = if ctx.quick {
         vec![AppKind::Fftw]
     } else {
         vec![AppKind::Fftw, AppKind::Vpfft, AppKind::Milc]
@@ -79,53 +54,39 @@ fn main() {
     // need enough points to interpolate), measured under supervision:
     // failed cells leave holes; the table interpolates the survivors.
     println!("[measuring look-up table]");
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let sweep = {
-        let opts_sweep = HarnessOpts {
-            quick: true,
-            ..opts.clone()
-        };
-        opts_sweep.compression_sweep()
-    };
+    let calib = calibrate(cfg, MuPolicy::MinLatency)?;
+    let sweep = compression_sweep(true);
     let (lut, lut_telemetry) = LookupTable::measure_supervised_with(
         &DesBackend,
-        &cfg,
+        cfg,
         calib,
         &victims,
         &sweep,
-        &supervisor,
-        journal.as_ref(),
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
         |line| println!("  {line}"),
-    )
-    .unwrap_or_else(|e| die(e));
-    supervision.absorb(lut.failures, lut.completed, lut.total);
+    )?;
+    report
+        .supervision
+        .absorb(lut.failures, lut.completed, lut.total);
+    report.sweeps.push(lut_telemetry);
     let table = lut.table;
 
     // One timed impact series per phased co-runner.
     let series_tasks: Vec<(String, _)> = phased
         .iter()
         .map(|&other| {
-            let cfg = &cfg;
             (format!("series:{}", other.name()), move || {
                 impact_series_of_app(cfg, other)
             })
         })
         .collect();
-    let (series_cells, series_telemetry) = sweep_supervised(
-        "phase-series",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        series_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &series_cells);
+    let (series_cells, series_telemetry) = ctx.sweep("phase-series", series_tasks)?;
+    report.record(&series_cells, series_telemetry);
 
     // Solo baselines plus the victim × co-runner ground-truth grid.
     let mut runtime_tasks: Vec<(String, RuntimeTask<'_>)> = Vec::new();
     for &victim in &victims {
-        let cfg = &cfg;
         runtime_tasks.push((
             format!("solo:{}", victim.name()),
             Box::new(move || solo_runtime(cfg, victim)),
@@ -133,23 +94,14 @@ fn main() {
     }
     for &other in &phased {
         for &victim in &victims {
-            let cfg = &cfg;
             runtime_tasks.push((
                 format!("corun:{}:{}", victim.name(), other.name()),
                 Box::new(move || runtime_under_corun(cfg, victim, other)),
             ));
         }
     }
-    let (runtimes, runtime_telemetry) = sweep_supervised(
-        "phase-runtimes",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        runtime_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &runtimes);
+    let (runtimes, runtime_telemetry) = ctx.sweep("phase-runtimes", runtime_tasks)?;
+    report.record(&runtimes, runtime_telemetry);
 
     let phase_model = QueuePhaseModel {
         window: SimDuration::from_millis(10),
@@ -250,10 +202,5 @@ fn main() {
     println!("over-predicts (it charges the victim for the co-runner's burst");
     println!("utilization all the time); the phase-aware average is closer to");
     println!("the measured slowdown.");
-    opts.emit_bench_json(
-        "phase_model_study",
-        &[&lut_telemetry, &series_telemetry, &runtime_telemetry],
-    );
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

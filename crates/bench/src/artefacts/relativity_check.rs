@@ -27,18 +27,18 @@
 //! code 0 complete, 3 partial, 1 nothing).
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin relativity_check \
+//! cargo run --release -- run relativity_check \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, degradation_percent,
-    impact_profile_of_compression, runtime_under_compression, solo_runtime, sweep_supervised,
-    CellResult, ExperimentConfig, ExperimentError, JournalError, MuPolicy,
+    calibrate, degradation_percent, impact_profile_of_compression, runtime_under_compression,
+    solo_runtime, ExperimentConfig, ExperimentError, MuPolicy,
 };
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
+
+use crate::cli::{ArtefactError, Report, RunCtx};
 
 /// A literally degraded Cab: ports and routing scaled by `num/den`.
 fn degraded(cfg: &ExperimentConfig, num: u64, den: u64) -> ExperimentConfig {
@@ -51,75 +51,42 @@ fn degraded(cfg: &ExperimentConfig, num: u64, den: u64) -> ExperimentConfig {
 
 type RuntimeTask<'a> = Box<dyn Fn() -> Result<SimDuration, ExperimentError> + Send + Sync + 'a>;
 
-/// Folds one sweep's holes and counts into the campaign totals.
-fn absorb<T>(supervision: &mut Supervision, cells: &[CellResult<T>]) {
-    supervision.absorb(
-        cells
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(cells),
-        cells.len(),
-    );
-}
-
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Relativity",
-        "degraded switches vs CompressionB emulation",
-        &opts,
-    );
-    let cfg = opts.experiment_config();
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut supervision = Supervision::default();
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let calib = calibrate(cfg, MuPolicy::MinLatency)?;
+    let mut report = Report::default();
 
     // Utilization of each sweep configuration, measured once.
-    let sweep = opts.compression_sweep();
+    let sweep = ctx.compression_sweep();
     let impact_tasks: Vec<(String, _)> = sweep
         .iter()
         .map(|comp| {
-            let cfg = &cfg;
             (format!("impact:{}", comp.label()), move || {
                 impact_profile_of_compression(cfg, comp)
             })
         })
         .collect();
-    let (profiles, impact_telemetry) = sweep_supervised(
-        "relativity-impacts",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        impact_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &profiles);
+    let (profiles, impact_telemetry) = ctx.sweep("relativity-impacts", impact_tasks)?;
     let sweep_utils: Vec<Option<f64>> = profiles
         .iter()
         .map(|r| r.as_ref().ok().map(|p| calib.utilization(p)))
         .collect();
+    report.record(&profiles, impact_telemetry);
+    let idle_util = calib.utilization_from_sojourn(calib.idle_mean);
+    if idle_util.is_nan() || sweep_utils.iter().flatten().any(|u| u.is_nan()) {
+        return Err(ArtefactError::Check(
+            "a measured utilization is not a number: no nearest configuration".to_owned(),
+        ));
+    }
     let nearest_config = |target: f64| -> Option<(&CompressionConfig, f64)> {
         sweep
             .iter()
             .zip(&sweep_utils)
             .filter_map(|(c, u)| u.map(|u| (c, u)))
-            .min_by(|a, b| {
-                (a.1 - target)
-                    .abs()
-                    .partial_cmp(&(b.1 - target).abs())
-                    .unwrap()
-            })
+            .min_by(|a, b| (a.1 - target).abs().total_cmp(&(b.1 - target).abs()))
     };
 
-    let apps = if opts.quick {
+    let apps = if ctx.quick {
         vec![AppKind::Fftw, AppKind::Milc]
     } else {
         vec![
@@ -140,14 +107,13 @@ fn main() {
             // scale: a switch at num/den capability behaves like the intact
             // one with (1 - num/den) consumed by someone else.
             let removed = 1.0 - num as f64 / den as f64;
-            nearest_config(removed + calib.utilization_from_sojourn(calib.idle_mean))
+            nearest_config(removed + idle_util)
         })
         .collect();
 
     // Solo, degraded-switch, and emulated runtimes, app-major.
     let mut runtime_tasks: Vec<(String, RuntimeTask<'_>)> = Vec::new();
     for &app in &apps {
-        let cfg = &cfg;
         runtime_tasks.push((
             format!("solo:{}", app.name()),
             Box::new(move || solo_runtime(cfg, app)),
@@ -177,16 +143,8 @@ fn main() {
         }
     }
     let per_app = 1 + 2 * fractions.len();
-    let (runtimes, runtime_telemetry) = sweep_supervised(
-        "relativity-runtimes",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        runtime_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    absorb(&mut supervision, &runtimes);
+    let (runtimes, runtime_telemetry) = ctx.sweep("relativity-runtimes", runtime_tasks)?;
+    report.record(&runtimes, runtime_telemetry);
 
     for (ai, &app) in apps.iter().enumerate() {
         let base = ai * per_app;
@@ -224,7 +182,5 @@ fn main() {
     println!("the paper's software emulation at the matching utilization. The");
     println!("relativity principle predicts they agree in sign and order of");
     println!("magnitude for network-sensitive applications.");
-    opts.emit_bench_json("relativity_check", &[&impact_telemetry, &runtime_telemetry]);
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

@@ -15,7 +15,7 @@
 //! with holes would silently bias the regret table.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin sched_study \
+//! cargo run --release -- run sched_study \
 //!     [--quick] [--seed N] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 //!
@@ -23,69 +23,44 @@
 //! completed (and the regret table printed), 3 on a partial truth, 1
 //! when nothing completed.
 
-use anp_bench::{banner, HarnessOpts};
-use anp_core::{ModelKind, Parallelism, SweepTelemetry};
+use anp_core::{DesBackend, ModelKind};
 use anp_sched::{
     measure_truth_supervised, records, render_summary, run_suite, DecisionEngine, PolicySpec,
     StudyOpts,
 };
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Sched study",
-        "predictive co-scheduling regret vs oracle",
-        &opts,
-    );
+use crate::cli::{ArtefactError, Report, RunCtx};
 
-    let mut sopts = if opts.quick {
-        StudyOpts::quick(opts.seed, opts.jobs.unwrap_or(1))
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let mut sopts = if ctx.quick {
+        StudyOpts::quick(ctx.seed, 1)
     } else {
-        StudyOpts::full(opts.seed, opts.jobs.unwrap_or(1))
+        StudyOpts::full(ctx.seed, 1)
     };
-    if opts.jobs.is_none() {
-        sopts.cfg.jobs = Parallelism::Auto;
-    }
+    sopts.cfg.jobs = ctx.cfg.jobs;
 
-    let backend = match anp_flowsim::backend_from_name(&opts.backend) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = backend.validate(&sopts.cfg) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
+    // Ground truth always comes from the DES, the reference engine; the
+    // suite below consults both decision engines.
     let campaign = measure_truth_supervised(
-        backend.as_ref(),
+        &DesBackend,
         &sopts.cfg,
         &sopts.apps,
         &sopts.ladder,
-        &supervisor,
-        journal.as_ref(),
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
         |line| println!("  [truth] {line}"),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let sweeps: Vec<&SweepTelemetry> = campaign.telemetry.iter().collect();
-
-    if !campaign.is_complete() {
-        campaign.report(|line| eprintln!("{line}"));
+    )?;
+    let mut report = Report {
+        sweeps: campaign.telemetry,
+        ..Report::default()
+    };
+    report
+        .supervision
+        .absorb(campaign.failures, campaign.completed, campaign.total);
+    let Some(truth) = campaign.truth.filter(|_| report.supervision.is_complete()) else {
         eprintln!("truth incomplete: scheduling skipped (a holed pair grid would bias regret)");
-        opts.emit_bench_json("sched_study", &sweeps);
-        std::process::exit(campaign.exit_code());
-    }
-    let truth = campaign
-        .truth
-        .as_ref()
-        .expect("complete campaign has truth");
+        return Ok(report);
+    };
 
     // The default suite plus the Queue model on the DES engine, so the
     // telemetry carries a flow-vs-DES decision-latency comparison.
@@ -95,11 +70,7 @@ fn main() {
         DecisionEngine::Des,
     ));
 
-    let outcomes = run_suite(&sopts, truth, &specs, |line| println!("  [sched] {line}"))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let outcomes = run_suite(&sopts, &truth, &specs, |line| println!("  [sched] {line}"))?;
 
     println!();
     print!("{}", render_summary(&outcomes));
@@ -130,7 +101,6 @@ fn main() {
             des / flow
         );
     }
-
-    opts.emit_bench_json_full("sched_study", &sweeps, &records(&outcomes), &[]);
-    std::process::exit(campaign.exit_code());
+    report.sched = records(&outcomes);
+    Ok(report)
 }

@@ -16,35 +16,27 @@
 //! `BENCH_anp.json`.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin seed_sensitivity \
+//! cargo run --release -- run seed_sensitivity \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
 use anp_core::{
-    calibrate, completed_count, config_fingerprint, degradation_percent, idle_profile,
-    impact_profile_of_compression, runtime_under_compression, solo_runtime, sweep_supervised,
-    JournalError, MuPolicy,
+    calibrate, degradation_percent, idle_profile, impact_profile_of_compression,
+    runtime_under_compression, solo_runtime, MuPolicy,
 };
 use anp_metrics::OnlineStats;
 use anp_workloads::{AppKind, CompressionConfig};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner("Seeds", "across-seed spread of key metrics", &opts);
-    let seeds: Vec<u64> = if opts.quick {
+use crate::cli::{ArtefactError, Report, RunCtx};
+
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let seeds: Vec<u64> = if ctx.quick {
         vec![1, 2, 3]
     } else {
         vec![1, 2, 3, 4, 5]
     };
-    let heavy = CompressionConfig::new(17, 25_000, 10);
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&opts.experiment_config(), "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
+    let heavy = &CompressionConfig::new(17, 25_000, 10);
+    let base = &ctx.cfg;
 
     // One task per seed: each re-derives its own config and runs the full
     // metric set. Seeds are independent studies, ideal fan-out cells.
@@ -53,10 +45,8 @@ fn main() {
     let tasks: Vec<(String, _)> = seeds
         .iter()
         .map(|&seed| {
-            let opts = &opts;
-            let heavy = &heavy;
             (format!("seed:{seed}"), move || {
-                let cfg = opts.experiment_config().with_seed(seed);
+                let cfg = base.clone().with_seed(seed);
                 let idle = idle_profile(&cfg)?;
                 let calib = calibrate(&cfg, MuPolicy::MinLatency)?;
                 let u = calib.utilization(&impact_profile_of_compression(&cfg, heavy)?);
@@ -72,24 +62,9 @@ fn main() {
             })
         })
         .collect();
-    let jobs = opts.experiment_config().jobs;
-    let (rows, telemetry) = sweep_supervised(
-        "seed-sensitivity",
-        jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        tasks,
-    )
-    .unwrap_or_else(|e| die(e));
-    let mut supervision = Supervision::default();
-    supervision.absorb(
-        rows.iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&rows),
-        rows.len(),
-    );
+    let (rows, telemetry) = ctx.sweep("seed-sensitivity", tasks)?;
+    let mut report = Report::default();
+    report.record(&rows, telemetry);
 
     let mut idle_mean = OnlineStats::new();
     let mut heavy_util = OnlineStats::new();
@@ -142,7 +117,5 @@ fn main() {
     println!();
     println!("Low coefficients of variation mean the reproduction's headline");
     println!("numbers are properties of the model, not of a particular seed.");
-    opts.emit_bench_json("seed_sensitivity", &[&telemetry]);
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    Ok(report)
 }

@@ -13,50 +13,26 @@
 //! partial, 1 nothing). Sweep telemetry lands in `BENCH_anp.json`.
 //!
 //! ```text
-//! cargo run --release -p anp-bench --bin table1_pair_slowdowns \
+//! cargo run --release -- run table1_pair_slowdowns \
 //!     [--quick] [--jobs N] [--max-retries N] [--resume run.jsonl]
 //! ```
 
-use anp_bench::{banner, HarnessOpts, Supervision};
-use anp_core::{
-    completed_count, config_fingerprint, degradation_percent, runtime_under_corun, solo_runtime,
-    sweep_supervised, JournalError,
-};
+use anp_core::{degradation_percent, runtime_under_corun, solo_runtime};
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    banner(
-        "Table I",
-        "measured slowdowns for all combined workloads (%)",
-        &opts,
-    );
-    let cfg = opts.experiment_config();
-    let apps = opts.apps();
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let fp = config_fingerprint(&cfg, "des");
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
+use crate::cli::{ArtefactError, Report, RunCtx};
+
+pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
+    let cfg = &ctx.cfg;
+    let apps = ctx.apps();
+    let mut report = Report::default();
 
     // Solo baselines: one independent run per application.
     let solo_tasks: Vec<(String, _)> = apps
         .iter()
-        .map(|&a| {
-            let cfg = &cfg;
-            (format!("solo:{}", a.name()), move || solo_runtime(cfg, a))
-        })
+        .map(|&a| (format!("solo:{}", a.name()), move || solo_runtime(cfg, a)))
         .collect();
-    let (solos, solo_telemetry) = sweep_supervised(
-        "table1-solos",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        solo_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
+    let (solos, solo_telemetry) = ctx.sweep("table1-solos", solo_tasks)?;
+    report.record(&solos, solo_telemetry);
     for (a, r) in apps.iter().zip(&solos) {
         match r {
             Ok(t) => println!("solo {:<7} {}", a.name(), t),
@@ -69,7 +45,6 @@ fn main() {
     let grid_tasks: Vec<(String, _)> = apps
         .iter()
         .flat_map(|&victim| {
-            let cfg = &cfg;
             apps.iter().map(move |&other| {
                 (
                     format!("corun:{}+{}", victim.name(), other.name()),
@@ -78,15 +53,7 @@ fn main() {
             })
         })
         .collect();
-    let (grid, grid_telemetry) = sweep_supervised(
-        "table1-grid",
-        cfg.jobs,
-        &supervisor,
-        journal.as_ref(),
-        fp,
-        grid_tasks,
-    )
-    .unwrap_or_else(|e| die(e));
+    let (grid, grid_telemetry) = ctx.sweep("table1-grid", grid_tasks)?;
 
     // Header row: co-runner names. Holes (failed cells, or cells whose
     // solo baseline is missing) render as `-`.
@@ -96,10 +63,13 @@ fn main() {
     }
     println!();
     let mut cells = grid.iter();
-    for (i, &victim) in apps.iter().enumerate() {
+    for (victim, solo) in apps.iter().zip(&solos) {
         print!("{:<8}", victim.name());
         for _ in &apps {
-            match (&solos[i], cells.next().expect("grid cell")) {
+            let cell = cells.next().ok_or_else(|| {
+                ArtefactError::Check("Table I grid has fewer cells than app pairs".to_owned())
+            })?;
+            match (solo, cell) {
                 (Ok(solo), Ok(t)) => print!(" {:>7.0}", degradation_percent(*solo, *t)),
                 _ => print!(" {:>7}", "-"),
             }
@@ -121,24 +91,6 @@ fn main() {
         grid_telemetry.speedup(),
         grid_telemetry.events_per_sec(),
     );
-    opts.emit_bench_json("table1_pair_slowdowns", &[&solo_telemetry, &grid_telemetry]);
-
-    let mut supervision = Supervision::default();
-    supervision.absorb(
-        solos
-            .iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&solos),
-        solos.len(),
-    );
-    supervision.absorb(
-        grid.iter()
-            .filter_map(|r| r.as_ref().err().cloned())
-            .collect(),
-        completed_count(&grid),
-        grid.len(),
-    );
-    supervision.report(opts.resume.as_deref());
-    std::process::exit(supervision.exit_code());
+    report.record(&grid, grid_telemetry);
+    Ok(report)
 }

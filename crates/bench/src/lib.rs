@@ -1,8 +1,9 @@
 //! # anp-bench — experiment harnesses for every table and figure
 //!
-//! One binary per artefact of the paper's evaluation:
+//! One artefact per table or figure of the paper's evaluation, each run
+//! with `anp run <artefact>` (see [`ARTEFACTS`]):
 //!
-//! | Binary | Reproduces |
+//! | Artefact | Reproduces |
 //! |---|---|
 //! | `fig3_latency_distributions` | Fig. 3 — probe-latency distributions (idle + 6 apps) |
 //! | `fig6_compression_utilization` | Fig. 6 — switch utilization of the 40 CompressionB configs |
@@ -11,9 +12,9 @@
 //! | `fig8_prediction_errors` | Fig. 8 — per-pairing |real − predicted| for the 4 models |
 //! | `fig9_error_summary` | Fig. 9 — quartile summary of model errors |
 //!
-//! Extension harnesses beyond the paper's artefacts:
+//! Extension studies beyond the paper's artefacts:
 //!
-//! | Binary | What it studies |
+//! | Artefact | What it studies |
 //! |---|---|
 //! | `calibration_report` | the substrate's calibration at a glance, incl. per-app network-wait fractions |
 //! | `ablation_report` | µ policy, routing parallelism, exchange chaining |
@@ -24,10 +25,15 @@
 //! | `sched_study` | predictive co-scheduling regret vs the oracle |
 //! | `monitor_study` | online utilization estimation + change-point gates |
 //!
-//! Every binary accepts `--quick` (a scaled-down sweep for smoke runs),
-//! `--seed <n>`, `--backend {des,flow}`, and prints plain-text tables.
-//! `fig8`/`fig9` additionally accept `--cache <path>` to reuse the
-//! expensive measurement study across invocations.
+//! Every artefact accepts `--quick` (a scaled-down sweep for smoke runs),
+//! `--seed <n>`, `--jobs <n>`, the supervision flags (`--max-retries`,
+//! `--run-budget`, `--event-budget`, `--resume`) and the telemetry flags
+//! (`--bench-json <path>`, `--no-bench-json`), and prints plain-text
+//! tables. `fig8`/`fig9` also accept `--backend {des,flow}` and
+//! `--cache <path>` to reuse the expensive measurement study across
+//! invocations; the others reject both rather than ignore them. The
+//! front end ([`cli`]) holds the one flag parser, the run context and the
+//! exit-code mapping.
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the
 //! simulator and model kernels (event queue, switch path, matching,
@@ -37,310 +43,24 @@
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-use std::time::Duration;
+use std::path::Path;
 
 use anp_core::{
-    calibrate_with, error_summaries, partial_exit_code, Backend, Calibration, ExperimentConfig,
-    JournalError, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome, Parallelism,
-    RetryPolicy, RunBudget, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
+    calibrate_with, completed_count, error_summaries, partial_exit_code, Backend, CellResult,
+    ExperimentConfig, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome, RunJournal,
+    Study, Supervisor, SweepTelemetry, TaskError,
 };
 use anp_monitor::MonitorRecord;
 use anp_sched::SchedRecord;
 use anp_workloads::{AppKind, CompressionConfig};
 
+use cli::{ArtefactError, Report, RunCtx};
+
+mod artefacts;
+pub mod cli;
 pub mod xval;
 
-/// Command-line options shared by all harness binaries.
-#[derive(Debug, Clone)]
-pub struct HarnessOpts {
-    /// Run a scaled-down sweep (fewer configurations / pairings).
-    pub quick: bool,
-    /// Base seed for the whole study.
-    pub seed: u64,
-    /// Optional path for caching study measurements (fig8/fig9).
-    pub cache: Option<PathBuf>,
-    /// Worker threads for the experiment sweeps (`None` = all cores).
-    pub jobs: Option<usize>,
-    /// Where sweep telemetry is written (default `BENCH_anp.json`;
-    /// `--no-bench-json` disables the emitter).
-    pub bench_json: Option<PathBuf>,
-    /// Measurement backend name (`"des"` or `"flow"`); resolved by
-    /// [`HarnessOpts::backend`].
-    pub backend: String,
-    /// Re-attempts per failed/panicked sweep cell (`--max-retries`).
-    pub max_retries: u32,
-    /// Per-cell wall-clock budget in seconds (`--run-budget`).
-    pub run_budget_secs: Option<f64>,
-    /// Per-cell simulator-event budget (`--event-budget`).
-    pub event_budget: Option<u64>,
-    /// Run journal for crash-safe resume (`--resume <path>`): created
-    /// when absent, resumed when present.
-    pub resume: Option<PathBuf>,
-}
-
-/// Reports a command-line usage error and exits with status 2, the
-/// conventional "bad invocation" code. The bench harness is a binary
-/// boundary: bad flags are operator errors, not states the library
-/// should try to recover from.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("anp-bench: {msg}");
-    std::process::exit(2);
-}
-
-impl HarnessOpts {
-    /// Parses `--quick`, `--seed <n>`, `--cache <path>`, `--jobs <n>`,
-    /// `--bench-json <path>` / `--no-bench-json`, `--backend <name>`,
-    /// `--max-retries <n>`, `--run-budget <secs>`, `--event-budget <n>`,
-    /// and `--resume <path>` from `std::env`.
-    pub fn from_args() -> Self {
-        let mut opts = HarnessOpts {
-            quick: false,
-            seed: 0xA11CE,
-            cache: None,
-            jobs: None,
-            bench_json: Some(PathBuf::from("BENCH_anp.json")),
-            backend: "des".to_owned(),
-            max_retries: 0,
-            run_budget_secs: None,
-            event_budget: None,
-            resume: None,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => opts.quick = true,
-                "--seed" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--seed needs a value"));
-                    opts.seed = v
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--seed needs an integer"));
-                }
-                "--cache" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--cache needs a path"));
-                    opts.cache = Some(PathBuf::from(v));
-                }
-                "--jobs" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                    opts.jobs = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage_error("--jobs needs an integer")),
-                    );
-                }
-                "--bench-json" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--bench-json needs a path"));
-                    opts.bench_json = Some(PathBuf::from(v));
-                }
-                "--no-bench-json" => opts.bench_json = None,
-                "--backend" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--backend needs a value (des or flow)"));
-                    opts.backend = v;
-                }
-                "--max-retries" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--max-retries needs a value"));
-                    opts.max_retries = v
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--max-retries needs an integer"));
-                }
-                "--run-budget" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--run-budget needs seconds"));
-                    let secs: f64 = v
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--run-budget needs a number of seconds"));
-                    if secs <= 0.0 {
-                        usage_error("--run-budget must be positive");
-                    }
-                    opts.run_budget_secs = Some(secs);
-                }
-                "--event-budget" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--event-budget needs a value"));
-                    opts.event_budget = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage_error("--event-budget needs an integer")),
-                    );
-                }
-                "--resume" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--resume needs a journal path"));
-                    opts.resume = Some(PathBuf::from(v));
-                }
-                other => usage_error(&format!(
-                    "unknown argument: {other} (try --quick / --seed N / --cache P / \
-                     --jobs N / --bench-json P / --no-bench-json / --backend des|flow / \
-                     --max-retries N / --run-budget SECS / --event-budget N / --resume P)"
-                )),
-            }
-        }
-        opts
-    }
-
-    /// The supervision envelope these options describe: per-cell budgets
-    /// and retry policy (the backoff doubles from 100 ms).
-    pub fn supervisor(&self) -> Supervisor {
-        Supervisor {
-            budget: RunBudget {
-                wall: self.run_budget_secs.map(Duration::from_secs_f64),
-                events: self.event_budget,
-            },
-            retry: RetryPolicy {
-                max_retries: self.max_retries,
-                backoff: if self.max_retries > 0 {
-                    Duration::from_millis(100)
-                } else {
-                    Duration::ZERO
-                },
-            },
-        }
-    }
-
-    /// Opens the `--resume` journal: resumed when the file exists,
-    /// created otherwise; `None` without the flag. A journal that cannot
-    /// be opened is a hard error (exit 1) — silently running without the
-    /// requested crash net would be worse.
-    pub fn open_journal(&self) -> Option<RunJournal> {
-        let path = self.resume.as_ref()?;
-        let journal = if path.exists() {
-            RunJournal::resume(path)
-        } else {
-            RunJournal::create(path)
-        };
-        match journal {
-            Ok(j) => {
-                if j.completed_cells() > 0 {
-                    println!(
-                        "(resuming: {} completed cells journaled in {})",
-                        j.completed_cells(),
-                        path.display()
-                    );
-                }
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// Resolves `--backend` to a measurement engine, validated against
-    /// the experiment configuration. Per the no-silent-fallback rule, an
-    /// unknown name or an unsupported option prints the typed error to
-    /// stderr and exits with code 1.
-    pub fn resolve_backend(&self) -> Box<dyn Backend> {
-        let backend = match anp_flowsim::backend_from_name(&self.backend) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        if let Err(e) = backend.validate(&self.experiment_config()) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        backend
-    }
-
-    /// The experiment configuration this harness run uses.
-    pub fn experiment_config(&self) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::cab().with_seed(self.seed);
-        if let Some(n) = self.jobs {
-            cfg.jobs = Parallelism::fixed(n);
-        }
-        cfg
-    }
-
-    /// Serializes sweep telemetry to the configured `BENCH_anp.json`
-    /// (no-op under `--no-bench-json`).
-    pub fn emit_bench_json(&self, harness: &str, sweeps: &[&SweepTelemetry]) {
-        self.emit_bench_json_full(harness, sweeps, &[], &[]);
-    }
-
-    /// [`HarnessOpts::emit_bench_json`] with the optional arrays: per-policy
-    /// `sched` records (`sched_study`) and per-window `monitor` records
-    /// (`monitor_study`). Harnesses that populate neither call
-    /// [`HarnessOpts::emit_bench_json`].
-    pub fn emit_bench_json_full(
-        &self,
-        harness: &str,
-        sweeps: &[&SweepTelemetry],
-        sched: &[SchedRecord],
-        monitor: &[MonitorRecord],
-    ) {
-        let Some(path) = &self.bench_json else { return };
-        match write_bench_json(
-            path,
-            harness,
-            self.seed,
-            self.resume.as_deref(),
-            sweeps,
-            sched,
-            monitor,
-        ) {
-            Ok(()) => println!("(sweep telemetry written to {})", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
-
-    /// The CompressionB sweep: the paper's 40 configurations, or an
-    /// 8-configuration subset in quick mode.
-    pub fn compression_sweep(&self) -> Vec<CompressionConfig> {
-        let all = CompressionConfig::paper_sweep();
-        if self.quick {
-            // Diagonal subset: one config per (B, M) group with a cycling
-            // partner count, so the quick sweep still spans P, B and M.
-            all.into_iter()
-                .enumerate()
-                .filter(|(i, _)| i % 5 == (i / 5) % 5)
-                .map(|(_, c)| c)
-                .collect()
-        } else {
-            all
-        }
-    }
-
-    /// The applications under study: all six, or three in quick mode.
-    pub fn apps(&self) -> Vec<AppKind> {
-        if self.quick {
-            vec![AppKind::Fftw, AppKind::Lulesh, AppKind::Milc]
-        } else {
-            AppKind::ALL.to_vec()
-        }
-    }
-}
-
-/// Prints the standard harness banner.
-pub fn banner(artifact: &str, what: &str, opts: &HarnessOpts) {
-    println!("=== {artifact} — {what} ===");
-    println!(
-        "(Casas & Bronevetsky, IPDPS 2014; simulated Cab switch, seed={}, {})",
-        opts.seed,
-        if opts.quick {
-            "QUICK sweep"
-        } else {
-            "full sweep"
-        }
-    );
-    println!();
-}
+pub use artefacts::{Artefact, ARTEFACTS};
 
 /// Typed holes and cell counts accumulated across the sweeps of one
 /// supervised measurement campaign.
@@ -360,6 +80,15 @@ impl Supervision {
         self.failures.extend(failures);
         self.completed += completed;
         self.total += total;
+    }
+
+    /// Folds one sweep's cells into the campaign totals: every `Err` is a
+    /// hole, every `Ok` a completed cell.
+    pub fn absorb_cells<T>(&mut self, cells: &[CellResult<T>]) {
+        self.failures
+            .extend(cells.iter().filter_map(|r| r.as_ref().err().cloned()));
+        self.completed += completed_count(cells);
+        self.total += cells.len();
     }
 
     /// True when every cell completed.
@@ -403,7 +132,8 @@ impl Supervision {
 /// instead of aborting the harness, and with a journal every completed
 /// cell survives a crash. The study comes back `None` when no
 /// look-up-table entry completed (nothing to predict from); otherwise it
-/// is partial where cells failed and complete where they did not.
+/// is partial where cells failed and complete where they did not. A
+/// failed idle calibration is an error: nothing can be read without it.
 pub fn measure_study_supervised_with(
     backend: &dyn Backend,
     cfg: &ExperimentConfig,
@@ -412,16 +142,14 @@ pub fn measure_study_supervised_with(
     supervisor: &Supervisor,
     journal: Option<&RunJournal>,
     verbose: bool,
-) -> Result<(Option<Study>, Supervision, Vec<SweepTelemetry>), JournalError> {
+) -> Result<(Option<Study>, Report), ArtefactError> {
     let progress = |line: &str| {
         if verbose {
             println!("  [measure] {line}");
         }
     };
-    let calibration: Calibration =
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        calibrate_with(backend, cfg, MuPolicy::MinLatency).expect("idle calibration failed");
-    let mut supervision = Supervision::default();
+    let calibration = calibrate_with(backend, cfg, MuPolicy::MinLatency)?;
+    let mut report = Report::default();
     let (lut, lut_telemetry) = LookupTable::measure_supervised_with(
         backend,
         cfg,
@@ -432,54 +160,35 @@ pub fn measure_study_supervised_with(
         journal,
         progress,
     )?;
-    let mut telemetry = vec![lut_telemetry];
-    let (table, failures, completed, total) = (lut.table, lut.failures, lut.completed, lut.total);
-    supervision.absorb(failures, completed, total);
-    let Some(table) = table else {
-        return Ok((None, supervision, telemetry));
+    report.sweeps.push(lut_telemetry);
+    report
+        .supervision
+        .absorb(lut.failures, lut.completed, lut.total);
+    let Some(table) = lut.table else {
+        return Ok((None, report));
     };
     let (study, profile_failures, profile_telemetry) = Study::measure_profiles_supervised_with(
-        backend,
-        cfg,
-        table,
-        apps,
-        supervisor,
-        journal,
-        |line| {
-            if verbose {
-                println!("  [measure] {line}");
-            }
-        },
+        backend, cfg, table, apps, supervisor, journal, progress,
     )?;
-    supervision.absorb(profile_failures, study.app_profiles.len(), apps.len());
-    telemetry.push(profile_telemetry);
-    Ok((Some(study), supervision, telemetry))
-}
-
-/// The result of a supervised end-to-end prediction campaign.
-#[derive(Debug)]
-pub struct SupervisedOutcomes {
-    /// Pairing outcomes in victim-major order; unmeasured pairings (from
-    /// failed cells or missing baselines) keep `measured: None`.
-    pub outcomes: Vec<PairOutcome>,
-    /// Holes and cell counts across every sweep that ran.
-    pub supervision: Supervision,
-    /// Telemetry of every sweep that ran (empty when served from cache).
-    pub telemetry: Vec<SweepTelemetry>,
+    report
+        .supervision
+        .absorb(profile_failures, study.app_profiles.len(), apps.len());
+    report.sweeps.push(profile_telemetry);
+    Ok((Some(study), report))
 }
 
 /// Runs (or loads from cache) the complete prediction study: isolated
 /// measurements, predictions for every ordered pair, and co-run ground
-/// truth, in victim-major order, plus the telemetry of every sweep that
-/// actually ran. Every sweep runs under the options' supervision envelope
-/// (`--max-retries`, `--run-budget`, `--event-budget`, `--resume`):
-/// failures leave typed holes, siblings complete, and the caller maps
-/// [`Supervision::exit_code`] onto the 0/3/1 convention. The cache is
-/// honored only when it holds a *complete* campaign, and written only
-/// when this campaign completes — a partial cache would silently shadow
-/// the missing cells on the next run.
-pub fn full_outcomes_supervised(opts: &HarnessOpts) -> SupervisedOutcomes {
-    if let Some(path) = &opts.cache {
+/// truth, in victim-major order (unmeasured pairings keep `measured:
+/// None`), plus the holes and telemetry of every sweep that actually ran
+/// (none when served from cache). Every sweep runs under the context's supervision
+/// envelope (`--max-retries`, `--run-budget`, `--event-budget`,
+/// `--resume`): failures leave typed holes and siblings complete. The
+/// cache is honored only when it holds a *complete* campaign, and written
+/// only when this campaign completes — a partial cache would silently
+/// shadow the missing cells on the next run.
+pub fn full_outcomes(ctx: &RunCtx) -> Result<(Vec<PairOutcome>, Report), ArtefactError> {
+    if let Some(path) = &ctx.cache {
         if let Some(outcomes) = load_outcomes(path) {
             if outcomes.iter().all(|o| o.measured.is_some()) {
                 println!(
@@ -487,11 +196,7 @@ pub fn full_outcomes_supervised(opts: &HarnessOpts) -> SupervisedOutcomes {
                     outcomes.len(),
                     path.display()
                 );
-                return SupervisedOutcomes {
-                    outcomes,
-                    supervision: Supervision::default(),
-                    telemetry: Vec::new(),
-                };
+                return Ok((outcomes, Report::default()));
             }
             println!(
                 "(ignoring incomplete cache {} — re-measuring)",
@@ -499,61 +204,43 @@ pub fn full_outcomes_supervised(opts: &HarnessOpts) -> SupervisedOutcomes {
             );
         }
     }
-    let cfg = opts.experiment_config();
-    let backend = opts.resolve_backend();
-    let apps = opts.apps();
-    let sweep = opts.compression_sweep();
-    let supervisor = opts.supervisor();
-    let journal = opts.open_journal();
-    let die = |e: JournalError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let (study, mut supervision, mut telemetry) = measure_study_supervised_with(
-        backend.as_ref(),
-        &cfg,
+    let apps = ctx.apps();
+    let backend = ctx.backend.as_ref();
+    let (study, mut report) = measure_study_supervised_with(
+        backend,
+        &ctx.cfg,
         &apps,
-        &sweep,
-        &supervisor,
-        journal.as_ref(),
+        &ctx.compression_sweep(),
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
         true,
-    )
-    .unwrap_or_else(|e| die(e));
+    )?;
     let Some(study) = study else {
-        return SupervisedOutcomes {
-            outcomes: Vec::new(),
-            supervision,
-            telemetry,
-        };
+        return Ok((Vec::new(), report));
     };
-    let models = anp_core::all_models();
-    let mut outcomes = study.predict_all(&apps, &models);
+    let mut outcomes = study.predict_all(&apps, &anp_core::all_models());
     let total_pairs = outcomes.len();
-    let (pair_failures, pair_telemetry) = study
-        .measure_pairs_supervised_with(
-            backend.as_ref(),
-            &cfg,
-            &mut outcomes,
-            &supervisor,
-            journal.as_ref(),
-            |line| println!("  [corun] {line}"),
-        )
-        .unwrap_or_else(|e| die(e));
+    let (pair_failures, pair_telemetry) = study.measure_pairs_supervised_with(
+        backend,
+        &ctx.cfg,
+        &mut outcomes,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+        |line| println!("  [corun] {line}"),
+    )?;
     let pair_completed = total_pairs - pair_failures.len();
-    supervision.absorb(pair_failures, pair_completed, total_pairs);
-    telemetry.push(pair_telemetry);
-    if supervision.is_complete() {
-        if let Some(path) = &opts.cache {
+    report
+        .supervision
+        .absorb(pair_failures, pair_completed, total_pairs);
+    report.sweeps.push(pair_telemetry);
+    if report.supervision.is_complete() {
+        if let Some(path) = &ctx.cache {
             if save_outcomes(path, &outcomes) {
                 println!("(cached pairings to {})", path.display());
             }
         }
     }
-    SupervisedOutcomes {
-        outcomes,
-        supervision,
-        telemetry,
-    }
+    Ok((outcomes, report))
 }
 
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
@@ -618,35 +305,17 @@ pub fn write_bench_json(
     sched: &[SchedRecord],
     monitor: &[MonitorRecord],
 ) -> std::io::Result<()> {
-    let mut out = String::new();
     let journal = journal.map_or("null".to_owned(), |p| format!("\"{}\"", p.display()));
-    out.push_str(&format!(
-        "{{\n  \"schema\": \"anp-bench-v5\",\n  \"harness\": \"{harness}\",\n  \"seed\": {seed},\n  \"journal\": {journal},\n  \"sweeps\": [\n"
-    ));
-    for (i, t) in sweeps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str("    ");
-        out.push_str(&t.to_json());
-    }
-    out.push_str("\n  ],\n  \"sched\": [\n");
-    for (i, r) in sched.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-    }
-    out.push_str("\n  ],\n  \"monitor\": [\n");
-    for (i, r) in monitor.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-    }
-    out.push_str("\n  ]\n}\n");
+    let array = |items: Vec<String>| {
+        let rows: Vec<String> = items.iter().map(|j| format!("    {j}")).collect();
+        rows.join(",\n")
+    };
+    let out = format!(
+        "{{\n  \"schema\": \"anp-bench-v5\",\n  \"harness\": \"{harness}\",\n  \"seed\": {seed},\n  \"journal\": {journal},\n  \"sweeps\": [\n{}\n  ],\n  \"sched\": [\n{}\n  ],\n  \"monitor\": [\n{}\n  ]\n}}\n",
+        array(sweeps.iter().map(|t| t.to_json()).collect()),
+        array(sched.iter().map(SchedRecord::to_json).collect()),
+        array(monitor.iter().map(MonitorRecord::to_json).collect()),
+    );
     write_atomic(path, out.as_bytes())
 }
 
@@ -801,44 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_is_a_subset() {
-        let quick = HarnessOpts {
-            quick: true,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
-            max_retries: 0,
-            run_budget_secs: None,
-            event_budget: None,
-            resume: None,
-        };
-        let full = HarnessOpts {
-            quick: false,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
-            max_retries: 0,
-            run_budget_secs: None,
-            event_budget: None,
-            resume: None,
-        };
-        assert_eq!(full.compression_sweep().len(), 40);
-        assert_eq!(quick.compression_sweep().len(), 8);
-        let partners: std::collections::HashSet<u32> = quick
-            .compression_sweep()
-            .iter()
-            .map(|c| c.partners)
-            .collect();
-        assert!(partners.len() >= 3, "quick sweep must vary P");
-        assert_eq!(full.apps().len(), 6);
-        assert_eq!(quick.apps().len(), 3);
-    }
-
-    #[test]
     fn atomic_write_replaces_without_leftovers() {
         let dir = std::env::temp_dir().join("anp_bench_atomic_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -938,33 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_reflects_flags() {
-        let mut opts = HarnessOpts {
-            quick: false,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
-            max_retries: 2,
-            run_budget_secs: Some(1.5),
-            event_budget: Some(100),
-            resume: None,
-        };
-        let sup = opts.supervisor();
-        assert_eq!(sup.retry.max_retries, 2);
-        assert!(!sup.retry.backoff.is_zero());
-        assert_eq!(sup.budget.wall, Some(Duration::from_secs_f64(1.5)));
-        assert_eq!(sup.budget.events, Some(100));
-        opts.max_retries = 0;
-        opts.run_budget_secs = None;
-        opts.event_budget = None;
-        let sup = opts.supervisor();
-        assert!(sup.budget.is_unlimited());
-        assert_eq!(sup.retry.max_retries, 0);
-    }
-
-    #[test]
     fn supervision_exit_codes_follow_convention() {
         let mut s = Supervision::default();
         assert!(s.is_complete());
@@ -976,6 +580,16 @@ mod tests {
         let mut dead = Supervision::default();
         dead.absorb(Vec::new(), 0, 3);
         assert_eq!(dead.exit_code(), 1);
+        let mut cells = Supervision::default();
+        let hole = TaskError::Panicked {
+            cell: 1,
+            label: "b".to_owned(),
+            payload: "boom".to_owned(),
+        };
+        cells.absorb_cells(&[Ok(1u8), Err(hole), Ok(3)]);
+        assert_eq!((cells.completed, cells.total), (2, 3));
+        assert_eq!(cells.failures.len(), 1);
+        assert_eq!(cells.exit_code(), 3);
     }
 
     #[test]

@@ -11,20 +11,26 @@
 //! anp sched [--quick] [--model KIND]  # predictive co-scheduling study
 //! anp monitor [--quick]         # online monitor accuracy study
 //! anp lint [--json] [--quick]   # determinism/robustness static analysis
+//! anp run <ARTEFACT> [--quick]  # regenerate a paper artefact or study
 //! ```
 //!
 //! Global flags: `--seed <n>`, `--jobs <n>`, `--backend <des|flow>`,
 //! plus the supervision envelope for the sweeping commands:
 //! `--max-retries <n>`, `--run-budget <secs>`, `--event-budget <n>`,
 //! `--resume <journal>`. All commands run on the simulated Cab switch;
-//! see the `anp-bench` binaries for the full paper harnesses.
+//! `anp run <ARTEFACT>` regenerates the paper's tables and figures and
+//! the extension studies (the `anp-bench` registry).
 
+use std::fmt::Display;
+use std::process::ExitCode;
+
+use anp_bench::cli::{parse_run, Flags, RunCtx, UsageError, GLOBAL_FLAGS};
+use anp_bench::ARTEFACTS;
 use anp_core::{
     all_models, audit_compiled, calibrate_with, completed_count, config_fingerprint,
     degradation_percent, loss_sweep_supervised, partial_exit_code, run_oracle,
     sweep_supervised_for, Backend, BackendError, DesBackend, ExperimentConfig, ExperimentError,
-    LatencyProfile, LookupTable, ModelKind, MuPolicy, Parallelism, RetryPolicy, RunBudget,
-    RunJournal, Study, Supervisor, TaskError, WorkloadSpec,
+    LatencyProfile, LookupTable, ModelKind, MuPolicy, Study, TaskError, WorkloadSpec,
 };
 use anp_monitor::{
     gate_violations, render_report as render_monitor_report, run_monitor_study, MonitorOpts,
@@ -36,9 +42,8 @@ use anp_sched::{
 use anp_simmpi::ReliabilityConfig;
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
-use std::time::Duration;
 
-fn usage() -> ! {
+fn usage() {
     eprintln!(
         "usage: anp [--seed N] [--jobs N] [--backend des|flow]\n\
          \x20          [--max-retries N] [--run-budget SECS] [--event-budget N]\n\
@@ -81,6 +86,11 @@ fn usage() -> ! {
          \x20                      the anp-lint-v1 report, --quick skips\n\
          \x20                      tests/benches/examples; exits 1 on any\n\
          \x20                      unsuppressed violation\n\
+         \x20 run <ARTEFACT> [--quick] [--cache PATH] [--bench-json PATH]\n\
+         \x20     [--no-bench-json] [global flags]\n\
+         \x20                      regenerate a paper artefact or extension\n\
+         \x20                      study; only fig8/fig9 read --backend flow\n\
+         \x20                      and --cache, the others reject them\n\
          APP is one of: FFTW, Lulesh, MCB, MILC, VPFFT, AMG (case-insensitive)\n\
          --jobs N runs experiment sweeps on N worker threads (default: all\n\
          cores; results are identical for any setting, 1 = serial)\n\
@@ -90,45 +100,51 @@ fn usage() -> ! {
          --max-retries N retries failed or panicked sweep cells (budget\n\
          trips are never retried); --run-budget / --event-budget cap each\n\
          cell attempt; --resume JOURNAL makes 'sweep', 'losses',\n\
-         'predict', 'sched' and 'monitor' crash-safe: completed cells are\n\
-         journaled and re-invocation re-runs only the missing ones.\n\
-         Sweeping commands exit 0 when every cell completed, 3 on a\n\
+         'predict', 'sched', 'monitor' and 'run' crash-safe: completed\n\
+         cells are journaled and re-invocation re-runs only the missing\n\
+         ones. Sweeping commands exit 0 when every cell completed, 3 on a\n\
          partial result, 1 when nothing did."
     );
-    std::process::exit(2);
-}
-
-/// Prints an error and exits with status 1 (experiment-level failures,
-/// as opposed to `usage()` for malformed invocations).
-fn fail<E: std::fmt::Display>(err: E) -> ! {
-    eprintln!("error: {err}");
-    std::process::exit(1);
-}
-
-/// Parses a flag's value, naming the flag and the offending text on
-/// stderr before the usage text — `anp: invalid value for --seed: "foo"`
-/// — instead of a bare usage dump that leaves the user hunting for the
-/// typo.
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(v) = value else {
-        eprintln!("anp: missing value for {flag}");
-        usage()
-    };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("anp: invalid value for {flag}: \"{v}\"");
-        usage()
-    })
-}
-
-fn parse_app(arg: Option<String>) -> AppKind {
-    let Some(name) = arg else { usage() };
-    match AppKind::from_name(&name) {
-        Some(app) => app,
-        None => {
-            eprintln!("unknown application '{name}'");
-            usage()
-        }
+    eprintln!("ARTEFACT is one of:");
+    for a in ARTEFACTS {
+        eprintln!("  {:<30} {} — {}", a.name, a.title, a.what);
     }
+}
+
+/// How a command that cannot finish normally ends.
+enum Failure {
+    /// A malformed invocation: the message (when there is one), then the
+    /// usage text; exit 2.
+    Usage(String),
+    /// An experiment-level failure: `error: …`; exit 1.
+    Error(String),
+}
+
+impl From<UsageError> for Failure {
+    fn from(e: UsageError) -> Self {
+        Failure::Usage(format!("anp: {e}"))
+    }
+}
+
+/// An experiment-level failure (exit 1), as opposed to a malformed
+/// invocation.
+fn fail<E: Display>(err: E) -> Failure {
+    Failure::Error(err.to_string())
+}
+
+/// The bare usage text (exit 2).
+fn bad_usage() -> Failure {
+    Failure::Usage(String::new())
+}
+
+/// The 0/3/1 campaign convention as a process exit code.
+fn campaign_exit(completed: usize, total: usize) -> ExitCode {
+    ExitCode::from(partial_exit_code(completed, total) as u8)
+}
+
+fn parse_app(arg: Option<String>) -> Result<AppKind, Failure> {
+    let name = arg.ok_or_else(bad_usage)?;
+    AppKind::from_name(&name).ok_or_else(|| Failure::Usage(format!("unknown application '{name}'")))
 }
 
 /// Chaos hook for the supervision integration tests: `ANP_FAULT_PANIC`
@@ -216,177 +232,49 @@ impl<B: Backend> Backend for HookedBackend<B> {
     }
 }
 
-/// Opens the `--resume` journal: resumed when the file exists, created
-/// otherwise. A journal that cannot be opened is a hard error — running
-/// without the requested crash net would be worse than stopping.
-fn open_journal(path: Option<&std::path::Path>) -> Option<RunJournal> {
-    let path = path?;
-    let journal = if path.exists() {
-        RunJournal::resume(path)
-    } else {
-        RunJournal::create(path)
-    };
-    match journal {
-        Ok(j) => {
-            if j.completed_cells() > 0 {
-                eprintln!(
-                    "(resuming: {} completed cells journaled in {})",
-                    j.completed_cells(),
-                    path.display()
-                );
+fn main() -> ExitCode {
+    match dispatch() {
+        Ok(code) => code,
+        Err(Failure::Usage(msg)) => {
+            if !msg.is_empty() {
+                eprintln!("{msg}");
             }
-            Some(j)
+            usage();
+            ExitCode::from(2)
         }
-        Err(e) => fail(e),
+        Err(Failure::Error(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn main() {
+fn dispatch() -> Result<ExitCode, Failure> {
     let mut args = std::env::args().skip(1).peekable();
-    let mut seed = 0xA11CEu64;
-    let mut jobs: Option<usize> = None;
-    let mut backend_name = "des".to_owned();
-    let mut max_retries = 0u32;
-    let mut run_budget_secs: Option<f64> = None;
-    let mut event_budget: Option<u64> = None;
-    let mut resume: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.peek() {
-        if a == "--seed" {
+    let mut flags = Flags::default();
+    flags.parse(&mut args, GLOBAL_FLAGS)?;
+    // `lint` is a pure source-analysis pass and `run` resolves its own
+    // context, so both dispatch before the backend is resolved.
+    match args.peek().map(String::as_str) {
+        Some("lint") => {
             args.next();
-            seed = parse_flag("--seed", args.next());
-        } else if a == "--jobs" {
-            args.next();
-            jobs = Some(parse_flag("--jobs", args.next()));
-        } else if a == "--backend" {
-            args.next();
-            let Some(v) = args.next() else {
-                eprintln!("anp: missing value for --backend");
-                usage()
-            };
-            backend_name = v;
-        } else if a == "--max-retries" {
-            args.next();
-            max_retries = parse_flag("--max-retries", args.next());
-        } else if a == "--run-budget" {
-            args.next();
-            let raw = args.next();
-            let secs: f64 = parse_flag("--run-budget", raw.clone());
-            if secs.is_nan() || secs <= 0.0 {
-                eprintln!(
-                    "anp: invalid value for --run-budget: \"{}\"",
-                    raw.unwrap_or_default()
-                );
-                usage();
-            }
-            run_budget_secs = Some(secs);
-        } else if a == "--event-budget" {
-            args.next();
-            event_budget = Some(parse_flag("--event-budget", args.next()));
-        } else if a == "--resume" {
-            args.next();
-            let Some(v) = args.next() else {
-                eprintln!("anp: missing value for --resume");
-                usage()
-            };
-            resume = Some(std::path::PathBuf::from(v));
-        } else {
-            break;
+            return lint(&flags, args);
         }
-    }
-    // `lint` is a pure source-analysis pass: it needs no backend, no
-    // switch config, and no supervision envelope, so it dispatches
-    // before any of those are resolved.
-    if args.peek().map(String::as_str) == Some("lint") {
-        args.next();
-        let mut json = false;
-        let mut quick = false;
-        let mut root: Option<std::path::PathBuf> = None;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--json" => json = true,
-                "--quick" => quick = true,
-                "--root" => {
-                    let Some(v) = args.next() else {
-                        eprintln!("anp: missing value for --root");
-                        usage()
-                    };
-                    root = Some(std::path::PathBuf::from(v));
-                }
-                _ => usage(),
-            }
+        Some("run") => {
+            args.next();
+            let artefact = parse_run(&mut flags, &mut args)?;
+            return Ok(anp_bench::cli::run(artefact, &flags));
         }
-        let root = root.unwrap_or_else(|| std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")));
-        let opts = anp_lint::LintOptions {
-            jobs: jobs.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            quick,
-        };
-        let report = anp_lint::lint_workspace(&root, &opts).unwrap_or_else(|e| fail(e));
-        if json {
-            print!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_human());
-        }
-        std::process::exit(if report.is_clean() { 0 } else { 1 });
-    }
-    let supervisor = Supervisor {
-        budget: RunBudget {
-            wall: run_budget_secs.map(Duration::from_secs_f64),
-            events: event_budget,
-        },
-        retry: RetryPolicy {
-            max_retries,
-            backoff: if max_retries > 0 {
-                Duration::from_millis(100)
-            } else {
-                Duration::ZERO
-            },
-        },
-    };
-    let mut cfg = ExperimentConfig::cab().with_seed(seed);
-    if let Some(n) = jobs {
-        cfg = cfg.with_jobs(n);
-    }
-    if let Err(e) = cfg.switch.validate() {
-        fail(e);
+        _ => {}
     }
     // Resolve the measurement engine and reject configurations it cannot
     // honor up front: a typed error on stderr and exit 1, never a silent
     // fallback to another backend.
-    let backend: Box<dyn Backend> =
-        anp_flowsim::backend_from_name(&backend_name).unwrap_or_else(|e| fail(e));
-    let backend = backend.as_ref();
-    if let Err(e) = backend.validate(&cfg) {
-        fail(e);
-    }
-    let Some(cmd) = args.next() else { usage() };
-
+    let ctx = RunCtx::new(&flags).map_err(fail)?;
+    ctx.cfg.switch.validate().map_err(fail)?;
+    let cmd = args.next().ok_or_else(bad_usage)?;
     match cmd.as_str() {
-        "calibrate" => {
-            let idle = backend
-                .measure_impact_profile(&cfg, WorkloadSpec::Idle)
-                .unwrap_or_else(|e| fail(e));
-            let calib =
-                calibrate_with(backend, &cfg, MuPolicy::MinLatency).unwrap_or_else(|e| fail(e));
-            println!(
-                "idle probe latency: mean {:.3}us, sd {:.3}us, min {:.3}us (n={})",
-                idle.mean(),
-                idle.std_dev(),
-                idle.min(),
-                idle.count()
-            );
-            println!(
-                "queue model: mu = {:.4} packets/us, Var(S) = {:.4} us^2",
-                calib.mu, calib.var_s
-            );
-            println!(
-                "idle utilization reading: {:.1}%",
-                calib.utilization(&idle) * 100.0
-            );
-        }
+        "calibrate" => calibrate(&ctx),
         "apps" => {
             for app in AppKind::ALL {
                 let l = app.layout();
@@ -399,428 +287,472 @@ fn main() {
                     app.skeleton()
                 );
             }
+            Ok(ExitCode::SUCCESS)
         }
-        "probe" => {
-            let app = parse_app(args.next());
-            let calib =
-                calibrate_with(backend, &cfg, MuPolicy::MinLatency).unwrap_or_else(|e| fail(e));
-            let p = backend
-                .measure_impact_profile(&cfg, WorkloadSpec::App(app))
-                .unwrap_or_else(|e| fail(e));
-            println!(
-                "{}: probe mean {:.2}us (sd {:.2}us, n={})",
-                app.name(),
-                p.mean(),
-                p.std_dev(),
-                p.count()
-            );
-            println!(
-                "estimated switch utilization: {:.1}%",
-                calib.utilization(&p) * 100.0
-            );
-        }
-        "sweep" => {
-            let app = parse_app(args.next());
-            let calib =
-                calibrate_with(backend, &cfg, MuPolicy::MinLatency).unwrap_or_else(|e| fail(e));
-            let solo = backend
-                .measure_solo_runtime(&cfg, app)
-                .unwrap_or_else(|e| fail(e));
-            println!("{} solo: {}", app.name(), solo);
-            println!("{:<18} {:>7} {:>12}", "config", "util", "degradation");
-            let ladder = [
-                CompressionConfig::new(1, 25_000_000, 1),
-                CompressionConfig::new(7, 2_500_000, 10),
-                CompressionConfig::new(14, 250_000, 1),
-                CompressionConfig::new(17, 25_000, 10),
-            ];
-            // Each rung (impact + runtime, one cell) runs inside the
-            // supervision envelope: a panicking or over-budget rung
-            // becomes a `-` row while its siblings complete, and with
-            // `--resume` completed rungs are journaled for crash-safe
-            // re-invocation. Collection is ladder-ordered, so the table
-            // is byte-identical for any `--jobs` setting.
-            let journal = open_journal(resume.as_deref());
-            let fp = config_fingerprint(&cfg, backend.name());
-            let tasks: Vec<(String, _)> = ladder
-                .iter()
-                .map(|comp| {
-                    let cfg = &cfg;
-                    let label = format!("rung:{}", comp.label());
-                    (label.clone(), move || {
-                        fault_hook(&label);
-                        let p =
-                            backend.measure_impact_profile(cfg, WorkloadSpec::Compression(comp))?;
-                        let t = backend.measure_compression_run(cfg, app, comp)?;
-                        Ok((p, t))
-                    })
-                })
-                .collect();
-            let (rungs, _telemetry) = sweep_supervised_for(
-                "sweep-ladder",
-                backend.name(),
-                cfg.jobs,
-                &supervisor,
-                journal.as_ref(),
-                fp,
-                tasks,
-            )
-            .unwrap_or_else(|e| fail(e));
-            for (comp, cell) in ladder.iter().zip(&rungs) {
-                match cell {
-                    Ok((p, t)) => println!(
-                        "{:<18} {:>6.1}% {:>+11.1}%",
-                        comp.label(),
-                        calib.utilization(p) * 100.0,
-                        degradation_percent(solo, *t)
-                    ),
-                    Err(e) => {
-                        println!("{:<18} {:>7} {:>12}", comp.label(), "-", "-");
-                        eprintln!("error: {e}");
-                    }
-                }
-            }
-            let completed = completed_count(&rungs);
-            if completed < rungs.len() {
-                eprintln!(
-                    "error: {} rung(s) did not complete",
-                    rungs.len() - completed
-                );
-                if let Some(p) = &resume {
-                    eprintln!("(re-run with --resume {} to complete)", p.display());
-                }
-            }
-            std::process::exit(partial_exit_code(completed, rungs.len()));
-        }
-        "losses" => {
-            let app = parse_app(args.next());
-            // The loss sweep installs a FaultPlan per loss point, so it
-            // needs a fault-capable engine; reject others before any
-            // simulation runs rather than falling back silently.
-            if !backend.supports_faults() {
-                fail(BackendError::UnsupportedOption {
-                    backend: backend.name(),
-                    option: "packet-loss fault injection (the losses sweep)".to_owned(),
-                });
-            }
-            // Timeout well above congested delivery latency (spurious
-            // retransmits snowball), loss rates low enough that a 24KB /
-            // 24-packet message still survives most attempts: the ARQ is
-            // message-grained, so loss x packets-per-message must stay
-            // well below 1.
-            let rel = ReliabilityConfig {
-                retransmit_timeout: SimDuration::from_millis(50),
-                max_retries: 10,
-            };
-            let solo = backend
-                .measure_solo_runtime(&cfg, app)
-                .unwrap_or_else(|e| fail(e));
-            println!("{} lossless: {}", app.name(), solo);
-            println!("{:<10} {:>12} {:>12}", "loss", "runtime", "degradation");
-            // Each loss point runs under the supervision envelope; with
-            // `--resume` completed points are journaled, so a crashed or
-            // partial sweep re-runs only the missing rows.
-            let journal = open_journal(resume.as_deref());
-            let (points, _telemetry) = loss_sweep_supervised(
-                &cfg,
-                app,
-                &[0.0, 1e-4, 5e-4, 1e-3],
-                rel,
-                &supervisor,
-                journal.as_ref(),
-            )
-            .unwrap_or_else(|e| fail(e));
-            let total = points.len();
-            let mut completed = 0usize;
-            for (loss, res) in &points {
-                match res {
-                    Ok(t) => {
-                        completed += 1;
-                        println!(
-                            "{:<10} {:>12} {:>+11.1}%",
-                            format!("{:.2}%", loss * 100.0),
-                            format!("{t}"),
-                            degradation_percent(solo, *t)
-                        );
-                    }
-                    Err(e) => {
-                        // The table row stays on stdout; the error detail
-                        // goes to stderr, and the command exits nonzero
-                        // (3: partial table, 1: nothing completed).
-                        println!(
-                            "{:<10} {:>12} (failed)",
-                            format!("{:.2}%", loss * 100.0),
-                            "-"
-                        );
-                        eprintln!("error: loss {:.2}%: {e}", loss * 100.0);
-                    }
-                }
-            }
-            if completed < total {
-                eprintln!(
-                    "error: {} loss point(s) did not complete",
-                    total - completed
-                );
-                if let Some(p) = &resume {
-                    eprintln!("(re-run with --resume {} to complete)", p.display());
-                }
-                std::process::exit(partial_exit_code(completed, total));
-            }
-        }
-        "audit" => {
-            let quick = match args.next() {
-                None => false,
-                Some(a) if a == "--quick" => true,
-                Some(_) => usage(),
-            };
-            if !audit_compiled() {
-                eprintln!(
-                    "warning: invariant auditing is compiled out — rebuild with \
-                     `--features audit` to check conservation laws; running the \
-                     differential oracle without them"
-                );
-            }
-            // The ladder runs on the Cab-like preset: the flow model's
-            // 10%/15% envelope is documented and gate-tested there
-            // (`backend_xval`), so that is where the oracle may hold it
-            // to the envelope. Quick mode trims the app axis to FFTW;
-            // the full run adds the compute-bound extreme.
-            //
-            // The oracle always measures against the DES reference; the
-            // flow engine is the fourth, envelope-checked mode and is
-            // skipped (with a warning) if it cannot honor the config.
-            let flow: Option<Box<dyn Backend>> = match anp_flowsim::backend_from_name("flow") {
-                Ok(b) => match b.validate(&cfg) {
-                    Ok(()) => Some(b),
-                    Err(e) => {
-                        eprintln!("warning: flow mode skipped: {e}");
-                        None
-                    }
-                },
-                Err(e) => {
-                    eprintln!("warning: flow mode skipped: {e}");
-                    None
-                }
-            };
-            let ladder = [
-                CompressionConfig::new(1, 25_000_000, 1),
-                CompressionConfig::new(7, 2_500_000, 10),
-                CompressionConfig::new(14, 250_000, 1),
-                CompressionConfig::new(17, 25_000, 10),
-            ];
-            let apps = if quick {
-                vec![AppKind::Fftw]
-            } else {
-                vec![AppKind::Fftw, AppKind::Milc]
-            };
-            let mut clean = true;
-            for app in apps {
-                eprintln!("auditing {} on the gated ladder", app.name());
-                let journal_path = std::env::temp_dir().join(format!(
-                    "anp-audit-{}-{}.journal",
-                    app.name(),
-                    std::process::id()
-                ));
-                let report = run_oracle(
-                    &cfg,
-                    app,
-                    &ladder,
-                    flow.as_deref(),
-                    &journal_path,
-                    &mut |line| eprintln!("  {line}"),
-                )
-                .unwrap_or_else(|e| fail(e));
-                println!("{report}");
-                clean &= report.is_clean();
-            }
-            if !clean {
-                std::process::exit(1);
-            }
-        }
+        "probe" => probe(&ctx, parse_app(args.next())?),
+        "sweep" => sweep(&ctx, &flags, parse_app(args.next())?),
+        "losses" => losses(&ctx, &flags, parse_app(args.next())?),
+        "audit" => audit(&ctx, args),
         "predict" => {
-            let a = parse_app(args.next());
-            let b = parse_app(args.next());
-            let apps = if a == b { vec![a] } else { vec![a, b] };
-            eprintln!("measuring look-up table (this takes a few minutes)...");
-            let calib =
-                calibrate_with(backend, &cfg, MuPolicy::MinLatency).unwrap_or_else(|e| fail(e));
-            let sweep: Vec<CompressionConfig> = CompressionConfig::paper_sweep()
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| i % 5 == (i / 5) % 5)
-                .map(|(_, c)| c)
-                .collect();
-            // Both sweeps run under the supervision envelope; with
-            // `--resume` their completed cells are journaled. A hole
-            // leaves nothing trustworthy to predict from, so it is
-            // reported and the command exits with the partial-result code.
-            let journal = open_journal(resume.as_deref());
-            let holed = |failures: &[TaskError], completed: usize, total: usize| -> ! {
-                for f in failures {
-                    eprintln!("error: {f}");
-                }
-                if let Some(p) = &resume {
-                    eprintln!("(re-run with --resume {} to complete)", p.display());
-                }
-                std::process::exit(partial_exit_code(completed, total));
-            };
-            let (lut, _) = LookupTable::measure_supervised_with(
-                backend,
-                &cfg,
-                calib,
-                &apps,
-                &sweep,
-                &supervisor,
-                journal.as_ref(),
-                |line| eprintln!("  {line}"),
-            )
-            .unwrap_or_else(|e| fail(e));
-            let table = match lut.table {
-                Some(table) if lut.failures.is_empty() => table,
-                _ => holed(&lut.failures, lut.completed, lut.total),
-            };
-            let (study, failures, _) = Study::measure_profiles_supervised_with(
-                backend,
-                &cfg,
-                table,
-                &apps,
-                &supervisor,
-                journal.as_ref(),
-                |_| {},
-            )
-            .unwrap_or_else(|e| fail(e));
-            if !failures.is_empty() {
-                let completed = lut.completed + study.app_profiles.len();
-                holed(&failures, completed, lut.total + apps.len());
-            }
-            let models = all_models();
-            for (victim, other) in [(a, b), (b, a)] {
-                let outcome = study.predict_pair(victim, other, &models);
-                println!("{} co-run with {}:", victim.name(), other.name());
-                for (model, pred) in &outcome.predicted {
-                    println!("  {:<15} predicts {:+6.1}%", model, pred);
-                }
-                if a == b {
-                    break;
-                }
-            }
+            let a = parse_app(args.next())?;
+            predict(&ctx, &flags, a, parse_app(args.next())?)
         }
-        "sched" => {
-            let mut quick = false;
-            let mut model = ModelKind::Queue;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    "--model" => {
-                        let v = args.next().unwrap_or_else(|| usage());
-                        model = v.parse().unwrap_or_else(|_| {
-                            eprintln!("unknown model '{v}'");
-                            usage()
-                        });
-                    }
-                    _ => usage(),
-                }
-            }
-            let mut sopts = if quick {
-                StudyOpts::quick(seed, jobs.unwrap_or(1))
-            } else {
-                StudyOpts::full(seed, jobs.unwrap_or(1))
-            };
-            if jobs.is_none() {
-                sopts.cfg.jobs = Parallelism::Auto;
-            }
-            // Ground truth is always DES-measured (the reference engine);
-            // the global --backend selects the engine the predictive
-            // policy consults for its placement decisions.
-            let engine = match backend_name.as_str() {
-                "des" => DecisionEngine::Des,
-                _ => DecisionEngine::Flow,
-            };
-            let journal = open_journal(resume.as_deref());
-            let campaign = measure_truth_supervised(
-                &HookedBackend(DesBackend),
-                &sopts.cfg,
-                &sopts.apps,
-                &sopts.ladder,
-                &supervisor,
-                journal.as_ref(),
-                |line| eprintln!("  [truth] {line}"),
-            )
-            .unwrap_or_else(|e| fail(e));
-            if !campaign.is_complete() {
-                campaign.report(|line| eprintln!("{line}"));
-                eprintln!(
-                    "truth incomplete: scheduling skipped (a holed pair grid would bias regret)"
-                );
-                if let Some(p) = &resume {
-                    eprintln!("(re-run with --resume {} to complete)", p.display());
-                }
-                std::process::exit(campaign.exit_code());
-            }
-            let truth = campaign
-                .truth
-                .as_ref()
-                .expect("complete campaign has truth");
-            let specs = [
-                PolicySpec::Predictive(model, engine),
-                PolicySpec::FirstFit,
-                PolicySpec::Random,
-                PolicySpec::SoloOnly,
-                PolicySpec::Oracle,
-            ];
-            let outcomes = run_suite(&sopts, truth, &specs, |line| eprintln!("  [sched] {line}"))
-                .unwrap_or_else(|e| fail(e));
-            // The predictive policy's realized schedule for the first
-            // stream, then the cross-policy summary. Wall-clock detail
-            // stays on stderr so stdout is byte-identical for any --jobs.
-            let predictive = &outcomes[0];
-            if let Some((stream_seed, sched)) = predictive.per_seed.first() {
-                println!("{} schedule, stream seed {stream_seed}:", predictive.label);
-                print!("{}", render_schedule(sched));
-                println!();
-            }
-            print!("{}", render_summary(&outcomes));
-            if predictive.decisions > 0 {
-                eprintln!(
-                    "decision latency ({}): {:.3}ms per decision over {} decisions",
-                    predictive.label,
-                    predictive.decision_wall.as_secs_f64() * 1e3 / predictive.decisions as f64,
-                    predictive.decisions
-                );
-            }
-            std::process::exit(campaign.exit_code());
-        }
-        "monitor" => {
-            let quick = match args.next() {
-                None => false,
-                Some(a) if a == "--quick" => true,
-                Some(_) => usage(),
-            };
-            let mut mopts = if quick {
-                MonitorOpts::quick(seed, jobs.unwrap_or(1))
-            } else {
-                MonitorOpts::full(seed, jobs.unwrap_or(1))
-            };
-            if jobs.is_none() {
-                mopts.cfg.jobs = Parallelism::Auto;
-            }
-            // Progress narration (cell-by-cell results) goes to stderr;
-            // stdout carries only the final wall-clock-free tables, so it
-            // is byte-identical for any --jobs setting and on --resume.
-            let journal = open_journal(resume.as_deref());
-            let report = run_monitor_study(&mopts, &supervisor, journal.as_ref(), |line| {
-                eprintln!("  [monitor] {line}")
-            })
-            .unwrap_or_else(|e| fail(e));
-            print!("{}", render_monitor_report(&mopts, &report));
-            let violations = gate_violations(&mopts, &report);
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("gate violation: {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-        _ => usage(),
+        "sched" => sched(&ctx, &flags, args),
+        "monitor" => monitor(&ctx, args),
+        _ => Err(bad_usage()),
     }
+}
+
+/// `--quick` as a command's only optional argument.
+fn quick_flag(mut args: impl Iterator<Item = String>) -> Result<bool, Failure> {
+    match args.next() {
+        None => Ok(false),
+        Some(a) if a == "--quick" => Ok(true),
+        Some(_) => Err(bad_usage()),
+    }
+}
+
+/// The hint a partial sweeping command prints under its holes.
+fn resume_hint(flags: &Flags) {
+    if let Some(p) = &flags.resume {
+        eprintln!("(re-run with --resume {} to complete)", p.display());
+    }
+}
+
+fn lint(flags: &Flags, mut args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
+    let mut json = false;
+    let mut quick = false;
+    let mut root: Option<std::path::PathBuf> = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--quick" => quick = true,
+            "--root" => {
+                let v = args
+                    .next()
+                    .ok_or_else(|| UsageError::MissingValue("--root".to_owned()))?;
+                root = Some(v.into());
+            }
+            _ => return Err(bad_usage()),
+        }
+    }
+    let root = root.unwrap_or_else(|| std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    let opts = anp_lint::LintOptions {
+        jobs: flags.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }),
+        quick,
+    };
+    let report = anp_lint::lint_workspace(&root, &opts).map_err(fail)?;
+    if json {
+        print!("{}", report.to_json());
+    } else {
+        print!("{}", report.render_human());
+    }
+    Ok(if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+fn calibrate(ctx: &RunCtx) -> Result<ExitCode, Failure> {
+    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
+    let idle = backend
+        .measure_impact_profile(cfg, WorkloadSpec::Idle)
+        .map_err(fail)?;
+    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(fail)?;
+    println!(
+        "idle probe latency: mean {:.3}us, sd {:.3}us, min {:.3}us (n={})",
+        idle.mean(),
+        idle.std_dev(),
+        idle.min(),
+        idle.count()
+    );
+    println!(
+        "queue model: mu = {:.4} packets/us, Var(S) = {:.4} us^2",
+        calib.mu, calib.var_s
+    );
+    println!(
+        "idle utilization reading: {:.1}%",
+        calib.utilization(&idle) * 100.0
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn probe(ctx: &RunCtx, app: AppKind) -> Result<ExitCode, Failure> {
+    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
+    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(fail)?;
+    let p = backend
+        .measure_impact_profile(cfg, WorkloadSpec::App(app))
+        .map_err(fail)?;
+    println!(
+        "{}: probe mean {:.2}us (sd {:.2}us, n={})",
+        app.name(),
+        p.mean(),
+        p.std_dev(),
+        p.count()
+    );
+    println!(
+        "estimated switch utilization: {:.1}%",
+        calib.utilization(&p) * 100.0
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn sweep(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure> {
+    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
+    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(fail)?;
+    let solo = backend.measure_solo_runtime(cfg, app).map_err(fail)?;
+    println!("{} solo: {}", app.name(), solo);
+    println!("{:<18} {:>7} {:>12}", "config", "util", "degradation");
+    let ladder = CompressionConfig::gated_ladder();
+    // Each rung (impact + runtime, one cell) runs inside the supervision
+    // envelope: a panicking or over-budget rung becomes a `-` row while
+    // its siblings complete, and with `--resume` completed rungs are
+    // journaled for crash-safe re-invocation. Collection is
+    // ladder-ordered, so the table is byte-identical for any `--jobs`
+    // setting.
+    let fp = config_fingerprint(cfg, backend.name());
+    let tasks: Vec<(String, _)> = ladder
+        .iter()
+        .map(|comp| {
+            let label = format!("rung:{}", comp.label());
+            (label.clone(), move || {
+                fault_hook(&label);
+                let p = backend.measure_impact_profile(cfg, WorkloadSpec::Compression(comp))?;
+                let t = backend.measure_compression_run(cfg, app, comp)?;
+                Ok((p, t))
+            })
+        })
+        .collect();
+    let (rungs, _telemetry) = sweep_supervised_for(
+        "sweep-ladder",
+        backend.name(),
+        cfg.jobs,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+        fp,
+        tasks,
+    )
+    .map_err(fail)?;
+    for (comp, cell) in ladder.iter().zip(&rungs) {
+        match cell {
+            Ok((p, t)) => println!(
+                "{:<18} {:>6.1}% {:>+11.1}%",
+                comp.label(),
+                calib.utilization(p) * 100.0,
+                degradation_percent(solo, *t)
+            ),
+            Err(e) => {
+                println!("{:<18} {:>7} {:>12}", comp.label(), "-", "-");
+                eprintln!("error: {e}");
+            }
+        }
+    }
+    let completed = completed_count(&rungs);
+    if completed < rungs.len() {
+        eprintln!(
+            "error: {} rung(s) did not complete",
+            rungs.len() - completed
+        );
+        resume_hint(flags);
+    }
+    Ok(campaign_exit(completed, rungs.len()))
+}
+
+fn losses(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure> {
+    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
+    // The loss sweep installs a FaultPlan per loss point, so it needs a
+    // fault-capable engine; reject others before any simulation runs
+    // rather than falling back silently.
+    if !backend.supports_faults() {
+        return Err(fail(BackendError::UnsupportedOption {
+            backend: backend.name(),
+            option: "packet-loss fault injection (the losses sweep)".to_owned(),
+        }));
+    }
+    // Timeout well above congested delivery latency (spurious retransmits
+    // snowball), loss rates low enough that a 24KB / 24-packet message
+    // still survives most attempts: the ARQ is message-grained, so loss x
+    // packets-per-message must stay well below 1.
+    let rel = ReliabilityConfig {
+        retransmit_timeout: SimDuration::from_millis(50),
+        max_retries: 10,
+    };
+    let solo = backend.measure_solo_runtime(cfg, app).map_err(fail)?;
+    println!("{} lossless: {}", app.name(), solo);
+    println!("{:<10} {:>12} {:>12}", "loss", "runtime", "degradation");
+    // Each loss point runs under the supervision envelope; with `--resume`
+    // completed points are journaled, so a crashed or partial sweep
+    // re-runs only the missing rows.
+    let (points, _telemetry) = loss_sweep_supervised(
+        cfg,
+        app,
+        &[0.0, 1e-4, 5e-4, 1e-3],
+        rel,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+    )
+    .map_err(fail)?;
+    let total = points.len();
+    let mut completed = 0usize;
+    for (loss, res) in &points {
+        match res {
+            Ok(t) => {
+                completed += 1;
+                println!(
+                    "{:<10} {:>12} {:>+11.1}%",
+                    format!("{:.2}%", loss * 100.0),
+                    format!("{t}"),
+                    degradation_percent(solo, *t)
+                );
+            }
+            Err(e) => {
+                // The table row stays on stdout; the error detail goes to
+                // stderr, and the command exits nonzero (3: partial
+                // table, 1: nothing completed).
+                println!(
+                    "{:<10} {:>12} (failed)",
+                    format!("{:.2}%", loss * 100.0),
+                    "-"
+                );
+                eprintln!("error: loss {:.2}%: {e}", loss * 100.0);
+            }
+        }
+    }
+    if completed < total {
+        eprintln!(
+            "error: {} loss point(s) did not complete",
+            total - completed
+        );
+        resume_hint(flags);
+    }
+    Ok(campaign_exit(completed, total))
+}
+
+fn audit(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
+    let quick = quick_flag(args)?;
+    let cfg = &ctx.cfg;
+    if !audit_compiled() {
+        eprintln!(
+            "warning: invariant auditing is compiled out — rebuild with \
+             `--features audit` to check conservation laws; running the \
+             differential oracle without them"
+        );
+    }
+    // The ladder runs on the Cab-like preset: the flow model's 10%/15%
+    // envelope is documented and gate-tested there (`backend_xval`), so
+    // that is where the oracle may hold it to the envelope. Quick mode
+    // trims the app axis to FFTW; the full run adds the compute-bound
+    // extreme.
+    //
+    // The oracle always measures against the DES reference; the flow
+    // engine is the fourth, envelope-checked mode and is skipped (with a
+    // warning) if it cannot honor the config.
+    let flow = anp_flowsim::backend_from_name("flow").and_then(|b| b.validate(cfg).map(|()| b));
+    let flow: Option<Box<dyn Backend>> = match flow {
+        Ok(b) => Some(b),
+        Err(e) => {
+            eprintln!("warning: flow mode skipped: {e}");
+            None
+        }
+    };
+    let apps = if quick {
+        vec![AppKind::Fftw]
+    } else {
+        vec![AppKind::Fftw, AppKind::Milc]
+    };
+    let mut clean = true;
+    for app in apps {
+        eprintln!("auditing {} on the gated ladder", app.name());
+        let journal_path = std::env::temp_dir().join(format!(
+            "anp-audit-{}-{}.journal",
+            app.name(),
+            std::process::id()
+        ));
+        let report = run_oracle(
+            cfg,
+            app,
+            &CompressionConfig::gated_ladder(),
+            flow.as_deref(),
+            &journal_path,
+            &mut |line| eprintln!("  {line}"),
+        )
+        .map_err(fail)?;
+        println!("{report}");
+        clean &= report.is_clean();
+    }
+    Ok(if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+fn predict(ctx: &RunCtx, flags: &Flags, a: AppKind, b: AppKind) -> Result<ExitCode, Failure> {
+    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
+    let apps = if a == b { vec![a] } else { vec![a, b] };
+    eprintln!("measuring look-up table (this takes a few minutes)...");
+    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(fail)?;
+    let sweep = anp_bench::cli::compression_sweep(true);
+    // Both sweeps run under the supervision envelope; with `--resume`
+    // their completed cells are journaled. A hole leaves nothing
+    // trustworthy to predict from, so it is reported and the command
+    // exits with the partial-result code.
+    let holed = |failures: &[TaskError], completed: usize, total: usize| {
+        for f in failures {
+            eprintln!("error: {f}");
+        }
+        resume_hint(flags);
+        Ok(campaign_exit(completed, total))
+    };
+    let (lut, _) = LookupTable::measure_supervised_with(
+        backend,
+        cfg,
+        calib,
+        &apps,
+        &sweep,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+        |line| eprintln!("  {line}"),
+    )
+    .map_err(fail)?;
+    let table = match lut.table {
+        Some(table) if lut.failures.is_empty() => table,
+        _ => return holed(&lut.failures, lut.completed, lut.total),
+    };
+    let (study, failures, _) = Study::measure_profiles_supervised_with(
+        backend,
+        cfg,
+        table,
+        &apps,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+        |_| {},
+    )
+    .map_err(fail)?;
+    if !failures.is_empty() {
+        let completed = lut.completed + study.app_profiles.len();
+        return holed(&failures, completed, lut.total + apps.len());
+    }
+    let models = all_models();
+    for (victim, other) in [(a, b), (b, a)] {
+        let outcome = study.predict_pair(victim, other, &models);
+        println!("{} co-run with {}:", victim.name(), other.name());
+        for (model, pred) in &outcome.predicted {
+            println!("  {:<15} predicts {:+6.1}%", model, pred);
+        }
+        if a == b {
+            break;
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn sched(
+    ctx: &RunCtx,
+    flags: &Flags,
+    mut args: impl Iterator<Item = String>,
+) -> Result<ExitCode, Failure> {
+    let mut quick = false;
+    let mut model = ModelKind::Queue;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--model" => {
+                let v = args.next().ok_or_else(bad_usage)?;
+                model = v
+                    .parse()
+                    .map_err(|_| Failure::Usage(format!("unknown model '{v}'")))?;
+            }
+            _ => return Err(bad_usage()),
+        }
+    }
+    let mut sopts = if quick {
+        StudyOpts::quick(ctx.seed, 1)
+    } else {
+        StudyOpts::full(ctx.seed, 1)
+    };
+    sopts.cfg.jobs = ctx.cfg.jobs;
+    // Ground truth is always DES-measured (the reference engine); the
+    // global --backend selects the engine the predictive policy consults
+    // for its placement decisions.
+    let engine = if flags.backend == "des" {
+        DecisionEngine::Des
+    } else {
+        DecisionEngine::Flow
+    };
+    let campaign = measure_truth_supervised(
+        &HookedBackend(DesBackend),
+        &sopts.cfg,
+        &sopts.apps,
+        &sopts.ladder,
+        &ctx.supervisor,
+        ctx.journal.as_ref(),
+        |line| eprintln!("  [truth] {line}"),
+    )
+    .map_err(fail)?;
+    let Some(truth) = campaign.truth.as_ref().filter(|_| campaign.is_complete()) else {
+        campaign.report(|line| eprintln!("{line}"));
+        eprintln!("truth incomplete: scheduling skipped (a holed pair grid would bias regret)");
+        resume_hint(flags);
+        return Ok(campaign_exit(campaign.completed, campaign.total));
+    };
+    let specs = [
+        PolicySpec::Predictive(model, engine),
+        PolicySpec::FirstFit,
+        PolicySpec::Random,
+        PolicySpec::SoloOnly,
+        PolicySpec::Oracle,
+    ];
+    let outcomes =
+        run_suite(&sopts, truth, &specs, |line| eprintln!("  [sched] {line}")).map_err(fail)?;
+    // The predictive policy's realized schedule for the first stream, then
+    // the cross-policy summary. Wall-clock detail stays on stderr so
+    // stdout is byte-identical for any --jobs.
+    let predictive = &outcomes[0];
+    if let Some((stream_seed, sched)) = predictive.per_seed.first() {
+        println!("{} schedule, stream seed {stream_seed}:", predictive.label);
+        print!("{}", render_schedule(sched));
+        println!();
+    }
+    print!("{}", render_summary(&outcomes));
+    if predictive.decisions > 0 {
+        eprintln!(
+            "decision latency ({}): {:.3}ms per decision over {} decisions",
+            predictive.label,
+            predictive.decision_wall.as_secs_f64() * 1e3 / predictive.decisions as f64,
+            predictive.decisions
+        );
+    }
+    Ok(campaign_exit(campaign.completed, campaign.total))
+}
+
+fn monitor(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
+    let mut mopts = if quick_flag(args)? {
+        MonitorOpts::quick(ctx.seed, 1)
+    } else {
+        MonitorOpts::full(ctx.seed, 1)
+    };
+    mopts.cfg.jobs = ctx.cfg.jobs;
+    // Progress narration (cell-by-cell results) goes to stderr; stdout
+    // carries only the final wall-clock-free tables, so it is
+    // byte-identical for any --jobs setting and on --resume.
+    let report = run_monitor_study(&mopts, &ctx.supervisor, ctx.journal.as_ref(), |line| {
+        eprintln!("  [monitor] {line}")
+    })
+    .map_err(fail)?;
+    print!("{}", render_monitor_report(&mopts, &report));
+    let violations = gate_violations(&mopts, &report);
+    for v in &violations {
+        eprintln!("gate violation: {v}");
+    }
+    Ok(if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
