@@ -516,6 +516,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a set's size ignores order")]
     fn quick_sweep_is_a_subset() {
         let quick = parse(&["--quick", "--seed", "1"]).unwrap();
         let full = parse(&["--seed", "1"]).unwrap();

@@ -40,6 +40,7 @@
 //! collectives, histogram metrics, P-K inversion, end-to-end probes).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

@@ -573,7 +573,10 @@ mod tests {
 
     /// Runs `f` inside a supervised single-cell sweep so the installed
     /// [`crate::supervise::RunBudget`] reaches the drivers' worlds.
-    #[allow(clippy::result_large_err)] // test helper; the large variants are the point
+    #[expect(
+        clippy::result_large_err,
+        reason = "test helper; the large variants are the point"
+    )]
     fn supervised_cell<T: Send + crate::journal::Journaled>(
         budget: crate::supervise::RunBudget,
         f: impl Fn() -> Result<T, ExperimentError> + Send + Sync,

@@ -50,7 +50,8 @@
 //! A's measured degradation under that configuration
 //! ([`prediction::Study::predict_pair`]).
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod backend;
 pub mod experiments;

@@ -157,7 +157,7 @@ impl LookupTable {
     /// cells emit `… FAILED: <error>` progress lines; runtimes whose solo
     /// baseline is missing cannot become slowdowns and are reported as
     /// `(no solo baseline)`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "each argument is independent")]
     pub fn measure_supervised_with(
         backend: &dyn Backend,
         cfg: &ExperimentConfig,

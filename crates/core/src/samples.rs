@@ -64,14 +64,20 @@ impl LatencyProfile {
 
     /// Smallest observed latency in µs (used for idle-switch calibration
     /// of the service rate, per the paper's §IV-B).
+    #[expect(
+        clippy::expect_used,
+        reason = "non-empty by construction: the public constructor rejects empty sample sets"
+    )]
     pub fn min(&self) -> f64 {
-        // anp-lint: allow(D003) — non-empty by construction: the public constructor rejects empty sample sets
         self.stats.min().expect("profile is never empty")
     }
 
     /// Largest observed latency in µs.
+    #[expect(
+        clippy::expect_used,
+        reason = "non-empty by construction: the public constructor rejects empty sample sets"
+    )]
     pub fn max(&self) -> f64 {
-        // anp-lint: allow(D003) — non-empty by construction: the public constructor rejects empty sample sets
         self.stats.max().expect("profile is never empty")
     }
 

@@ -39,6 +39,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+#[expect(clippy::disallowed_types, reason = "wall budgets never alter results")]
 use std::time::{Duration, Instant};
 
 use anp_simmpi::StallReport;
@@ -239,6 +240,7 @@ pub fn partial_exit_code(completed: usize, total: usize) -> i32 {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "a wall budget's starting point")]
 struct BudgetState {
     started: Instant,
     wall: Option<Duration>,
@@ -253,6 +255,7 @@ thread_local! {
     static BUDGET: RefCell<Option<BudgetState>> = const { RefCell::new(None) };
 }
 
+#[expect(clippy::disallowed_types, reason = "starts the attempt's wall budget")]
 fn install_budget(budget: RunBudget) {
     BUDGET.with(|slot| {
         *slot.borrow_mut() = Some(BudgetState {
@@ -283,6 +286,7 @@ pub fn charge_events(n: u64) {
 /// wall deadline)`, both `None` when unlimited. Experiment drivers pass
 /// this straight to [`anp_simmpi::World::set_run_budget`] before every
 /// run, so one cell's budget spans all of its simulations.
+#[expect(clippy::disallowed_types, reason = "hands the deadline to worlds")]
 pub fn world_allowance() -> (Option<u64>, Option<Instant>) {
     BUDGET.with(|slot| {
         slot.borrow().as_ref().map_or((None, None), |state| {
@@ -347,7 +351,7 @@ where
 /// Results are index-ordered; completed cells are byte-identical to a
 /// serial loop over the tasks. The only error is a journal/fingerprint
 /// conflict — cell failures come back *inside* the vector as typed holes.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::disallowed_types, reason = "wall times are telemetry only")]
 pub fn sweep_supervised_for<T, F>(
     name: &str,
     backend: &str,
@@ -510,10 +514,13 @@ where
         let mut results = Vec::with_capacity(n);
         let mut runs = Vec::with_capacity(n);
         for slot in slots {
+            #[expect(
+                clippy::expect_used,
+                reason = "thread::scope joins every worker before collection, so each slot holds exactly one result"
+            )]
             let (r, rec) = slot
                 .into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // anp-lint: allow(D003) — thread::scope joins every worker before collection, so each slot holds exactly one result
                 .expect("supervised cell did not produce a result");
             results.push(r);
             runs.push(rec);

@@ -33,6 +33,7 @@
 //! [`FaultPlan`]: anp_simnet::FaultPlan
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod extract;
 pub mod model;

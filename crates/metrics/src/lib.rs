@@ -15,6 +15,7 @@
 //! * [`linear_fit`] — least-squares trend lines (Fig. 7 overlays).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod histogram;
 pub mod interval;

@@ -97,11 +97,20 @@ impl QuartileSummary {
         let v = sorted_copy(xs)?;
         Ok(QuartileSummary {
             min: v[0],
-            // anp-lint: allow(D003) — non-empty by construction: the public constructor rejects empty sample sets
+            #[expect(
+                clippy::expect_used,
+                reason = "non-empty by construction: the public constructor rejects empty sample sets"
+            )]
             q1: quantile_sorted(&v, 0.25).expect("non-empty by construction"),
-            // anp-lint: allow(D003) — non-empty by construction: the public constructor rejects empty sample sets
+            #[expect(
+                clippy::expect_used,
+                reason = "non-empty by construction: the public constructor rejects empty sample sets"
+            )]
             median: quantile_sorted(&v, 0.5).expect("non-empty by construction"),
-            // anp-lint: allow(D003) — non-empty by construction: the public constructor rejects empty sample sets
+            #[expect(
+                clippy::expect_used,
+                reason = "non-empty by construction: the public constructor rejects empty sample sets"
+            )]
             q3: quantile_sorted(&v, 0.75).expect("non-empty by construction"),
             max: v[v.len() - 1],
         })

@@ -23,6 +23,7 @@
 //!   probe windows, and the probe train's overhead on real jobs.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod scenario;
 pub mod slowdown;

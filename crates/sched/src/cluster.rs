@@ -152,6 +152,10 @@ pub fn simulate(
 
     // Recomputes the rates of every job on `switch` from the measured
     // pair grid (call after any membership change).
+    #[expect(
+        clippy::expect_used,
+        reason = "scheduler ledger invariant: `residents` and `active` are updated in lockstep; divergence is bookkeeping corruption that must halt"
+    )]
     let refresh = |switch: usize,
                    residents: &Vec<Vec<usize>>,
                    active: &mut BTreeMap<usize, ActiveJob>,
@@ -167,7 +171,6 @@ pub fn simulate(
             }
             active
                 .get_mut(&i)
-                // anp-lint: allow(D003) — scheduler ledger invariant: `residents` and `active` are updated in lockstep; divergence is bookkeeping corruption that must halt
                 .expect("resident job must be active")
                 .rate = rate_under(&inflicted);
         }
@@ -239,7 +242,10 @@ pub fn simulate(
         };
 
         if take_completion {
-            // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
+            #[expect(
+                clippy::expect_used,
+                reason = "locally proven: guarded by the explicit check a few lines above"
+            )]
             let (tc, done) = completion.expect("checked above");
             let dt = tc - now;
             for j in active.values_mut() {
@@ -247,7 +253,10 @@ pub fn simulate(
             }
             now = tc;
 
-            // anp-lint: allow(D003) — scheduler ledger invariant: `residents` and `active` are updated in lockstep; divergence is bookkeeping corruption that must halt
+            #[expect(
+                clippy::expect_used,
+                reason = "scheduler ledger invariant: `residents` and `active` are updated in lockstep; divergence is bookkeeping corruption that must halt"
+            )]
             let job = active.remove(&done).expect("completing job is active");
             residents[job.switch].retain(|&i| i != done);
             let ideal = solo_us(rows[done].app)? * rows[done].size;

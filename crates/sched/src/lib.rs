@@ -34,6 +34,7 @@
 //! [`PlacementPolicy`]: policy::PlacementPolicy
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cluster;
 pub mod policy;

@@ -15,6 +15,7 @@
 //! same greedy scoring as the oracle, but fed by one of the four
 //! prediction models over isolated measurements only.
 
+#[expect(clippy::disallowed_types, reason = "decision timing is only reported")]
 use std::time::{Duration, Instant};
 
 use anp_core::{ExperimentConfig, LatencyProfile, LookupTable, ModelKind, PredictionError};
@@ -260,6 +261,7 @@ impl PlacementPolicy for Predictive<'_> {
         job: &JobSpec,
         switches: &[SwitchSnapshot],
     ) -> Result<Option<usize>, SchedError> {
+        #[expect(clippy::disallowed_types, reason = "the choice never reads it")]
         let started = Instant::now();
         let mut best: Option<(f64, usize)> = None;
         for (i, sw) in switches.iter().enumerate() {
@@ -354,6 +356,7 @@ impl PlacementPolicy for Probed<'_> {
         job: &JobSpec,
         switches: &[SwitchSnapshot],
     ) -> Result<Option<usize>, SchedError> {
+        #[expect(clippy::disallowed_types, reason = "the choice never reads it")]
         let started = Instant::now();
         let mut best: Option<(f64, usize)> = None;
         for (i, sw) in switches.iter().enumerate() {

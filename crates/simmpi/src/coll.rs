@@ -276,6 +276,7 @@ fn prev_power_of_two(n: u32) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "order only picks which key fails")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -52,7 +52,8 @@
 //! `anp_simnet::FaultPlan`), enable the retransmitting reliability layer
 //! with [`World::set_reliability`].
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod coll;
 pub mod op;

@@ -418,7 +418,10 @@ pub struct World {
     max_events: Option<u64>,
     /// Wall-clock deadline for the run loops, checked every
     /// [`WALL_CHECK_MASK`]+1 events; `None` = unlimited.
-    // anp-lint: allow(D002) — cooperative wall budget from the supervisor; trips only abort a cell, never alter a completed result
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cooperative wall budget from the supervisor; trips only abort a cell, never alter a completed result"
+    )]
     wall_deadline: Option<std::time::Instant>,
     /// Set once a run loop stopped because the budget was spent.
     budget_exhausted: bool,
@@ -566,10 +569,13 @@ impl World {
     /// The event cap is deterministic (the simulation stops after exactly
     /// the same event under any schedule); the wall deadline is checked
     /// every 65 536 events, so it is a watchdog, not a precise limit.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "deadline handed down by the supervision envelope (anp-core::supervise), not read here"
+    )]
     pub fn set_run_budget(
         &mut self,
         max_events: Option<u64>,
-        // anp-lint: allow(D002) — deadline handed down by the supervision envelope (anp-core::supervise), not read here
         wall_deadline: Option<std::time::Instant>,
     ) {
         self.max_events = max_events;
@@ -589,11 +595,14 @@ impl World {
             return true;
         }
         let events = self.q.events_processed();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-budget trip check; a trip yields a typed BudgetReport, never a silent result change"
+        )]
         let tripped = self.max_events.is_some_and(|cap| events >= cap)
             || (events & WALL_CHECK_MASK == 0
                 && self
                     .wall_deadline
-                    // anp-lint: allow(D002) — wall-budget trip check; a trip yields a typed BudgetReport, never a silent result change
                     .is_some_and(|dl| std::time::Instant::now() >= dl));
         if tripped {
             self.budget_exhausted = true;
@@ -853,7 +862,10 @@ impl World {
         if t > horizon {
             return false;
         }
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let (_, ev) = self.q.pop().expect("peeked event vanished");
         #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
@@ -895,10 +907,13 @@ impl World {
                 }
             }
             Notice::MessageDelivered { msg, .. } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                )]
                 let meta = self
                     .meta
                     .remove(&msg)
-                    // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                     .expect("delivered message without metadata");
                 let dst_global = self.jobs[meta.job.0 as usize].ranks[meta.dst_local as usize];
                 match meta.kind {
@@ -909,7 +924,10 @@ impl World {
                             bytes: meta.bytes,
                             rendezvous: None,
                         };
-                        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                        )]
                         let seq = meta.seq.expect("eager message without a sequence number");
                         // Under reliability the arrival acknowledges the
                         // send: drop the pending record and its timer
@@ -940,10 +958,13 @@ impl World {
                     }
                     WireKind::Cts { answer } => {
                         // The receiver is ready: move the payload.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                        )]
                         let (sender_rank, bytes, dst_node) = self
                             .rendezvous_sends
                             .remove(&answer)
-                            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                             .expect("CTS for unknown handshake");
                         let src_node = self.ranks[sender_rank as usize].node;
                         let data = self.fabric.send_message(
@@ -970,10 +991,13 @@ impl World {
                         self.send_owner.insert(data, sender_rank);
                     }
                     WireKind::Data { answer } => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                        )]
                         let receiver = self
                             .awaiting_data
                             .remove(&answer)
-                            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                             .expect("payload for unknown handshake");
                         debug_assert_eq!(receiver, dst_global);
                         let r = &mut self.ranks[receiver as usize];
@@ -1162,10 +1186,13 @@ impl World {
         let key = pair_key(src_global, dst_global);
         loop {
             let next = self.ranks[dst_global as usize].seq_recv[src_global as usize] & SEQ_CURSOR;
+            #[expect(
+                clippy::expect_used,
+                reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+            )]
             let buffer = self
                 .recv_buffers
                 .get_mut(&key)
-                // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                 .expect("pair buffer vanished");
             let Some(slot) = buffer.remove(&next) else {
                 if buffer.is_empty() {
@@ -1191,9 +1218,12 @@ impl World {
         let Some(p) = self.pending_sends.get(&token).copied() else {
             return;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let rel = self
             .reliability
-            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
             .expect("pending send tracked without a reliability config");
         if p.attempts > rel.max_retries {
             // Budget spent: give up and unblock the destination's later
@@ -1225,7 +1255,10 @@ impl World {
         );
         self.meta.insert(msg, p.meta);
         self.msg_token.insert(msg, token);
-        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
+        #[expect(
+            clippy::expect_used,
+            reason = "locally proven: guarded by the explicit check a few lines above"
+        )]
         let entry = self.pending_sends.get_mut(&token).expect("checked above");
         entry.attempts += 1;
         entry.current_msg = msg;
@@ -2464,6 +2497,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "needs an already-passed deadline")]
     fn expired_wall_deadline_stops_run_until() {
         let mut w = tiny_world();
         w.add_job(

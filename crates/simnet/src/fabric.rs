@@ -486,6 +486,13 @@ impl Fabric {
 
     /// Runs the end-of-run conservation sweep and drains the auditor's
     /// findings. Returns `None` when auditing is off or compiled out.
+    #[cfg_attr(
+        feature = "audit",
+        expect(
+            clippy::expect_used,
+            reason = "locally proven: guarded by the explicit check a few lines above"
+        )
+    )]
     pub fn take_audit_report(&mut self) -> Option<AuditReport> {
         #[cfg(feature = "audit")]
         {
@@ -494,7 +501,6 @@ impl Fabric {
             Some(
                 self.audit
                     .as_deref_mut()
-                    // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
                     .expect("checked above")
                     .log
                     .take_report(),
@@ -514,7 +520,10 @@ impl Fabric {
         if self.audit.is_none() || !self.is_quiescent() {
             return;
         }
-        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
+        #[expect(
+            clippy::expect_used,
+            reason = "locally proven: guarded by the explicit check a few lines above"
+        )]
         let audit = self.audit.as_deref_mut().expect("checked above");
         let now = audit.last_now;
         for (sw, unit) in self.switches.iter().enumerate() {
@@ -606,20 +615,26 @@ impl Fabric {
         self.stats.packets_dropped += 1;
         out.push(Notice::PacketDropped { packet: pkt, link });
         let finished = {
+            #[expect(
+                clippy::expect_used,
+                reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+            )]
             let prog = self
                 .inflight
                 .get_mut(&pkt.msg)
-                // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                 .expect("drop for unknown message");
             prog.dropped += 1;
             prog.deliver_remaining -= 1;
             prog.deliver_remaining == 0
         };
         if finished {
+            #[expect(
+                clippy::expect_used,
+                reason = "locally proven: guarded by the explicit check a few lines above"
+            )]
             let prog = self
                 .inflight
                 .remove(&pkt.msg)
-                // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
                 .expect("present: checked above");
             self.stats.messages_dropped += 1;
             out.push(Notice::MessageDropped {
@@ -906,20 +921,26 @@ impl Fabric {
                     self.stats.packets_delivered += 1;
                 }
                 let done = {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                    )]
                     let prog = self
                         .inflight
                         .get_mut(&packet.msg)
-                        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
                         .expect("delivery for unknown message");
                     prog.deliver_remaining -= 1;
                     prog.deliver_remaining == 0
                 };
                 out.push(Notice::PacketDelivered { packet });
                 if done {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "locally proven: guarded by the explicit check a few lines above"
+                    )]
                     let prog = self
                         .inflight
                         .remove(&packet.msg)
-                        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
                         .expect("present: checked above");
                     if prog.dropped == 0 {
                         self.stats.messages_delivered += 1;
@@ -1083,7 +1104,10 @@ where
         if t > horizon {
             break;
         }
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let (_, ev) = q.pop().expect("peeked event vanished");
         fabric.handle(q, ev.into(), &mut out);
     }

@@ -33,7 +33,8 @@
 //! assert!(notices.iter().any(|n| matches!(n, anp_simnet::Notice::MessageDelivered { .. })));
 //! ```
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod audit;
 pub mod config;

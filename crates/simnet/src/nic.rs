@@ -60,11 +60,20 @@ impl Nic {
     /// duration; the caller schedules TX-done.
     pub fn start_tx(&mut self, bytes_per_sec: u64) -> SimDuration {
         debug_assert!(self.tx.is_none(), "NIC started while busy");
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let flow = self.rr.pop_front().expect("start_tx on empty NIC queue");
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let q = self.flows.get_mut(&flow).expect("flow in rr has a queue");
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let pkt = q.pop_front().expect("flow in rr is non-empty");
         if q.is_empty() {
             self.flows.remove(&flow);
@@ -80,10 +89,13 @@ impl Nic {
 
     /// Completes the in-flight transmission, returning the packet now on
     /// the wire toward the switch.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+    )]
     pub fn tx_done(&mut self) -> Packet {
         self.tx
             .take()
-            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
             .expect("NIC tx_done with no packet in flight")
     }
 

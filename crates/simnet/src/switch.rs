@@ -229,10 +229,13 @@ impl EgressPort {
     /// schedules TX-done.
     pub fn start_tx(&mut self, bytes_per_sec: u64) -> SimDuration {
         debug_assert!(self.in_flight.is_none(), "egress started while busy");
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
         let pkt = self
             .queue
             .pop_front()
-            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
             .expect("start_tx on empty egress queue");
         let d = SimDuration::serialization(pkt.bytes, bytes_per_sec);
         self.in_flight = Some(pkt);
@@ -241,10 +244,13 @@ impl EgressPort {
 
     /// Completes the in-flight transmission, returning the packet now on
     /// the wire.
+    #[expect(
+        clippy::expect_used,
+        reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+    )]
     pub fn tx_done(&mut self) -> Packet {
         self.in_flight
             .take()
-            // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
             .expect("egress tx_done fired with no packet in flight")
     }
 

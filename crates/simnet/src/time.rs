@@ -80,11 +80,14 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is after `self`; elapsed time is never negative
     /// in a discrete-event run, so this always indicates a logic error.
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
-                // anp-lint: allow(D003) — this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly
                 .expect("SimTime::since: `earlier` is after `self`"),
         )
     }
@@ -196,7 +199,7 @@ impl SimDuration {
 
     /// Scales the span by a non-negative float factor, rounding to the
     /// nearest nanosecond — the checked constructor for derating and
-    /// jitter factors (anp-lint D004). Saturates at the representable
+    /// jitter factors (determinism rule D004). Saturates at the representable
     /// maximum; negative and non-finite factors clamp to zero.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         if !factor.is_finite() || factor <= 0.0 {
@@ -210,11 +213,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // anp-lint: allow(D003) — this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly
                 .expect("SimTime overflow: simulation ran past u64 nanoseconds"),
         )
     }
@@ -235,8 +241,11 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        // anp-lint: allow(D003) — this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
@@ -249,11 +258,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // anp-lint: allow(D003) — this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly
                 .expect("SimDuration underflow: negative spans are not representable"),
         )
     }
@@ -261,8 +273,11 @@ impl Sub for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
-        // anp-lint: allow(D003) — this IS the checked constructor D004 mandates; running past the representable range corrupts event ordering, so it halts loudly
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
 }

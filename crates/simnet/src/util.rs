@@ -36,7 +36,10 @@ impl Hasher for IdHasher {
 pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
 /// A `HashMap` keyed by dense integer ids.
-// anp-lint: allow(D001) — IdBuildHasher is deterministic (no RandomState); iteration order is a pure function of the insertion sequence
+#[expect(
+    clippy::disallowed_types,
+    reason = "IdBuildHasher is deterministic (no RandomState); iteration order is a pure function of the insertion sequence"
+)]
 pub type IdHashMap<K, V> = std::collections::HashMap<K, V, IdBuildHasher>;
 
 #[cfg(test)]

@@ -55,6 +55,10 @@ impl<F> Program for IterativeProgram<F>
 where
     F: FnMut(u32, &mut StdRng) -> Vec<Op>,
 {
+    #[expect(
+        clippy::expect_used,
+        reason = "locally proven: guarded by the explicit check a few lines above"
+    )]
     fn next_op(&mut self, _ctx: &Ctx) -> Op {
         while self.queue.is_empty() {
             if let RunMode::Iterations(n) = self.mode {
@@ -72,7 +76,6 @@ where
             self.queue.extend(ops);
             self.iter += 1;
         }
-        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
         self.queue.pop_front().expect("queue refilled above")
     }
 

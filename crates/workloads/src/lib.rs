@@ -22,6 +22,7 @@
 //! its sensitivity to reduced switch capability.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod apps;
 pub mod arrivals;

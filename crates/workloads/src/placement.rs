@@ -168,6 +168,7 @@ pub fn torus3d_neighbors(rank: u32, d: u32) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "set checks ignore order")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -10,7 +10,6 @@
 //! anp audit [--quick]           # invariant audit + differential oracle
 //! anp sched [--quick] [--model KIND]  # predictive co-scheduling study
 //! anp monitor [--quick]         # online monitor accuracy study
-//! anp lint [--json] [--quick]   # determinism/robustness static analysis
 //! anp run <ARTEFACT> [--quick]  # regenerate a paper artefact or study
 //! ```
 //!
@@ -75,17 +74,6 @@ fn usage() {
          \x20                      per ladder rung, change-point detection\n\
          \x20                      latency per app, and probe overhead;\n\
          \x20                      exits 1 on any gate violation\n\
-         \x20 lint [--json] [--quick] [--root DIR]\n\
-         \x20                      static analysis of the workspace sources\n\
-         \x20                      against the determinism contract (D001..\n\
-         \x20                      D006: hash-map iteration, wall clocks in\n\
-         \x20                      sim crates, unwrap/expect in library\n\
-         \x20                      code, unchecked SimTime arithmetic,\n\
-         \x20                      order-sensitive float accumulation,\n\
-         \x20                      undocumented pub items); --json emits\n\
-         \x20                      the anp-lint-v1 report, --quick skips\n\
-         \x20                      tests/benches/examples; exits 1 on any\n\
-         \x20                      unsuppressed violation\n\
          \x20 run <ARTEFACT> [--quick] [--cache PATH] [--bench-json PATH]\n\
          \x20     [--no-bench-json] [global flags]\n\
          \x20                      regenerate a paper artefact or extension\n\
@@ -253,19 +241,11 @@ fn dispatch() -> Result<ExitCode, Failure> {
     let mut args = std::env::args().skip(1).peekable();
     let mut flags = Flags::default();
     flags.parse(&mut args, GLOBAL_FLAGS)?;
-    // `lint` is a pure source-analysis pass and `run` resolves its own
-    // context, so both dispatch before the backend is resolved.
-    match args.peek().map(String::as_str) {
-        Some("lint") => {
-            args.next();
-            return lint(&flags, args);
-        }
-        Some("run") => {
-            args.next();
-            let artefact = parse_run(&mut flags, &mut args)?;
-            return Ok(anp_bench::cli::run(artefact, &flags));
-        }
-        _ => {}
+    // `run` resolves its own context, so it dispatches before the
+    // backend is resolved.
+    if args.next_if(|a| a == "run").is_some() {
+        let artefact = parse_run(&mut flags, &mut args)?;
+        return Ok(anp_bench::cli::run(artefact, &flags));
     }
     // Resolve the measurement engine and reject configurations it cannot
     // honor up front: a typed error on stderr and exit 1, never a silent
@@ -317,45 +297,6 @@ fn resume_hint(flags: &Flags) {
     if let Some(p) = &flags.resume {
         eprintln!("(re-run with --resume {} to complete)", p.display());
     }
-}
-
-fn lint(flags: &Flags, mut args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
-    let mut json = false;
-    let mut quick = false;
-    let mut root: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--quick" => quick = true,
-            "--root" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| UsageError::MissingValue("--root".to_owned()))?;
-                root = Some(v.into());
-            }
-            _ => return Err(bad_usage()),
-        }
-    }
-    let root = root.unwrap_or_else(|| std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")));
-    let opts = anp_lint::LintOptions {
-        jobs: flags.jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
-        quick,
-    };
-    let report = anp_lint::lint_workspace(&root, &opts).map_err(fail)?;
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn calibrate(ctx: &RunCtx) -> Result<ExitCode, Failure> {
