@@ -10,9 +10,9 @@ pub struct Artefact {
     pub title: &'static str,
     /// The banner's second half: what the artefact shows.
     pub what: &'static str,
-    /// The optional flags it honours beyond the supervision envelope
-    /// (`--backend` other than `des`, `--cache`); any other is rejected.
-    pub reads: &'static [&'static str],
+    /// Whether it honours `--backend` other than `des`; the others
+    /// reject it.
+    pub reads_backend: bool,
     /// Runs it: prints its tables and returns the report.
     pub run: fn(&RunCtx) -> Result<Report, ArtefactError>,
 }
@@ -20,7 +20,7 @@ pub struct Artefact {
 /// Declares each artefact's module and its registry entry; the module
 /// name is the artefact name.
 macro_rules! registry {
-    ($($module:ident: $title:literal, $what:literal $(, reads $reads:expr)?;)*) => {
+    ($($module:ident: $title:literal, $what:literal $(, $reads:ident)?;)*) => {
         $(mod $module;)*
 
         /// The paper's six artefacts (§IV–V), then the eight extension
@@ -29,12 +29,12 @@ macro_rules! registry {
             name: stringify!($module),
             title: $title,
             what: $what,
-            reads: registry!(@reads $($reads)?),
+            reads_backend: registry!(@reads $($reads)?),
             run: $module::run,
         }),*];
     };
-    (@reads) => { &[] };
-    (@reads $reads:expr) => { $reads };
+    (@reads) => { false };
+    (@reads reads_backend) => { true };
 }
 
 registry! {
@@ -43,9 +43,9 @@ registry! {
     fig7_degradation_curves: "Fig. 7", "performance degradation vs switch utilization";
     table1_pair_slowdowns: "Table I", "measured slowdowns for all combined workloads (%)";
     fig8_prediction_errors: "Fig. 8", "performance predictions for combined workloads",
-        reads &["--backend", "--cache"];
+        reads_backend;
     fig9_error_summary: "Fig. 9", "summary of prediction errors per model",
-        reads &["--backend", "--cache"];
+        reads_backend;
     calibration_report: "Calibration", "substrate sanity report";
     ablation_report: "Ablations", "design-choice sensitivity";
     relativity_check: "Relativity", "degraded switches vs CompressionB emulation";

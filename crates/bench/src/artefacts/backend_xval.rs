@@ -54,10 +54,10 @@ pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
         ctx.journal.as_ref(),
     )?;
     let xr = &xval.report;
-    let mut report = Report::default();
-    report
-        .supervision
-        .absorb(xval.failures, xval.completed, xval.total);
+    let mut report = Report {
+        supervision: xval.ledger,
+        ..Report::default()
+    };
 
     print!("{}", render_report(xr));
     if !report.supervision.is_complete() {

@@ -4,15 +4,16 @@
 //!
 //! This runs the full §V pipeline: isolated impact profiles for every
 //! workload, the 40-configuration look-up table, co-run ground truth, and
-//! the four predictors. Use `--cache <path>` to persist the measurements
-//! for `fig9_error_summary`.
+//! the four predictors. Pass `--resume <journal>` to keep the
+//! measurements: `fig9_error_summary` with the same journal (and the same
+//! seed, backend and `--quick`) reuses every cell instead of re-running.
 //!
 //! The look-up table, the app impact profiles, and the co-run ground
 //! truth grid all fan out across the sweep engine (`--jobs N`, default
 //! all cores); sweep telemetry lands in `BENCH_anp.json`.
 //!
 //! ```text
-//! cargo run --release -- run fig8_prediction_errors [--quick] [--cache study.tsv] [--jobs N]
+//! cargo run --release -- run fig8_prediction_errors [--quick] [--resume study.jsonl] [--jobs N]
 //! ```
 
 use anp_core::ModelKind;

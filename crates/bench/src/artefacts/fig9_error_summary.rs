@@ -2,11 +2,12 @@
 //! max box data) of each model's absolute prediction errors across all
 //! pairings.
 //!
-//! Pass the same `--cache <path>` used with `fig8_prediction_errors` to
-//! reuse its measurements instead of re-running the whole study.
+//! Pass the same `--resume <journal>` used with `fig8_prediction_errors`
+//! to reuse its measurements instead of re-running the whole study; a
+//! journal recorded under another seed or backend is refused.
 //!
 //! ```text
-//! cargo run --release -- run fig9_error_summary [--quick] [--cache study.tsv]
+//! cargo run --release -- run fig9_error_summary [--quick] [--resume study.jsonl]
 //! ```
 
 use crate::cli::{ArtefactError, Report, RunCtx};

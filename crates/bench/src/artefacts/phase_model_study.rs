@@ -31,9 +31,9 @@ use anp_core::{
     DesBackend, ExperimentError, LookupTable, MuPolicy, QueueModel, QueuePhaseModel, SlowdownModel,
 };
 use anp_simnet::SimDuration;
-use anp_workloads::AppKind;
+use anp_workloads::{AppKind, CompressionConfig};
 
-use crate::cli::{compression_sweep, ArtefactError, Report, RunCtx};
+use crate::cli::{ArtefactError, Report, RunCtx};
 
 type RuntimeTask<'a> = Box<dyn Fn() -> Result<SimDuration, ExperimentError> + Send + Sync + 'a>;
 
@@ -55,7 +55,7 @@ pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
     // failed cells leave holes; the table interpolates the survivors.
     println!("[measuring look-up table]");
     let calib = calibrate(cfg, MuPolicy::MinLatency)?;
-    let sweep = compression_sweep(true);
+    let sweep = CompressionConfig::quick_sweep();
     let (lut, lut_telemetry) = LookupTable::measure_supervised_with(
         &DesBackend,
         cfg,

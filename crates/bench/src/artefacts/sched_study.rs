@@ -23,10 +23,9 @@
 //! completed (and the regret table printed), 3 on a partial truth, 1
 //! when nothing completed.
 
-use anp_core::{DesBackend, ModelKind};
+use anp_core::{measure_campaign, DesBackend, ModelKind};
 use anp_sched::{
-    measure_truth_supervised, records, render_summary, run_suite, DecisionEngine, PolicySpec,
-    StudyOpts,
+    records, render_summary, run_suite, DecisionEngine, GroundTruth, PolicySpec, StudyOpts,
 };
 
 use crate::cli::{ArtefactError, Report, RunCtx};
@@ -41,26 +40,26 @@ pub(super) fn run(ctx: &RunCtx) -> Result<Report, ArtefactError> {
 
     // Ground truth always comes from the DES, the reference engine; the
     // suite below consults both decision engines.
-    let campaign = measure_truth_supervised(
+    let campaign = measure_campaign(
         &DesBackend,
         &sopts.cfg,
         &sopts.apps,
         &sopts.ladder,
+        true,
         &ctx.supervisor,
         ctx.journal.as_ref(),
-        |line| println!("  [truth] {line}"),
+        |_, line| println!("  [truth] {line}"),
     )?;
     let mut report = Report {
         sweeps: campaign.telemetry,
+        supervision: campaign.ledger,
         ..Report::default()
     };
-    report
-        .supervision
-        .absorb(campaign.failures, campaign.completed, campaign.total);
-    let Some(truth) = campaign.truth.filter(|_| report.supervision.is_complete()) else {
+    let Some(study) = campaign.study.filter(|_| report.supervision.is_complete()) else {
         eprintln!("truth incomplete: scheduling skipped (a holed pair grid would bias regret)");
         return Ok(report);
     };
+    let truth = GroundTruth::new(study, &campaign.outcomes);
 
     // The default suite plus the Queue model on the DES engine, so the
     // telemetry carries a flow-vs-DES decision-latency comparison.

@@ -13,17 +13,17 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use anp_core::{
-    config_fingerprint, sweep_supervised, Backend, BackendError, CellResult, ExperimentConfig,
-    ExperimentError, JournalError, Journaled, RetryPolicy, RunBudget, RunJournal, Supervisor,
-    SweepTelemetry,
+    config_fingerprint, sweep_supervised, Backend, BackendError, CampaignError, CellResult,
+    ExperimentConfig, ExperimentError, JournalError, Journaled, RetryPolicy, RunBudget, RunJournal,
+    Supervision, Supervisor, SweepTelemetry,
 };
 use anp_monitor::{MonitorError, MonitorRecord};
 use anp_sched::{SchedError, SchedRecord};
 use anp_workloads::{AppKind, CompressionConfig};
 
 use crate::artefacts::{Artefact, ARTEFACTS};
+use crate::write_bench_json;
 use crate::xval::XvalError;
-use crate::{write_bench_json, Supervision};
 
 /// Flags `anp run <artefact>` accepts after the artefact name: the
 /// global set (the first seven) plus the artefact-only ones.
@@ -36,7 +36,6 @@ const RUN_FLAGS: &[&str] = &[
     "--event-budget",
     "--resume",
     "--quick",
-    "--cache",
     "--bench-json",
     "--no-bench-json",
 ];
@@ -56,8 +55,6 @@ pub struct Flags {
     /// Measurement backend name (`--backend des|flow`), resolved by
     /// [`RunCtx::new`].
     pub backend: String,
-    /// Cache of the prediction study's measurements (`--cache`).
-    pub cache: Option<PathBuf>,
     /// Where sweep telemetry is written (default `BENCH_anp.json`;
     /// `--no-bench-json` disables it).
     pub bench_json: Option<PathBuf>,
@@ -78,7 +75,6 @@ impl Default for Flags {
             seed: 0xA11CE,
             jobs: None,
             backend: "des".to_owned(),
-            cache: None,
             bench_json: Some(PathBuf::from("BENCH_anp.json")),
             max_retries: 0,
             run_budget: None,
@@ -176,7 +172,6 @@ impl Flags {
                 "--seed" => self.seed = value(&flag, args)?,
                 "--jobs" => self.jobs = Some(value(&flag, args)?),
                 "--backend" => self.backend = value(&flag, args)?,
-                "--cache" => self.cache = Some(value(&flag, args)?),
                 "--bench-json" => self.bench_json = Some(value(&flag, args)?),
                 "--max-retries" => self.max_retries = value(&flag, args)?,
                 "--event-budget" => self.event_budget = Some(value(&flag, args)?),
@@ -253,22 +248,6 @@ fn open_journal(path: Option<&Path>) -> Result<Option<RunJournal>, JournalError>
     Ok(Some(journal))
 }
 
-/// The CompressionB sweep: the paper's 40 configurations, or an
-/// 8-configuration subset in quick mode.
-pub fn compression_sweep(quick: bool) -> Vec<CompressionConfig> {
-    let all = CompressionConfig::paper_sweep();
-    if !quick {
-        return all;
-    }
-    // Diagonal subset: one config per (B, M) group with a cycling partner
-    // count, so the quick sweep still spans P, B and M.
-    all.into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % 5 == (i / 5) % 5)
-        .map(|(_, c)| c)
-        .collect()
-}
-
 /// Everything an artefact needs to run, resolved from the flags.
 pub struct RunCtx {
     /// Scaled-down sweep (`--quick`).
@@ -284,8 +263,6 @@ pub struct RunCtx {
     pub supervisor: Supervisor,
     /// The `--resume` journal, when given.
     pub journal: Option<RunJournal>,
-    /// The `--cache` path, when given.
-    pub cache: Option<PathBuf>,
 }
 
 impl RunCtx {
@@ -307,7 +284,6 @@ impl RunCtx {
             backend,
             supervisor: flags.supervisor(),
             journal: open_journal(flags.resume.as_deref())?,
-            cache: flags.cache.clone(),
         })
     }
 
@@ -320,9 +296,14 @@ impl RunCtx {
         }
     }
 
-    /// The CompressionB sweep for this mode ([`compression_sweep`]).
+    /// The CompressionB sweep: the paper's 40 configurations, or the
+    /// 8-configuration [`CompressionConfig::quick_sweep`] in quick mode.
     pub(crate) fn compression_sweep(&self) -> Vec<CompressionConfig> {
-        compression_sweep(self.quick)
+        if self.quick {
+            CompressionConfig::quick_sweep()
+        } else {
+            CompressionConfig::paper_sweep()
+        }
     }
 
     /// Runs DES measurement cells as one supervised sweep under this
@@ -416,6 +397,15 @@ macro_rules! artefact_error_from {
     )*};
 }
 
+impl From<CampaignError> for ArtefactError {
+    fn from(e: CampaignError) -> Self {
+        match e {
+            CampaignError::Calibration(e) => ArtefactError::Experiment(e),
+            CampaignError::Journal(e) => ArtefactError::Journal(e),
+        }
+    }
+}
+
 artefact_error_from!(
     Journal(JournalError),
     Experiment(ExperimentError),
@@ -442,19 +432,33 @@ pub fn parse_run<I: Iterator<Item = String>>(
 ) -> Result<&'static Artefact, UsageError> {
     let artefact = find(&args.next().ok_or(UsageError::MissingArtefact)?)?;
     flags.parse_rest(args)?;
-    if flags.backend != "des" && !artefact.reads.contains(&"--backend") {
+    if flags.backend != "des" && !artefact.reads_backend {
         return Err(UsageError::NotRead {
             artefact: artefact.name,
             flag: format!("--backend {}", flags.backend),
         });
     }
-    if flags.cache.is_some() && !artefact.reads.contains(&"--cache") {
-        return Err(UsageError::NotRead {
-            artefact: artefact.name,
-            flag: "--cache".to_owned(),
-        });
-    }
     Ok(artefact)
+}
+
+/// Prints a campaign's holes to stderr: one `MISSING` line per missing
+/// cell, then the partial-result summary naming the resume journal.
+pub fn report_holes(ledger: &Supervision, resume: Option<&Path>) {
+    for f in &ledger.failures {
+        eprintln!("MISSING {f}");
+    }
+    if !ledger.is_complete() {
+        eprintln!(
+            "{} of {} cells missing (exit code {}){}",
+            ledger.total - ledger.completed,
+            ledger.total,
+            ledger.exit_code(),
+            match resume {
+                Some(p) => format!("; re-run with --resume {} to complete", p.display()),
+                None => "; add --resume <journal> to make the campaign resumable".to_owned(),
+            }
+        );
+    }
 }
 
 /// Runs one artefact: prints the banner, runs it, writes its telemetry,
@@ -497,7 +501,7 @@ pub fn run(artefact: &Artefact, flags: &Flags) -> ExitCode {
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
     }
-    report.supervision.report(flags.resume.as_deref());
+    report_holes(&report.supervision, flags.resume.as_deref());
     if report.gate_failed {
         ExitCode::FAILURE
     } else {
@@ -516,22 +520,18 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_types, reason = "a set's size ignores order")]
-    fn quick_sweep_is_a_subset() {
+    fn quick_flag_shrinks_apps_and_sweep() {
         let quick = parse(&["--quick", "--seed", "1"]).unwrap();
         let full = parse(&["--seed", "1"]).unwrap();
         assert!(quick.quick && !full.quick);
-        assert_eq!(compression_sweep(full.quick).len(), 40);
-        assert_eq!(compression_sweep(quick.quick).len(), 8);
-        let partners: std::collections::HashSet<u32> = compression_sweep(quick.quick)
-            .iter()
-            .map(|c| c.partners)
-            .collect();
-        assert!(partners.len() >= 3, "quick sweep must vary P");
         let ctx = |flags: &Flags| RunCtx::new(flags).unwrap();
         assert_eq!(ctx(&full).apps().len(), 6);
         assert_eq!(ctx(&quick).apps().len(), 3);
-        assert_eq!(ctx(&quick).compression_sweep(), compression_sweep(true));
+        assert_eq!(ctx(&full).compression_sweep().len(), 40);
+        assert_eq!(
+            ctx(&quick).compression_sweep(),
+            CompressionConfig::quick_sweep()
+        );
     }
 
     #[test]
@@ -604,17 +604,17 @@ mod tests {
             .map(|a| a.name)
         };
         assert_eq!(
-            run(&["fig9_error_summary", "--backend", "flow", "--cache", "x"]),
+            run(&["fig9_error_summary", "--backend", "flow"]),
             Ok("fig9_error_summary")
         );
         assert!(matches!(
             run(&["fig6_compression_utilization", "--backend", "flow"]),
             Err(UsageError::NotRead { .. })
         ));
-        assert!(matches!(
-            run(&["sched_study", "--cache", "x"]),
-            Err(UsageError::NotRead { .. })
-        ));
+        assert_eq!(
+            run(&["fig8_prediction_errors", "--cache", "x"]),
+            Err(UsageError::UnknownArgument("--cache".to_owned()))
+        );
         assert_eq!(
             run(&["fig6_compression_utilization", "--backend", "des"]),
             Ok("fig6_compression_utilization")

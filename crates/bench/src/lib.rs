@@ -29,11 +29,10 @@
 //! `--seed <n>`, `--jobs <n>`, the supervision flags (`--max-retries`,
 //! `--run-budget`, `--event-budget`, `--resume`) and the telemetry flags
 //! (`--bench-json <path>`, `--no-bench-json`), and prints plain-text
-//! tables. `fig8`/`fig9` also accept `--backend {des,flow}` and
-//! `--cache <path>` to reuse the expensive measurement study across
-//! invocations; the others reject both rather than ignore them. The
-//! front end ([`cli`]) holds the one flag parser, the run context and the
-//! exit-code mapping.
+//! tables. `fig8`/`fig9` also accept `--backend {des,flow}`; the others
+//! reject it rather than ignore it. `fig9` reuses `fig8`'s measurements
+//! through a shared `--resume` journal. The front end ([`cli`]) holds the
+//! one flag parser, the run context and the exit-code mapping.
 //!
 //! The `benches/` directory holds Criterion micro-benchmarks of the
 //! simulator and model kernels (event queue, switch path, matching,
@@ -42,18 +41,15 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 
 use anp_core::{
-    calibrate_with, completed_count, error_summaries, partial_exit_code, Backend, CellResult,
-    ExperimentConfig, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome, RunJournal,
-    Study, Supervisor, SweepTelemetry, TaskError,
+    error_summaries, json_escape, measure_campaign, CampaignStage, LatencyProfile, ModelKind,
+    PairOutcome, SweepTelemetry,
 };
 use anp_monitor::MonitorRecord;
 use anp_sched::SchedRecord;
-use anp_workloads::{AppKind, CompressionConfig};
 
 use cli::{ArtefactError, Report, RunCtx};
 
@@ -63,185 +59,36 @@ pub mod xval;
 
 pub use artefacts::{Artefact, ARTEFACTS};
 
-/// Typed holes and cell counts accumulated across the sweeps of one
-/// supervised measurement campaign.
-#[derive(Debug, Default)]
-pub struct Supervision {
-    /// Why each missing cell is missing.
-    pub failures: Vec<TaskError>,
-    /// Cells that produced a value.
-    pub completed: usize,
-    /// Total cells attempted.
-    pub total: usize,
-}
-
-impl Supervision {
-    /// Folds one sweep's holes and counts into the campaign totals.
-    pub fn absorb(&mut self, failures: Vec<TaskError>, completed: usize, total: usize) {
-        self.failures.extend(failures);
-        self.completed += completed;
-        self.total += total;
-    }
-
-    /// Folds one sweep's cells into the campaign totals: every `Err` is a
-    /// hole, every `Ok` a completed cell.
-    pub fn absorb_cells<T>(&mut self, cells: &[CellResult<T>]) {
-        self.failures
-            .extend(cells.iter().filter_map(|r| r.as_ref().err().cloned()));
-        self.completed += completed_count(cells);
-        self.total += cells.len();
-    }
-
-    /// True when every cell completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// The campaign exit code: 0 complete, 3 partial, 1 nothing.
-    pub fn exit_code(&self) -> i32 {
-        partial_exit_code(self.completed, self.total)
-    }
-
-    /// Prints the holes (one stderr line per missing cell) and the
-    /// standard partial-result hint naming the resume journal.
-    pub fn report(&self, resume: Option<&Path>) {
-        for f in &self.failures {
-            eprintln!("MISSING {f}");
-        }
-        if !self.is_complete() {
-            eprintln!(
-                "{} of {} cells missing (exit code {}){}",
-                self.total - self.completed,
-                self.total,
-                self.exit_code(),
-                match resume {
-                    Some(p) => format!("; re-run with --resume {} to complete", p.display()),
-                    None => "; add --resume <journal> to make the campaign resumable".to_owned(),
-                }
-            );
-        }
-    }
-}
-
-/// Measures the queue calibration, look-up table, and app impact profiles
-/// — everything the prediction study needs except co-run ground truth.
-/// The calibration, the table, and the profiles all come from `backend`,
-/// so a flow-model study is internally consistent rather than mixing
-/// analytic profiles with DES calibration.
-///
-/// Every sweep runs under `supervisor`: failing cells leave typed holes
-/// instead of aborting the harness, and with a journal every completed
-/// cell survives a crash. The study comes back `None` when no
-/// look-up-table entry completed (nothing to predict from); otherwise it
-/// is partial where cells failed and complete where they did not. A
-/// failed idle calibration is an error: nothing can be read without it.
-pub fn measure_study_supervised_with(
-    backend: &dyn Backend,
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    supervisor: &Supervisor,
-    journal: Option<&RunJournal>,
-    verbose: bool,
-) -> Result<(Option<Study>, Report), ArtefactError> {
-    let progress = |line: &str| {
-        if verbose {
-            println!("  [measure] {line}");
-        }
-    };
-    let calibration = calibrate_with(backend, cfg, MuPolicy::MinLatency)?;
-    let mut report = Report::default();
-    let (lut, lut_telemetry) = LookupTable::measure_supervised_with(
-        backend,
-        cfg,
-        calibration,
-        apps,
-        sweep,
-        supervisor,
-        journal,
-        progress,
-    )?;
-    report.sweeps.push(lut_telemetry);
-    report
-        .supervision
-        .absorb(lut.failures, lut.completed, lut.total);
-    let Some(table) = lut.table else {
-        return Ok((None, report));
-    };
-    let (study, profile_failures, profile_telemetry) = Study::measure_profiles_supervised_with(
-        backend, cfg, table, apps, supervisor, journal, progress,
-    )?;
-    report
-        .supervision
-        .absorb(profile_failures, study.app_profiles.len(), apps.len());
-    report.sweeps.push(profile_telemetry);
-    Ok((Some(study), report))
-}
-
-/// Runs (or loads from cache) the complete prediction study: isolated
+/// Runs the complete prediction study ([`measure_campaign`]): isolated
 /// measurements, predictions for every ordered pair, and co-run ground
 /// truth, in victim-major order (unmeasured pairings keep `measured:
-/// None`), plus the holes and telemetry of every sweep that actually ran
-/// (none when served from cache). Every sweep runs under the context's supervision
-/// envelope (`--max-retries`, `--run-budget`, `--event-budget`,
-/// `--resume`): failures leave typed holes and siblings complete. The
-/// cache is honored only when it holds a *complete* campaign, and written
-/// only when this campaign completes — a partial cache would silently
-/// shadow the missing cells on the next run.
+/// None`), plus the holes and telemetry of every sweep. Every sweep runs
+/// under the context's supervision envelope (`--max-retries`,
+/// `--run-budget`, `--event-budget`, `--resume`): failures leave typed
+/// holes and siblings complete, and a journal shared with an earlier
+/// `fig8`/`fig9` run hands its cells over bit for bit.
 pub fn full_outcomes(ctx: &RunCtx) -> Result<(Vec<PairOutcome>, Report), ArtefactError> {
-    if let Some(path) = &ctx.cache {
-        if let Some(outcomes) = load_outcomes(path) {
-            if outcomes.iter().all(|o| o.measured.is_some()) {
-                println!(
-                    "(loaded {} cached pairings from {})",
-                    outcomes.len(),
-                    path.display()
-                );
-                return Ok((outcomes, Report::default()));
-            }
-            println!(
-                "(ignoring incomplete cache {} — re-measuring)",
-                path.display()
-            );
-        }
-    }
     let apps = ctx.apps();
-    let backend = ctx.backend.as_ref();
-    let (study, mut report) = measure_study_supervised_with(
-        backend,
+    let campaign = measure_campaign(
+        ctx.backend.as_ref(),
         &ctx.cfg,
         &apps,
         &ctx.compression_sweep(),
-        &ctx.supervisor,
-        ctx.journal.as_ref(),
         true,
-    )?;
-    let Some(study) = study else {
-        return Ok((Vec::new(), report));
-    };
-    let mut outcomes = study.predict_all(&apps, &anp_core::all_models());
-    let total_pairs = outcomes.len();
-    let (pair_failures, pair_telemetry) = study.measure_pairs_supervised_with(
-        backend,
-        &ctx.cfg,
-        &mut outcomes,
         &ctx.supervisor,
         ctx.journal.as_ref(),
-        |line| println!("  [corun] {line}"),
+        |stage, line| match stage {
+            CampaignStage::Calibration => {}
+            CampaignStage::Table | CampaignStage::Profiles => println!("  [measure] {line}"),
+            CampaignStage::Pairs => println!("  [corun] {line}"),
+        },
     )?;
-    let pair_completed = total_pairs - pair_failures.len();
-    report
-        .supervision
-        .absorb(pair_failures, pair_completed, total_pairs);
-    report.sweeps.push(pair_telemetry);
-    if report.supervision.is_complete() {
-        if let Some(path) = &ctx.cache {
-            if save_outcomes(path, &outcomes) {
-                println!("(cached pairings to {})", path.display());
-            }
-        }
-    }
-    Ok((outcomes, report))
+    let report = Report {
+        sweeps: campaign.telemetry,
+        supervision: campaign.ledger,
+        ..Report::default()
+    };
+    Ok((campaign.outcomes, report))
 }
 
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
@@ -306,7 +153,10 @@ pub fn write_bench_json(
     sched: &[SchedRecord],
     monitor: &[MonitorRecord],
 ) -> std::io::Result<()> {
-    let journal = journal.map_or("null".to_owned(), |p| format!("\"{}\"", p.display()));
+    let journal = journal.map_or("null".to_owned(), |p| {
+        format!("\"{}\"", json_escape(&p.display().to_string()))
+    });
+    let harness = json_escape(harness);
     let array = |items: Vec<String>| {
         let rows: Vec<String> = items.iter().map(|j| format!("    {j}")).collect();
         rows.join(",\n")
@@ -318,65 +168,6 @@ pub fn write_bench_json(
         array(monitor.iter().map(MonitorRecord::to_json).collect()),
     );
     write_atomic(path, out.as_bytes())
-}
-
-/// Serializes outcomes to a plain TSV file (no external dependencies).
-/// The write is atomic ([`write_atomic`]); a failure warns on stderr and
-/// returns `false` rather than aborting — the cache is an accelerator,
-/// not a dependency of the campaign.
-pub fn save_outcomes(path: &Path, outcomes: &[PairOutcome]) -> bool {
-    let mut out = String::from("victim\tother\tmeasured\tmodel=prediction...\n");
-    for o in outcomes {
-        out.push_str(&format!(
-            "{}\t{}\t{}",
-            o.victim.name(),
-            o.other.name(),
-            o.measured.map_or("NA".to_owned(), |m| format!("{m:.6}"))
-        ));
-        for (name, p) in &o.predicted {
-            out.push_str(&format!("\t{name}={p:.6}"));
-        }
-        out.push('\n');
-    }
-    match write_atomic(path, out.as_bytes()) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!(
-                "warning: cannot write cache {}: {e}; continuing without a cache",
-                path.display()
-            );
-            false
-        }
-    }
-}
-
-/// Loads outcomes from [`save_outcomes`]' format; `None` if absent or
-/// malformed.
-pub fn load_outcomes(path: &Path) -> Option<Vec<PairOutcome>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut out = Vec::new();
-    for line in text.lines().skip(1) {
-        let mut cols = line.split('\t');
-        let victim = AppKind::from_name(cols.next()?)?;
-        let other = AppKind::from_name(cols.next()?)?;
-        let measured = match cols.next()? {
-            "NA" => None,
-            v => Some(v.parse().ok()?),
-        };
-        let mut predicted = BTreeMap::new();
-        for kv in cols {
-            let (name, v) = kv.split_once('=')?;
-            let kind: ModelKind = name.parse().ok()?;
-            predicted.insert(kind, v.parse().ok()?);
-        }
-        out.push(PairOutcome {
-            victim,
-            other,
-            measured,
-            predicted,
-        });
-    }
-    (!out.is_empty()).then_some(out)
 }
 
 /// Renders a latency histogram as rows of `bin-center  frequency%  bar`,
@@ -433,42 +224,6 @@ pub fn print_error_summary(outcomes: &[PairOutcome]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_cache_roundtrips() {
-        let dir = std::env::temp_dir().join("anp_bench_cache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("outcomes.tsv");
-        let outcomes = vec![
-            PairOutcome {
-                victim: AppKind::Fftw,
-                other: AppKind::Mcb,
-                measured: Some(12.5),
-                predicted: [(ModelKind::Queue, 11.0), (ModelKind::AverageLt, 30.0)]
-                    .into_iter()
-                    .collect(),
-            },
-            PairOutcome {
-                victim: AppKind::Amg,
-                other: AppKind::Amg,
-                measured: None,
-                predicted: BTreeMap::new(),
-            },
-        ];
-        save_outcomes(&path, &outcomes);
-        let loaded = load_outcomes(&path).expect("cache must load");
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].victim, AppKind::Fftw);
-        assert_eq!(loaded[0].measured, Some(12.5));
-        assert_eq!(loaded[0].predicted[&ModelKind::Queue], 11.0);
-        assert_eq!(loaded[1].measured, None);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_cache_returns_none() {
-        assert!(load_outcomes(Path::new("/nonexistent/anp.tsv")).is_none());
-    }
 
     #[test]
     fn atomic_write_replaces_without_leftovers() {
@@ -570,27 +325,16 @@ mod tests {
     }
 
     #[test]
-    fn supervision_exit_codes_follow_convention() {
-        let mut s = Supervision::default();
-        assert!(s.is_complete());
-        assert_eq!(s.exit_code(), 0, "empty campaign is vacuously complete");
-        s.absorb(Vec::new(), 4, 4);
-        assert_eq!(s.exit_code(), 0);
-        s.absorb(Vec::new(), 1, 2); // one hole (failure list elided)
-        assert_eq!(s.exit_code(), 3);
-        let mut dead = Supervision::default();
-        dead.absorb(Vec::new(), 0, 3);
-        assert_eq!(dead.exit_code(), 1);
-        let mut cells = Supervision::default();
-        let hole = TaskError::Panicked {
-            cell: 1,
-            label: "b".to_owned(),
-            payload: "boom".to_owned(),
-        };
-        cells.absorb_cells(&[Ok(1u8), Err(hole), Ok(3)]);
-        assert_eq!((cells.completed, cells.total), (2, 3));
-        assert_eq!(cells.failures.len(), 1);
-        assert_eq!(cells.exit_code(), 3);
+    fn bench_json_escapes_the_journal_path_and_harness() {
+        let dir = std::env::temp_dir().join("anp_bench_escape_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        let journal = Path::new("we\"ird\\x.jsonl");
+        write_bench_json(&path, "h\"1", 7, Some(journal), &[], &[], &[]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(r#""journal": "we\"ird\\x.jsonl","#), "{text}");
+        assert!(text.contains(r#""harness": "h\"1","#), "{text}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! reported speedup is the same number `BENCH_anp.json` records.
 
 use anp_core::{
-    calibrate_with, completed_count, config_fingerprint, sweep_supervised_for, Backend,
-    Calibration, CellResult, ExperimentConfig, ExperimentError, JournalError, Journaled,
-    LatencyProfile, MuPolicy, RunJournal, Supervisor, SweepTelemetry, TaskError, WorkloadSpec,
+    calibrate_with, config_fingerprint, sweep_supervised_for, Backend, Calibration, CellResult,
+    ExperimentConfig, ExperimentError, JournalError, Journaled, LatencyProfile, MuPolicy,
+    RunJournal, Supervision, Supervisor, SweepTelemetry, WorkloadSpec,
 };
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
@@ -304,12 +304,8 @@ impl From<ExperimentError> for XvalError {
 pub struct XvalSupervised {
     /// Comparisons over the cells both backends completed.
     pub report: XvalReport,
-    /// Why each missing cell is missing (both grids).
-    pub failures: Vec<TaskError>,
-    /// Cells that produced a value (both grids).
-    pub completed: usize,
-    /// Total cells attempted (both grids).
-    pub total: usize,
+    /// The holes and cell counts of both grids.
+    pub ledger: Supervision,
 }
 
 /// Cross-validates the flow backend against the DES on one grid.
@@ -335,17 +331,13 @@ pub fn run_xval_supervised(
     let des_cal = calibrate_with(des, cfg, MuPolicy::MinLatency)?;
     let flow_cal = calibrate_with(flow, cfg, MuPolicy::MinLatency)?;
 
-    let completed = completed_count(&des_results) + completed_count(&flow_results);
-    let total = des_results.len() + flow_results.len();
-    let mut failures: Vec<TaskError> = Vec::new();
-    let to_options = |results: Vec<CellResult<Cell>>, failures: &mut Vec<TaskError>| {
-        results
-            .into_iter()
-            .map(|r| r.map_err(|e| failures.push(e)).ok())
-            .collect::<Vec<Option<Cell>>>()
-    };
-    let des_cells = to_options(des_results, &mut failures);
-    let flow_cells = to_options(flow_results, &mut failures);
+    let mut ledger = Supervision::default();
+    ledger.absorb_cells(&des_results);
+    ledger.absorb_cells(&flow_results);
+    let to_options =
+        |results: Vec<CellResult<Cell>>| results.into_iter().map(Result::ok).collect::<Vec<_>>();
+    let des_cells = to_options(des_results);
+    let flow_cells = to_options(flow_results);
 
     let (probe_means, utilizations, slowdown_ratios) =
         assemble(&specs, &des_cells, &flow_cells, &des_cal, &flow_cal);
@@ -358,9 +350,7 @@ pub fn run_xval_supervised(
             des_telemetry,
             flow_telemetry,
         },
-        failures,
-        completed,
-        total,
+        ledger,
     })
 }
 

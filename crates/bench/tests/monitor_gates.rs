@@ -8,9 +8,9 @@
 //! than first-fit. Pinned here so `cargo test` catches a pipeline
 //! regression without the binary.
 
-use anp_core::{DesBackend, ModelKind, Supervisor};
+use anp_core::{measure_campaign, DesBackend, ModelKind, Supervisor};
 use anp_monitor::{gate_violations, monitor_records, run_monitor_study, MonitorOpts};
-use anp_sched::{measure_truth_supervised, records, run_suite, PolicySpec, StudyOpts};
+use anp_sched::{records, run_suite, GroundTruth, PolicySpec, StudyOpts};
 
 #[test]
 fn quick_monitor_study_passes_every_gate() {
@@ -71,18 +71,20 @@ fn probed_placement_beats_first_fit_on_mean_stretch() {
     let mut opts = StudyOpts::quick(0xA11CE, 1);
     opts.cfg.jobs = anp_core::Parallelism::Auto;
 
-    let campaign = measure_truth_supervised(
+    let campaign = measure_campaign(
         &DesBackend,
         &opts.cfg,
         &opts.apps,
         &opts.ladder,
+        true,
         &Supervisor::none(),
         None,
-        |_| {},
+        |_, _| {},
     )
     .expect("truth measurement must not error");
-    assert!(campaign.is_complete(), "quick truth must complete");
-    let truth = campaign.truth.as_ref().expect("complete campaign");
+    assert!(campaign.ledger.is_complete(), "quick truth must complete");
+    let study = campaign.study.expect("complete campaign");
+    let truth = &GroundTruth::new(study, &campaign.outcomes);
 
     let specs = [
         PolicySpec::FirstFit,

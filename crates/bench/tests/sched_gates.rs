@@ -7,34 +7,34 @@
 //! prints, pinned here so `cargo test` catches a policy or engine
 //! regression without the binary.
 
-use anp_core::{Backend, DesBackend, ModelKind, Supervisor, WorkloadSpec};
+use anp_core::{measure_campaign, Backend, DesBackend, ModelKind, Supervisor, WorkloadSpec};
 use anp_flowsim::FlowBackend;
-use anp_sched::{
-    measure_truth_supervised, records, run_suite, DecisionEngine, PolicySpec, StudyOpts,
-};
+use anp_sched::{records, run_suite, DecisionEngine, GroundTruth, PolicySpec, StudyOpts};
 
 #[test]
 fn predictive_scheduling_beats_naive_baselines_with_cheap_decisions() {
     let mut opts = StudyOpts::quick(0xA11CE, 1);
     opts.cfg.jobs = anp_core::Parallelism::Auto;
 
-    let campaign = measure_truth_supervised(
+    let campaign = measure_campaign(
         &DesBackend,
         &opts.cfg,
         &opts.apps,
         &opts.ladder,
+        true,
         &Supervisor::none(),
         None,
-        |_| {},
+        |_, _| {},
     )
     .expect("truth measurement must not error");
     assert!(
-        campaign.is_complete(),
+        campaign.ledger.is_complete(),
         "unsupervised quick truth must complete ({}/{} cells)",
-        campaign.completed,
-        campaign.total
+        campaign.ledger.completed,
+        campaign.ledger.total
     );
-    let truth = campaign.truth.as_ref().expect("complete campaign");
+    let study = campaign.study.expect("complete campaign");
+    let truth = &GroundTruth::new(study, &campaign.outcomes);
 
     // Precompute the flow engine's app descriptors, as a deployment
     // would: the first-ever extraction per app is a one-time cost, not

@@ -30,8 +30,8 @@ fn flow_backend_stays_inside_its_error_envelope_on_the_cab_ladder() {
         None,
     )
     .unwrap();
-    assert!(xval.failures.is_empty(), "every grid cell must complete");
-    assert_eq!(xval.completed, xval.total);
+    assert!(xval.ledger.is_complete(), "every grid cell must complete");
+    assert_eq!(xval.ledger.completed, xval.ledger.total);
     let report = &xval.report;
 
     assert!(

@@ -57,7 +57,7 @@ impl Journaled for u64 {
 
 impl Journaled for String {
     fn encode_journal(&self) -> String {
-        format!("\"{}\"", escape(self))
+        format!("\"{}\"", json_escape(self))
     }
     fn decode_journal(s: &str) -> Option<Self> {
         let inner = s.trim().strip_prefix('"')?.strip_suffix('"')?;
@@ -149,8 +149,10 @@ pub fn decode_f64_bits(s: &str) -> Option<f64> {
     Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))
 }
 
-/// Minimal JSON string escaping (mirrors the telemetry writer's rules).
-pub(crate) fn escape(s: &str) -> String {
+/// Minimal JSON string escaping: quotes, backslashes and control
+/// characters. The one escaper behind the journal, the sweep telemetry
+/// and the `BENCH_anp.json` writer.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -165,7 +167,7 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape`]. `None` on malformed escapes.
+/// Reverses [`json_escape`]. `None` on malformed escapes.
 pub(crate) fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -313,16 +315,16 @@ impl JournalEntry {
         let mut line = format!(
             "{{\"sweep\":\"{}\",\"cell\":{},\"label\":\"{}\",\"status\":\"{}\",\
              \"retries\":{},\"wall_secs\":{:.6},\"events\":{}",
-            escape(&self.sweep),
+            json_escape(&self.sweep),
             self.cell,
-            escape(&self.label),
+            json_escape(&self.label),
             self.status.as_str(),
             self.retries,
             self.wall_secs,
             self.events,
         );
         if let Some(err) = &self.error {
-            line.push_str(&format!(",\"error\":\"{}\"", escape(err)));
+            line.push_str(&format!(",\"error\":\"{}\"", json_escape(err)));
         }
         if let Some(value) = &self.value {
             line.push_str(",\"value\":");
@@ -599,7 +601,7 @@ impl RunJournal {
         self.append(&format!(
             "{{\"journal\":\"{JOURNAL_SCHEMA}\",\"sweep\":\"{}\",\
              \"fingerprint\":\"{fingerprint:016x}\",\"cells\":{cells}}}\n",
-            escape(sweep),
+            json_escape(sweep),
         ));
     }
 

@@ -75,7 +75,7 @@ pub use experiments::{
     ExperimentConfig, ExperimentError, Members, SupervisedLossCurve,
 };
 pub use journal::{
-    config_fingerprint, CellStatus, JournalEntry, JournalError, Journaled, RunJournal,
+    config_fingerprint, json_escape, CellStatus, JournalEntry, JournalError, Journaled, RunJournal,
 };
 pub use lut::{CompressionEntry, LookupTable, SupervisedTable};
 pub use models::{
@@ -86,12 +86,15 @@ pub use oracle::{
     run_oracle, Divergence, ModeArtefacts, OracleError, OracleReport, RungArtefact,
     FLOW_PROBE_ENVELOPE, FLOW_RUNTIME_ENVELOPE,
 };
-pub use prediction::{error_summaries, PairOutcome, PredictionError, Study};
+pub use prediction::{
+    error_summaries, measure_campaign, Campaign, CampaignError, CampaignStage, PairOutcome,
+    PredictionError, Study,
+};
 pub use queue::{Calibration, CalibrationError, MuPolicy};
 pub use samples::LatencyProfile;
 pub use series::TimedSeries;
 pub use supervise::{
     completed_count, partial_exit_code, sweep_supervised, sweep_supervised_for, BudgetReport,
-    CellResult, RetryPolicy, RunBudget, Supervisor, TaskError,
+    CellResult, RetryPolicy, RunBudget, Supervision, Supervisor, TaskError,
 };
 pub use sweep::{Parallelism, RunRecord, SweepTelemetry};

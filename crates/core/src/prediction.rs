@@ -5,19 +5,24 @@
 //! runtime — and predicts the slowdown of every ordered application pair
 //! with every model. Comparing against measured co-run slowdowns yields
 //! the per-pairing errors of Fig. 8 and the quartile summaries of Fig. 9.
+//!
+//! [`measure_campaign`] is the one driver of the whole method: idle
+//! calibration, the look-up table, the impact profiles and the co-run
+//! ground truth, under one supervision envelope and one hole ledger.
 
 use std::collections::BTreeMap;
 
 use anp_metrics::{MetricsError, QuartileSummary};
-use anp_workloads::AppKind;
+use anp_workloads::{AppKind, CompressionConfig};
 
-use crate::backend::{Backend, DesBackend, WorkloadSpec};
+use crate::backend::{calibrate_with, Backend, DesBackend, WorkloadSpec};
 use crate::experiments::{degradation_percent, ExperimentConfig, ExperimentError};
 use crate::journal::{config_fingerprint, JournalError, RunJournal};
 use crate::lut::LookupTable;
-use crate::models::{ModelKind, SlowdownModel};
+use crate::models::{all_models, ModelKind, SlowdownModel};
+use crate::queue::MuPolicy;
 use crate::samples::LatencyProfile;
-use crate::supervise::{sweep_supervised_for, Supervisor, TaskError};
+use crate::supervise::{sweep_supervised_for, Supervision, Supervisor, TaskError};
 use crate::sweep::SweepTelemetry;
 
 /// Why a pairing has no slowdown value to offer.
@@ -339,6 +344,156 @@ impl Study {
     }
 }
 
+/// The step of a [`measure_campaign`] a progress line comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CampaignStage {
+    /// The idle calibration (one `calibrated:` line).
+    Calibration,
+    /// The look-up table sweep.
+    Table,
+    /// The per-app impact profiles.
+    Profiles,
+    /// The co-run pairing grid.
+    Pairs,
+}
+
+/// Why a campaign stopped before producing a ledger.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// The idle calibration failed: nothing can be read without it.
+    Calibration(ExperimentError),
+    /// The journal failed or belongs to another campaign.
+    Journal(JournalError),
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CampaignError::Calibration(e) => e.fmt(f),
+            CampaignError::Journal(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CampaignError {}
+
+impl From<JournalError> for CampaignError {
+    fn from(e: JournalError) -> Self {
+        CampaignError::Journal(e)
+    }
+}
+
+/// What a [`measure_campaign`] measured, and what it could not.
+#[derive(Debug)]
+pub struct Campaign {
+    /// The isolated measurements. `None` when no look-up-table entry
+    /// completed (nothing to predict from), or when the table has holes
+    /// and no co-runs were asked for; partial where cells failed.
+    pub study: Option<Study>,
+    /// One outcome per ordered pairing ([`Study::predict_all`] order):
+    /// predictions under every model, and the measured slowdown (`None`
+    /// where the co-run cell failed or the victim has no solo baseline).
+    /// Empty without co-runs or when `study` is `None`.
+    pub outcomes: Vec<PairOutcome>,
+    /// Telemetry of each sweep that ran (table, profiles, pairs).
+    pub telemetry: Vec<SweepTelemetry>,
+    /// Every hole and the cell counts of every sweep that ran. A pairing
+    /// without a measured value counts as missing.
+    pub ledger: Supervision,
+}
+
+/// Runs the paper's §V method end to end on `backend`: the idle
+/// calibration, the look-up table over `sweep`, the impact profile of
+/// every app, then, with `corun`, predictions and co-run ground truth for
+/// every ordered pairing of `apps` (Fig. 8). Without `corun` the campaign
+/// stops after the profiles, and already after the table when the table
+/// has holes: nothing would use the profiles.
+///
+/// Every sweep runs under `supervisor`, so a failed cell becomes a typed
+/// hole in the ledger and its siblings still land; with a journal every
+/// completed cell survives a crash and resumes bit for bit. Only a
+/// failed idle calibration or a journal conflict is an error. Progress
+/// lines reach `progress` tagged with their [`CampaignStage`], in the order a
+/// serial run prints them, for any worker count.
+#[expect(clippy::too_many_arguments, reason = "each argument is independent")]
+pub fn measure_campaign(
+    backend: &dyn Backend,
+    cfg: &ExperimentConfig,
+    apps: &[AppKind],
+    sweep: &[CompressionConfig],
+    corun: bool,
+    supervisor: &Supervisor,
+    journal: Option<&RunJournal>,
+    mut progress: impl FnMut(CampaignStage, &str),
+) -> Result<Campaign, CampaignError> {
+    let calibration =
+        calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(CampaignError::Calibration)?;
+    progress(
+        CampaignStage::Calibration,
+        &format!(
+            "calibrated: mu {:.4}/us var {:.4}us^2",
+            calibration.mu, calibration.var_s
+        ),
+    );
+    let mut campaign = Campaign {
+        study: None,
+        outcomes: Vec::new(),
+        telemetry: Vec::new(),
+        ledger: Supervision::default(),
+    };
+
+    let (lut, telemetry) = LookupTable::measure_supervised_with(
+        backend,
+        cfg,
+        calibration,
+        apps,
+        sweep,
+        supervisor,
+        journal,
+        |l| progress(CampaignStage::Table, l),
+    )?;
+    campaign.telemetry.push(telemetry);
+    let complete = lut.failures.is_empty();
+    campaign
+        .ledger
+        .absorb(lut.failures, lut.completed, lut.total);
+    let Some(table) = lut.table.filter(|_| complete || corun) else {
+        return Ok(campaign);
+    };
+
+    let (study, failures, telemetry) = Study::measure_profiles_supervised_with(
+        backend,
+        cfg,
+        table,
+        apps,
+        supervisor,
+        journal,
+        |l| progress(CampaignStage::Profiles, l),
+    )?;
+    campaign.telemetry.push(telemetry);
+    campaign
+        .ledger
+        .absorb(failures, study.app_profiles.len(), apps.len());
+
+    if corun {
+        let mut outcomes = study.predict_all(apps, &all_models());
+        let (failures, telemetry) = study.measure_pairs_supervised_with(
+            backend,
+            cfg,
+            &mut outcomes,
+            supervisor,
+            journal,
+            |l| progress(CampaignStage::Pairs, l),
+        )?;
+        campaign.telemetry.push(telemetry);
+        let measured = outcomes.iter().filter(|o| o.measured.is_some()).count();
+        campaign.ledger.absorb(failures, measured, outcomes.len());
+        campaign.outcomes = outcomes;
+    }
+    campaign.study = Some(study);
+    Ok(campaign)
+}
+
 /// Per-model quartile summary of |measured − predicted| errors across a
 /// set of pairings — the Fig. 9 box-plot data.
 ///
@@ -556,6 +711,128 @@ mod tests {
             .find(|o| o.victim == AppKind::Milc && o.other == AppKind::Fftw)
             .unwrap();
         assert!(hole.measured.is_none(), "the panicked pairing stays open");
+    }
+
+    /// Two cheap configurations: the campaign tests care about the
+    /// ledger, not about table coverage.
+    fn small_sweep() -> [CompressionConfig; 2] {
+        [
+            CompressionConfig::new(1, 25_000, 1),
+            CompressionConfig::new(4, 250_000, 10),
+        ]
+    }
+
+    fn campaign_on(backend: &FakeBackend, apps: &[AppKind], corun: bool) -> Campaign {
+        measure_campaign(
+            backend,
+            &ExperimentConfig::cab(),
+            apps,
+            &small_sweep(),
+            corun,
+            &Supervisor::none(),
+            None,
+            |_, _| {},
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn clean_campaign_is_complete() {
+        let apps = [AppKind::Fftw, AppKind::Milc];
+        let mut stages = Vec::new();
+        let c = measure_campaign(
+            &FakeBackend::clean(),
+            &ExperimentConfig::cab(),
+            &apps,
+            &small_sweep(),
+            true,
+            &Supervisor::none(),
+            None,
+            |stage, _| stages.push(stage),
+        )
+        .unwrap();
+        assert!(c.ledger.is_complete());
+        assert_eq!(c.ledger.exit_code(), 0);
+        // Table: 2 solos + 2 impacts + 4 runtimes; 2 profiles; 4 pairs.
+        assert_eq!((c.ledger.completed, c.ledger.total), (14, 14));
+        assert_eq!(c.telemetry.len(), 3, "table, profiles, pairs");
+        assert_eq!(c.outcomes.len(), 4);
+        assert!(c.outcomes.iter().all(|o| o.measured.is_some()));
+        assert_eq!(stages.first(), Some(&CampaignStage::Calibration));
+        assert_eq!(stages.last(), Some(&CampaignStage::Pairs));
+        assert!(
+            stages.windows(2).all(|w| w[0] as u8 <= w[1] as u8),
+            "in order"
+        );
+    }
+
+    #[test]
+    fn lost_solo_baseline_is_one_hole_and_missing_pairings() {
+        let apps = [AppKind::Fftw, AppKind::Milc];
+        let backend =
+            FakeBackend::faulty(vec![format!("solo:{}", AppKind::Fftw.name())], Vec::new());
+        let c = campaign_on(&backend, &apps, true);
+        let labels: Vec<&str> = c.ledger.failures.iter().map(TaskError::label).collect();
+        assert_eq!(labels, ["solo:FFTW"], "the ledger lists exactly that hole");
+        for o in &c.outcomes {
+            assert_eq!(
+                o.measured.is_none(),
+                o.victim == AppKind::Fftw,
+                "{}+{}",
+                o.victim.name(),
+                o.other.name()
+            );
+        }
+        // The FFTW runtimes still complete (they wait for a baseline); the
+        // two FFTW pairings have no measured value and count as missing.
+        assert_eq!(c.ledger.total, 14);
+        assert_eq!(c.ledger.completed, 14 - 1 - 2);
+        assert!(!c.ledger.is_complete());
+        assert_eq!(c.ledger.exit_code(), 3);
+    }
+
+    #[test]
+    fn campaign_exit_codes_follow_the_partial_convention() {
+        let apps = [AppKind::Fftw];
+        assert_eq!(
+            campaign_on(&FakeBackend::clean(), &apps, true)
+                .ledger
+                .exit_code(),
+            0
+        );
+
+        let pair = FakeBackend::faulty(Vec::new(), vec!["corun:FFTW+FFTW".to_owned()]);
+        let partial = campaign_on(&pair, &apps, true);
+        assert!(partial.study.is_some());
+        assert_eq!(partial.ledger.exit_code(), 3);
+
+        // Every table cell fails: no study, no pairings, nothing completed.
+        let mut dead = vec!["solo:FFTW".to_owned()];
+        for comp in small_sweep() {
+            dead.push(format!("impact:{}", comp.label()));
+            dead.push(format!("grid:FFTW:{}", comp.label()));
+        }
+        let dead = campaign_on(&FakeBackend::faulty(dead, Vec::new()), &apps, true);
+        assert!(dead.study.is_none() && dead.outcomes.is_empty());
+        assert_eq!((dead.ledger.completed, dead.ledger.total), (0, 5));
+        assert!(!dead.ledger.is_complete());
+        assert_eq!(dead.ledger.exit_code(), 1);
+    }
+
+    #[test]
+    fn without_coruns_a_holed_table_skips_the_profiles() {
+        let apps = [AppKind::Fftw, AppKind::Milc];
+        let clean = campaign_on(&FakeBackend::clean(), &apps, false);
+        assert!(clean.ledger.is_complete() && clean.outcomes.is_empty());
+        assert_eq!(clean.telemetry.len(), 2, "table, profiles");
+        assert_eq!((clean.ledger.completed, clean.ledger.total), (10, 10));
+
+        let backend = FakeBackend::faulty(vec!["solo:FFTW".to_owned()], Vec::new());
+        let holed = campaign_on(&backend, &apps, false);
+        assert!(holed.study.is_none());
+        assert_eq!(holed.telemetry.len(), 1, "the table only");
+        assert_eq!((holed.ledger.completed, holed.ledger.total), (7, 8));
+        assert_eq!(holed.ledger.exit_code(), 3);
     }
 
     #[test]

@@ -240,6 +240,47 @@ pub fn partial_exit_code(completed: usize, total: usize) -> i32 {
     }
 }
 
+/// The hole ledger of one supervised campaign: typed holes and cell
+/// counts accumulated across its sweeps.
+#[derive(Debug, Default)]
+pub struct Supervision {
+    /// Why each missing cell is missing.
+    pub failures: Vec<TaskError>,
+    /// Cells that produced a value.
+    pub completed: usize,
+    /// Total cells attempted.
+    pub total: usize,
+}
+
+impl Supervision {
+    /// Folds one sweep's holes and counts into the campaign totals.
+    pub fn absorb(&mut self, failures: Vec<TaskError>, completed: usize, total: usize) {
+        self.failures.extend(failures);
+        self.completed += completed;
+        self.total += total;
+    }
+
+    /// Folds one sweep's cells into the campaign totals: every `Err` is a
+    /// hole, every `Ok` a completed cell.
+    pub fn absorb_cells<T>(&mut self, cells: &[CellResult<T>]) {
+        self.failures
+            .extend(cells.iter().filter_map(|r| r.as_ref().err().cloned()));
+        self.completed += completed_count(cells);
+        self.total += cells.len();
+    }
+
+    /// True when no cell failed.
+    pub fn is_complete(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// The campaign exit code ([`partial_exit_code`]): 0 complete, 3
+    /// partial, 1 nothing.
+    pub fn exit_code(&self) -> i32 {
+        partial_exit_code(self.completed, self.total)
+    }
+}
+
 #[expect(clippy::disallowed_types, reason = "a wall budget's starting point")]
 struct BudgetState {
     started: Instant,
@@ -879,5 +920,29 @@ mod tests {
         clear_budget();
         assert_eq!(world_allowance(), (None, None));
         charge_events(5); // no-op outside a supervised cell
+    }
+
+    #[test]
+    fn supervision_exit_codes_follow_convention() {
+        let mut s = Supervision::default();
+        assert!(s.is_complete());
+        assert_eq!(s.exit_code(), 0, "empty campaign is vacuously complete");
+        s.absorb(Vec::new(), 4, 4);
+        assert_eq!(s.exit_code(), 0);
+        s.absorb(Vec::new(), 1, 2); // one hole (failure list elided)
+        assert_eq!(s.exit_code(), 3);
+        let mut dead = Supervision::default();
+        dead.absorb(Vec::new(), 0, 3);
+        assert_eq!(dead.exit_code(), 1);
+        let mut cells = Supervision::default();
+        let hole = TaskError::Panicked {
+            cell: 1,
+            label: "b".to_owned(),
+            payload: "boom".to_owned(),
+        };
+        cells.absorb_cells(&[Ok(1u8), Err(hole), Ok(3)]);
+        assert_eq!((cells.completed, cells.total), (2, 3));
+        assert_eq!(cells.failures.len(), 1);
+        assert_eq!(cells.exit_code(), 3);
     }
 }

@@ -26,6 +26,8 @@
 
 use std::cell::Cell;
 
+use crate::journal::json_escape;
+
 /// How many worker threads a sweep may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -207,23 +209,6 @@ impl SweepTelemetry {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (labels are plain ASCII identifiers, but
-/// stay safe against quotes and backslashes anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

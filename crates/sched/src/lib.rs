@@ -10,8 +10,8 @@
 //!
 //! * [`truth`] — the DES-measured ground truth a study stands on: the
 //!   look-up table + impact profiles (a [`Study`]) plus the directed
-//!   pair-slowdown grid, measured under the supervision envelope so
-//!   failed cells become typed holes.
+//!   pair-slowdown grid, assembled from one supervised prediction
+//!   campaign (`anp_core::measure_campaign`).
 //! * [`cluster`] — the cluster simulation itself: switches with two job
 //!   slots, a FIFO wait queue, and per-job progress rates derived from
 //!   the measured pair slowdowns. Realized (stretch) slowdown includes
@@ -43,7 +43,7 @@ pub mod report;
 pub mod study;
 pub mod truth;
 
-use anp_core::{ExperimentError, JournalError, PredictionError};
+use anp_core::{ExperimentError, PredictionError};
 use anp_workloads::AppKind;
 
 pub use cluster::{simulate, JobRow, ScheduleOutcome, SLOTS_PER_SWITCH};
@@ -57,7 +57,7 @@ pub use study::{
     default_specs, gated_ladder, run_suite, stream_for, DecisionEngine, PolicyOutcome, PolicySpec,
     StudyOpts,
 };
-pub use truth::{measure_truth_supervised, GroundTruth, TruthCampaign};
+pub use truth::GroundTruth;
 
 /// Why a scheduling step could not proceed.
 #[derive(Debug)]
@@ -66,8 +66,6 @@ pub enum SchedError {
     Prediction(PredictionError),
     /// A decision-time measurement through the backend failed.
     Experiment(ExperimentError),
-    /// The run journal rejected or failed the campaign.
-    Journal(JournalError),
     /// The ground truth has no solo baseline for an application.
     MissingSolo {
         /// The application without a baseline.
@@ -94,7 +92,6 @@ impl std::fmt::Display for SchedError {
         match self {
             SchedError::Prediction(e) => write!(f, "prediction unavailable: {e}"),
             SchedError::Experiment(e) => write!(f, "decision-time measurement failed: {e}"),
-            SchedError::Journal(e) => write!(f, "journal error: {e}"),
             SchedError::MissingSolo { app } => {
                 write!(f, "no solo baseline for {} in the ground truth", app.name())
             }
@@ -123,11 +120,5 @@ impl From<PredictionError> for SchedError {
 impl From<ExperimentError> for SchedError {
     fn from(e: ExperimentError) -> Self {
         SchedError::Experiment(e)
-    }
-}
-
-impl From<JournalError> for SchedError {
-    fn from(e: JournalError) -> Self {
-        SchedError::Journal(e)
     }
 }

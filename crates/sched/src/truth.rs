@@ -4,20 +4,17 @@
 //! front: the look-up table and impact profiles (a [`Study`], the input
 //! of the predictive policies) and the directed pair-slowdown grid (the
 //! input of the oracle policy and of the realized-schedule validation).
-//! Measurement runs under the supervision envelope — failed cells leave
-//! typed holes instead of aborting — and with a journal every completed
-//! cell survives a crash and resumes.
+//! It is assembled from a [`measure_campaign`] run on the reference
+//! engine over every ordered pairing of the study's apps.
 //!
 //! [`Study`]: anp_core::Study
+//! [`measure_campaign`]: anp_core::measure_campaign
 
 use std::collections::BTreeMap;
 
-use anp_core::{
-    all_models, calibrate_with, partial_exit_code, Backend, ExperimentConfig, LookupTable,
-    MuPolicy, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
-};
+use anp_core::{PairOutcome, Study};
 use anp_simnet::SimDuration;
-use anp_workloads::{AppKind, CompressionConfig};
+use anp_workloads::AppKind;
 
 use crate::SchedError;
 
@@ -34,6 +31,16 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
+    /// Assembles the truth from a campaign's study and pair outcomes;
+    /// unmeasured pairings stay out of [`GroundTruth::pairs`].
+    pub fn new(study: Study, outcomes: &[PairOutcome]) -> Self {
+        let pairs = outcomes
+            .iter()
+            .filter_map(|o| o.measured.map(|m| ((o.victim, o.other), m)))
+            .collect();
+        GroundTruth { study, pairs }
+    }
+
     /// The solo runtime baseline of `app`, or a typed
     /// [`SchedError::MissingSolo`] hole when its baseline cell failed.
     pub fn solo(&self, app: AppKind) -> Result<SimDuration, SchedError> {
@@ -57,154 +64,11 @@ impl GroundTruth {
     }
 }
 
-/// The outcome of a supervised ground-truth measurement campaign:
-/// possibly-partial truth, the typed failures behind every hole, cell
-/// accounting for the partial-completion exit convention, and the
-/// per-sweep telemetry records.
-#[derive(Debug)]
-pub struct TruthCampaign {
-    /// The assembled ground truth. `None` when the look-up table itself
-    /// came back empty (no configuration completed its impact profile) —
-    /// nothing downstream can run without it. Partial otherwise: failed
-    /// profile cells leave apps unprofiled, failed co-run cells leave
-    /// pairings out of [`GroundTruth::pairs`].
-    pub truth: Option<GroundTruth>,
-    /// Why each missing cell is missing, campaign order.
-    pub failures: Vec<TaskError>,
-    /// Cells that produced a value (journaled successes included).
-    pub completed: usize,
-    /// Total cells in the campaign.
-    pub total: usize,
-    /// Telemetry of each sweep (look-up table, profiles, pairing grid).
-    pub telemetry: Vec<SweepTelemetry>,
-}
-
-impl TruthCampaign {
-    /// `true` when every cell completed and the truth is whole.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && self.truth.is_some()
-    }
-
-    /// The campaign exit code: 0 complete, 3 partial, 1 when nothing
-    /// completed.
-    pub fn exit_code(&self) -> i32 {
-        partial_exit_code(self.completed, self.total)
-    }
-
-    /// Writes the completion summary and per-failure detail through
-    /// `sink` (one line per call).
-    pub fn report(&self, mut sink: impl FnMut(&str)) {
-        sink(&format!(
-            "ground truth: {}/{} cells completed",
-            self.completed, self.total
-        ));
-        for f in &self.failures {
-            sink(&format!("  hole {}: {f}", f.label()));
-        }
-    }
-}
-
-/// Measures the full ground truth for a scheduling study under the
-/// supervision envelope: idle calibration, the look-up table over
-/// `ladder`, the per-app impact profiles, and the directed co-run
-/// pairing grid for `apps`.
-///
-/// `backend` must be the reference engine the schedule is validated
-/// against — the packet-level DES, possibly wrapped (the `anp` binary
-/// passes a chaos-hook wrapper so fault-injection tests can target
-/// individual cells). The idle calibration runs *unsupervised* (there is
-/// no partial truth without it); everything after runs supervised, so a
-/// failed cell becomes a typed hole and its siblings still land. With a
-/// journal, completed cells resume across crashes.
-pub fn measure_truth_supervised(
-    backend: &dyn Backend,
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    ladder: &[CompressionConfig],
-    supervisor: &Supervisor,
-    journal: Option<&RunJournal>,
-    mut progress: impl FnMut(&str),
-) -> Result<TruthCampaign, SchedError> {
-    let calibration = calibrate_with(backend, cfg, MuPolicy::MinLatency)?;
-    progress(&format!(
-        "calibrated: mu {:.4}/us var {:.4}us^2",
-        calibration.mu, calibration.var_s
-    ));
-
-    let mut failures = Vec::new();
-    let mut telemetry = Vec::new();
-
-    let (sup, lut_tel) = LookupTable::measure_supervised_with(
-        backend,
-        cfg,
-        calibration,
-        apps,
-        ladder,
-        supervisor,
-        journal,
-        &mut progress,
-    )?;
-    telemetry.push(lut_tel);
-    let mut completed = sup.completed;
-    let mut total = sup.total;
-    failures.extend(sup.failures);
-
-    let Some(table) = sup.table else {
-        return Ok(TruthCampaign {
-            truth: None,
-            failures,
-            completed,
-            total,
-            telemetry,
-        });
-    };
-
-    let (study, profile_failures, profile_tel) = Study::measure_profiles_supervised_with(
-        backend,
-        cfg,
-        table,
-        apps,
-        supervisor,
-        journal,
-        &mut progress,
-    )?;
-    telemetry.push(profile_tel);
-    total += apps.len();
-    completed += apps.len() - profile_failures.len();
-    failures.extend(profile_failures);
-
-    let mut outcomes = study.predict_all(apps, &all_models());
-    let (pair_failures, pair_tel) = study.measure_pairs_supervised_with(
-        backend,
-        cfg,
-        &mut outcomes,
-        supervisor,
-        journal,
-        &mut progress,
-    )?;
-    telemetry.push(pair_tel);
-    total += outcomes.len();
-    completed += outcomes.iter().filter(|o| o.measured.is_some()).count();
-    failures.extend(pair_failures);
-
-    let pairs = outcomes
-        .iter()
-        .filter_map(|o| o.measured.map(|m| ((o.victim, o.other), m)))
-        .collect();
-
-    Ok(TruthCampaign {
-        truth: Some(GroundTruth { study, pairs }),
-        failures,
-        completed,
-        total,
-        telemetry,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anp_core::{Calibration, CompressionEntry, LatencyProfile};
+    use anp_core::{Calibration, CompressionEntry, LatencyProfile, LookupTable, MuPolicy};
+    use anp_workloads::CompressionConfig;
 
     fn profile(mean_us: f64) -> LatencyProfile {
         let samples: Vec<f64> = (0..32).map(|i| mean_us + (i % 3) as f64 * 0.01).collect();
@@ -242,41 +106,5 @@ mod tests {
             t.pair_slowdown(AppKind::Milc, AppKind::Fftw),
             Err(SchedError::Prediction(_))
         ));
-    }
-
-    #[test]
-    fn campaign_exit_codes_follow_the_partial_convention() {
-        let whole = TruthCampaign {
-            truth: Some(truth()),
-            failures: Vec::new(),
-            completed: 5,
-            total: 5,
-            telemetry: Vec::new(),
-        };
-        assert!(whole.is_complete());
-        assert_eq!(whole.exit_code(), 0);
-
-        let partial = TruthCampaign {
-            truth: Some(truth()),
-            failures: Vec::new(),
-            completed: 3,
-            total: 5,
-            telemetry: Vec::new(),
-        };
-        assert_eq!(partial.exit_code(), 3);
-
-        let empty = TruthCampaign {
-            truth: None,
-            failures: Vec::new(),
-            completed: 0,
-            total: 5,
-            telemetry: Vec::new(),
-        };
-        assert!(!empty.is_complete());
-        assert_eq!(empty.exit_code(), 1);
-
-        let mut lines = Vec::new();
-        partial.report(|l| lines.push(l.to_owned()));
-        assert_eq!(lines, vec!["ground truth: 3/5 cells completed"]);
     }
 }

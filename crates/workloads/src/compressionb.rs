@@ -68,6 +68,20 @@ impl CompressionConfig {
         out
     }
 
+    /// The 8-configuration quick subset of [`paper_sweep`]: one
+    /// configuration per (B, M) group with a cycling partner count, so
+    /// the quick sweep still spans P, B and M.
+    ///
+    /// [`paper_sweep`]: CompressionConfig::paper_sweep
+    pub fn quick_sweep() -> Vec<CompressionConfig> {
+        CompressionConfig::paper_sweep()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| i % 5 == (i / 5) % 5)
+            .map(|(_, c)| c)
+            .collect()
+    }
+
     /// The four-rung utilization ladder shared by the CLI's gated paths,
     /// the scheduling study, and the monitor study: one rung per
     /// utilization regime, light to near-saturation.
@@ -177,6 +191,34 @@ mod tests {
             .all(|c| [1, 4, 7, 14, 17].contains(&c.partners)));
         assert!(sweep.iter().all(|c| [1, 10].contains(&c.messages)));
         assert!(sweep.iter().all(|c| c.msg_bytes == 40 * 1024));
+    }
+
+    #[test]
+    fn quick_sweep_spans_p_b_and_m() {
+        let quick = CompressionConfig::quick_sweep();
+        assert_eq!(quick.len(), 8);
+        assert!(quick
+            .iter()
+            .all(|c| CompressionConfig::paper_sweep().contains(c)));
+        // Distinct values per axis: all 5 partner counts, all 4 bubbles,
+        // both message counts.
+        let distinct = |axis: fn(&CompressionConfig) -> u64| {
+            let mut values: Vec<u64> = quick.iter().map(axis).collect();
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        };
+        assert_eq!(
+            distinct(|c| u64::from(c.partners)),
+            5,
+            "quick sweep must vary P"
+        );
+        assert_eq!(distinct(|c| c.bubble_cycles), 4, "quick sweep must vary B");
+        assert_eq!(
+            distinct(|c| u64::from(c.messages)),
+            2,
+            "quick sweep must vary M"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use active_netprobe::core::{
-    all_models, calibrate, DesBackend, ExperimentConfig, LookupTable, MuPolicy, Study, Supervisor,
+    all_models, measure_campaign, DesBackend, ExperimentConfig, Supervisor,
 };
 use active_netprobe::workloads::{AppKind, CompressionConfig};
 
@@ -23,50 +23,29 @@ fn main() {
     // Isolated measurements: idle calibration, a small compression table,
     // and each application's impact profile. Cost grows linearly with the
     // number of applications — the quadratic pairing space comes free.
-    println!("[1/3] measuring look-up table (linear in apps and configs)...");
-    let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let sweep: Vec<CompressionConfig> = CompressionConfig::paper_sweep()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % 5 == (i / 5) % 5)
-        .map(|(_, c)| c)
-        .collect();
-    let (lut, _) = LookupTable::measure_supervised_with(
+    // No pairings are measured here; the co-runs below verify by hand.
+    println!("[1/2] measuring look-up table and impact profiles (linear in apps and configs)...");
+    let campaign = measure_campaign(
         &DesBackend,
         &cfg,
-        calib,
         &apps,
-        &sweep,
+        &CompressionConfig::quick_sweep(),
+        false,
         &Supervisor::none(),
         None,
-        |_| {},
+        |_, _| {},
     )
-    .expect("table measurement");
-    let table = lut
-        .table
-        .filter(|_| lut.failures.is_empty())
-        .expect("complete table");
+    .expect("campaign");
+    assert!(campaign.ledger.is_complete(), "every cell must complete");
+    let study = campaign.study.expect("complete study");
     println!(
         "      table covers {:.0}%..{:.0}% switch utilization",
-        table.utilization_range().0 * 100.0,
-        table.utilization_range().1 * 100.0
+        study.table.utilization_range().0 * 100.0,
+        study.table.utilization_range().1 * 100.0
     );
 
-    println!("[2/3] measuring each app's impact profile...");
-    let (study, failures, _) = Study::measure_profiles_supervised_with(
-        &DesBackend,
-        &cfg,
-        table,
-        &apps,
-        &Supervisor::none(),
-        None,
-        |_| {},
-    )
-    .expect("profiles");
-    assert!(failures.is_empty(), "every profile must complete");
-
     // Predict both directions of the pairing with all four models.
-    println!("[3/3] predicting FFTW <-> MILC, then verifying with a co-run...\n");
+    println!("[2/2] predicting FFTW <-> MILC, then verifying with a co-run...\n");
     let models = all_models();
     for (victim, other) in [
         (AppKind::Fftw, AppKind::Milc),

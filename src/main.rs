@@ -23,20 +23,19 @@
 use std::fmt::Display;
 use std::process::ExitCode;
 
-use anp_bench::cli::{parse_run, Flags, RunCtx, UsageError, GLOBAL_FLAGS};
+use anp_bench::cli::{parse_run, report_holes, Flags, RunCtx, UsageError, GLOBAL_FLAGS};
 use anp_bench::ARTEFACTS;
 use anp_core::{
     all_models, audit_compiled, calibrate_with, completed_count, config_fingerprint,
-    degradation_percent, loss_sweep_supervised, partial_exit_code, run_oracle,
-    sweep_supervised_for, Backend, BackendError, DesBackend, ExperimentConfig, ExperimentError,
-    LatencyProfile, LookupTable, ModelKind, MuPolicy, Study, TaskError, WorkloadSpec,
+    degradation_percent, loss_sweep_supervised, measure_campaign, partial_exit_code, run_oracle,
+    sweep_supervised_for, Backend, BackendError, CampaignStage, DesBackend, ExperimentConfig,
+    ExperimentError, LatencyProfile, ModelKind, MuPolicy, WorkloadSpec,
 };
 use anp_monitor::{
     gate_violations, render_report as render_monitor_report, run_monitor_study, MonitorOpts,
 };
 use anp_sched::{
-    measure_truth_supervised, render_schedule, render_summary, run_suite, DecisionEngine,
-    PolicySpec, StudyOpts,
+    render_schedule, render_summary, run_suite, DecisionEngine, GroundTruth, PolicySpec, StudyOpts,
 };
 use anp_simmpi::ReliabilityConfig;
 use anp_simnet::SimDuration;
@@ -74,11 +73,12 @@ fn usage() {
          \x20                      per ladder rung, change-point detection\n\
          \x20                      latency per app, and probe overhead;\n\
          \x20                      exits 1 on any gate violation\n\
-         \x20 run <ARTEFACT> [--quick] [--cache PATH] [--bench-json PATH]\n\
-         \x20     [--no-bench-json] [global flags]\n\
+         \x20 run <ARTEFACT> [--quick] [--bench-json PATH] [--no-bench-json]\n\
+         \x20     [global flags]\n\
          \x20                      regenerate a paper artefact or extension\n\
-         \x20                      study; only fig8/fig9 read --backend flow\n\
-         \x20                      and --cache, the others reject them\n\
+         \x20                      study; only fig8/fig9 read --backend flow,\n\
+         \x20                      the others reject it; fig9 reuses fig8's\n\
+         \x20                      cells through a shared --resume journal\n\
          APP is one of: FFTW, Lulesh, MCB, MILC, VPFFT, AMG (case-insensitive)\n\
          --jobs N runs experiment sweeps on N worker threads (default: all\n\
          cores; results are identical for any setting, 1 = serial)\n\
@@ -125,9 +125,10 @@ fn bad_usage() -> Failure {
     Failure::Usage(String::new())
 }
 
-/// The 0/3/1 campaign convention as a process exit code.
-fn campaign_exit(completed: usize, total: usize) -> ExitCode {
-    ExitCode::from(partial_exit_code(completed, total) as u8)
+/// A 0/3/1 campaign code ([`partial_exit_code`] or
+/// [`anp_core::Supervision::exit_code`]) as a process exit code.
+fn campaign_exit(code: i32) -> ExitCode {
+    ExitCode::from(code as u8)
 }
 
 fn parse_app(arg: Option<String>) -> Result<AppKind, Failure> {
@@ -401,7 +402,7 @@ fn sweep(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure>
         );
         resume_hint(flags);
     }
-    Ok(campaign_exit(completed, rungs.len()))
+    Ok(campaign_exit(partial_exit_code(completed, rungs.len())))
 }
 
 fn losses(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure> {
@@ -471,7 +472,7 @@ fn losses(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure
         );
         resume_hint(flags);
     }
-    Ok(campaign_exit(completed, total))
+    Ok(campaign_exit(partial_exit_code(completed, total)))
 }
 
 fn audit(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
@@ -534,51 +535,32 @@ fn audit(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, F
 }
 
 fn predict(ctx: &RunCtx, flags: &Flags, a: AppKind, b: AppKind) -> Result<ExitCode, Failure> {
-    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
     let apps = if a == b { vec![a] } else { vec![a, b] };
     eprintln!("measuring look-up table (this takes a few minutes)...");
-    let calib = calibrate_with(backend, cfg, MuPolicy::MinLatency).map_err(fail)?;
-    let sweep = anp_bench::cli::compression_sweep(true);
-    // Both sweeps run under the supervision envelope; with `--resume`
-    // their completed cells are journaled. A hole leaves nothing
-    // trustworthy to predict from, so it is reported and the command
-    // exits with the partial-result code.
-    let holed = |failures: &[TaskError], completed: usize, total: usize| {
-        for f in failures {
-            eprintln!("error: {f}");
-        }
-        resume_hint(flags);
-        Ok(campaign_exit(completed, total))
-    };
-    let (lut, _) = LookupTable::measure_supervised_with(
-        backend,
-        cfg,
-        calib,
+    // Without co-runs the campaign stops after the profiles, or already
+    // after a holed table. Its sweeps run under the supervision envelope;
+    // with `--resume` their completed cells are journaled. A hole leaves
+    // nothing trustworthy to predict from, so it is reported and the
+    // command exits with the partial-result code.
+    let campaign = measure_campaign(
+        ctx.backend.as_ref(),
+        &ctx.cfg,
         &apps,
-        &sweep,
+        &CompressionConfig::quick_sweep(),
+        false,
         &ctx.supervisor,
         ctx.journal.as_ref(),
-        |line| eprintln!("  {line}"),
+        |stage, line| {
+            if stage == CampaignStage::Table {
+                eprintln!("  {line}");
+            }
+        },
     )
     .map_err(fail)?;
-    let table = match lut.table {
-        Some(table) if lut.failures.is_empty() => table,
-        _ => return holed(&lut.failures, lut.completed, lut.total),
+    let Some(study) = campaign.study.filter(|_| campaign.ledger.is_complete()) else {
+        report_holes(&campaign.ledger, flags.resume.as_deref());
+        return Ok(campaign_exit(campaign.ledger.exit_code()));
     };
-    let (study, failures, _) = Study::measure_profiles_supervised_with(
-        backend,
-        cfg,
-        table,
-        &apps,
-        &ctx.supervisor,
-        ctx.journal.as_ref(),
-        |_| {},
-    )
-    .map_err(fail)?;
-    if !failures.is_empty() {
-        let completed = lut.completed + study.app_profiles.len();
-        return holed(&failures, completed, lut.total + apps.len());
-    }
     let models = all_models();
     for (victim, other) in [(a, b), (b, a)] {
         let outcome = study.predict_pair(victim, other, &models);
@@ -626,22 +608,24 @@ fn sched(
     } else {
         DecisionEngine::Flow
     };
-    let campaign = measure_truth_supervised(
+    let campaign = measure_campaign(
         &HookedBackend(DesBackend),
         &sopts.cfg,
         &sopts.apps,
         &sopts.ladder,
+        true,
         &ctx.supervisor,
         ctx.journal.as_ref(),
-        |line| eprintln!("  [truth] {line}"),
+        |_, line| eprintln!("  [truth] {line}"),
     )
     .map_err(fail)?;
-    let Some(truth) = campaign.truth.as_ref().filter(|_| campaign.is_complete()) else {
-        campaign.report(|line| eprintln!("{line}"));
+    let ledger = campaign.ledger;
+    let Some(study) = campaign.study.filter(|_| ledger.is_complete()) else {
         eprintln!("truth incomplete: scheduling skipped (a holed pair grid would bias regret)");
-        resume_hint(flags);
-        return Ok(campaign_exit(campaign.completed, campaign.total));
+        report_holes(&ledger, flags.resume.as_deref());
+        return Ok(campaign_exit(ledger.exit_code()));
     };
+    let truth = &GroundTruth::new(study, &campaign.outcomes);
     let specs = [
         PolicySpec::Predictive(model, engine),
         PolicySpec::FirstFit,
@@ -669,7 +653,7 @@ fn sched(
             predictive.decisions
         );
     }
-    Ok(campaign_exit(campaign.completed, campaign.total))
+    Ok(ExitCode::SUCCESS)
 }
 
 fn monitor(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {

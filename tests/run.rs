@@ -1,11 +1,16 @@
 //! End-to-end tests of `anp run <artefact>`, the one front end of the
 //! paper artefacts and extension studies: a quick flow-backed artefact
-//! must exit 0 with stdout byte-identical for any `--jobs`, and bad
-//! invocations (an unknown artefact, a flag the artefact would ignore, a
-//! non-finite `--run-budget`) must exit 2 with the problem named on
-//! stderr before any simulation runs.
+//! must exit 0 with stdout byte-identical for any `--jobs`, fig9 must
+//! reuse fig8's `--resume` journal cell for cell, bad invocations (an
+//! unknown artefact, a flag the artefact would ignore, a non-finite
+//! `--run-budget`) must exit 2 with the problem named on stderr before
+//! any simulation runs, and every `anp run` command the docs show must
+//! parse.
 
+use std::path::Path;
 use std::process::{Command, Output};
+
+use anp_bench::cli::{parse_run, Flags};
 
 const ANP: &str = env!("CARGO_BIN_EXE_anp");
 
@@ -59,6 +64,85 @@ fn flow_fig9_is_byte_identical_for_any_worker_count() {
 }
 
 #[test]
+fn fig9_resumes_every_cell_from_fig8s_journal() {
+    let dir = std::env::temp_dir().join(format!("anp-run-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("study.jsonl");
+    let bench = dir.join("bench.json");
+    std::fs::remove_file(&journal).ok();
+    let (journal, bench) = (journal.to_str().unwrap(), bench.to_str().unwrap());
+    let study = |artefact: &str, backend: &str, extra: &[&str]| {
+        let mut args = vec!["run", artefact, "--quick", "--backend", backend];
+        args.extend(extra);
+        run(&args)
+    };
+    let resume = ["--resume", journal, "--bench-json", bench];
+
+    let fig8 = study("fig8_prediction_errors", "flow", &resume);
+    assert_eq!(fig8.status.code(), Some(0), "{}", stderr_of(&fig8));
+    let resumed = study("fig9_error_summary", "flow", &resume);
+    assert_eq!(resumed.status.code(), Some(0), "{}", stderr_of(&resumed));
+    // Quick study: 3 solo + 8 impact + 24 grid table cells, 3 profiles
+    // and 9 pairings, every one decoded from fig8's journal.
+    assert!(
+        stderr_of(&resumed).contains("(resuming: 47 completed cells journaled in"),
+        "{}",
+        stderr_of(&resumed)
+    );
+    let telemetry = std::fs::read_to_string(bench).unwrap();
+    assert_eq!(telemetry.matches("\"outcome\":\"resumed\"").count(), 47);
+    assert_eq!(telemetry.matches("\"outcome\":").count(), 47);
+    let fresh = study("fig9_error_summary", "flow", &["--no-bench-json"]);
+    assert_eq!(fresh.status.code(), Some(0), "{}", stderr_of(&fresh));
+    assert_eq!(
+        stdout_of(&resumed).replace(&format!("(sweep telemetry written to {bench})\n"), ""),
+        stdout_of(&fresh),
+        "a resumed fig9 prints exactly what a fresh one does"
+    );
+
+    // The journal was recorded by the flow model: the DES refuses it.
+    let des = study("fig9_error_summary", "des", &["--resume", journal]);
+    assert_eq!(des.status.code(), Some(1), "{}", stderr_of(&des));
+    assert!(
+        stderr_of(&des).contains("recorded under a different configuration"),
+        "{}",
+        stderr_of(&des)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    let cache = run(&["run", "fig9_error_summary", "--cache", "study.tsv"]);
+    assert_eq!(cache.status.code(), Some(2));
+    assert!(stderr_of(&cache).contains("unknown argument: --cache"));
+}
+
+#[test]
+fn documented_run_commands_parse() {
+    const CMD: &str = "cargo run --release -- run ";
+    let mut seen = 0;
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
+            .unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (at, _) in text.match_indices(CMD) {
+            let rest = &text[at + CMD.len()..];
+            // An inline code span may wrap onto the next line; a line of
+            // a fenced block ends at its newline.
+            let end = if text[..at].ends_with('`') {
+                rest.find('`')
+            } else {
+                rest.find('\n')
+            };
+            let command = &rest[..end.unwrap_or(rest.len())];
+            let mut args = command.split_whitespace().map(str::to_owned).peekable();
+            if let Err(e) = parse_run(&mut Flags::default(), &mut args) {
+                panic!("{doc}: `{CMD}{command}` does not parse: {e}");
+            }
+            seen += 1;
+        }
+    }
+    assert!(seen >= 20, "only {seen} documented commands found");
+}
+
+#[test]
 fn unknown_artefact_lists_the_registry() {
     let out = run(&["run", "fig10_nonexistent", "--quick"]);
     assert_eq!(
@@ -102,14 +186,6 @@ fn flags_an_artefact_cannot_honour_are_rejected_before_simulating() {
     assert!(
         err.contains("fig6_compression_utilization does not read --backend flow"),
         "stderr must name the artefact and the flag:\n{err}"
-    );
-
-    let out = run(&["run", "sched_study", "--quick", "--cache", "study.tsv"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr_of(&out).contains("sched_study does not read --cache"),
-        "{}",
-        stderr_of(&out)
     );
 
     let out = run(&["run", "fig3_latency_distributions", "--bogus"]);
