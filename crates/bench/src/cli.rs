@@ -206,8 +206,9 @@ impl Flags {
         }
     }
 
-    /// The supervision envelope these flags describe: per-cell budgets
-    /// and the retry policy (the backoff doubles from 100 ms).
+    /// The supervision envelope these flags describe: per-cell budgets,
+    /// the retry policy (the backoff doubles from 100 ms) and the
+    /// [`fault_hook`].
     fn supervisor(&self) -> Supervisor {
         Supervisor {
             budget: RunBudget {
@@ -222,7 +223,28 @@ impl Flags {
                     Duration::ZERO
                 },
             },
+            fault_hook: Some(fault_hook),
         }
+    }
+}
+
+/// Chaos hook for the supervision integration tests: `ANP_FAULT_PANIC`
+/// and `ANP_FAULT_SPIN` name sweep-cell labels (comma-separated). A
+/// matching cell panics, or burns its whole event budget up front so the
+/// deterministic watchdog trips on its first simulation. Both are inert
+/// unless the variables are set, and both go through the same supervised
+/// code paths a real fault would.
+fn fault_hook(label: &str) {
+    let listed = |var: &str| {
+        std::env::var(var)
+            .map(|v| v.split(',').any(|l| l == label))
+            .unwrap_or(false)
+    };
+    if listed("ANP_FAULT_PANIC") {
+        panic!("injected fault: panic in {label}");
+    }
+    if listed("ANP_FAULT_SPIN") {
+        anp_core::supervise::charge_events(u64::MAX / 2);
     }
 }
 

@@ -80,7 +80,7 @@ pub use journal::{
 pub use lut::{CompressionEntry, LookupTable, SupervisedTable};
 pub use models::{
     all_models, AverageLt, AverageStDevLt, ModelKind, PdfLt, QueueModel, QueuePhaseModel,
-    SlowdownModel, UnknownModel,
+    SlowdownModel,
 };
 pub use oracle::{
     run_oracle, Divergence, ModeArtefacts, OracleError, OracleReport, RungArtefact,

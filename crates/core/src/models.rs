@@ -22,12 +22,10 @@ use crate::series::TimedSeries;
 /// The four prediction models, as a typed identifier.
 ///
 /// Everything that used to pass model names around as strings —
-/// prediction maps, error summaries, harness tables, the
-/// `anp sched --model` flag — keys on this enum instead, so an unknown
-/// model is a parse error at the edge rather than a silent empty column
-/// deep inside a report. [`std::fmt::Display`] and [`std::str::FromStr`]
-/// round-trip through the paper's spellings (`AverageLT`, …);
-/// parsing is case-insensitive.
+/// prediction maps, error summaries, harness tables, scheduling policy
+/// labels — keys on this enum instead, so a model cannot go missing as a
+/// silent empty column deep inside a report. [`std::fmt::Display`]
+/// prints the paper's spellings (`AverageLT`, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ModelKind {
     /// §IV-A.1 — match on mean latency ([`AverageLt`]).
@@ -73,33 +71,6 @@ impl ModelKind {
 impl std::fmt::Display for ModelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A model name that matches none of the four models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownModel(pub String);
-
-impl std::fmt::Display for UnknownModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown model '{}' (expected one of: AverageLT, AverageStDevLT, PDFLT, Queue)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownModel {}
-
-impl std::str::FromStr for ModelKind {
-    type Err = UnknownModel;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ModelKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-            .ok_or_else(|| UnknownModel(s.to_owned()))
     }
 }
 
@@ -447,16 +418,9 @@ mod tests {
     fn model_kind_round_trips_through_display() {
         for kind in ModelKind::ALL {
             let rendered = kind.to_string();
-            assert_eq!(rendered.parse::<ModelKind>().unwrap(), kind);
-            // Parsing is case-insensitive so CLI flags stay forgiving.
-            assert_eq!(rendered.to_lowercase().parse::<ModelKind>().unwrap(), kind);
-            assert_eq!(rendered.to_uppercase().parse::<ModelKind>().unwrap(), kind);
             // The boxed model agrees with its kind.
             assert_eq!(kind.model().kind(), kind);
             assert_eq!(kind.model().name(), rendered);
         }
-        let err = "NoSuchModel".parse::<ModelKind>().unwrap_err();
-        assert!(err.to_string().contains("NoSuchModel"));
-        assert!(err.to_string().contains("AverageLT"));
     }
 }

@@ -28,6 +28,9 @@
 //! * **Resume** — with a [`RunJournal`], each finished cell is journaled
 //!   and a later run with `--resume` decodes completed cells instead of
 //!   re-simulating them, after fingerprint verification.
+//! * **Fault injection** — [`Supervisor::fault_hook`] sees every cell
+//!   attempt's label inside the envelope, so a front end can fault any
+//!   cell of any sweep by the label its journal records.
 //!
 //! Results come back as index-ordered `Vec<CellResult<T>>` — a completed
 //! sweep is byte-identical to a serial loop over the tasks, for any
@@ -81,16 +84,21 @@ pub struct RetryPolicy {
 }
 
 /// The supervision envelope applied to every cell of a supervised sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Supervisor {
     /// Per-attempt resource caps.
     pub budget: RunBudget,
     /// Retry policy for failed and panicked cells.
     pub retry: RetryPolicy,
+    /// Fault-injection hook: called with the cell's label at the start of
+    /// every attempt, after the budget is installed and inside the panic
+    /// isolation, so a hook that panics or charges events faults exactly
+    /// that cell the way an organic fault would.
+    pub fault_hook: Option<fn(&str)>,
 }
 
 impl Supervisor {
-    /// No budgets, no retries — pure panic isolation.
+    /// No budgets, no retries, no fault hook — pure panic isolation.
     pub fn none() -> Self {
         Supervisor::default()
     }
@@ -420,14 +428,20 @@ where
     let sweep_start = Instant::now();
 
     // One cell, with retries: drain stale event tallies, install the
-    // budget, isolate panics, classify, and (maybe) try again.
+    // budget, isolate panics (the fault hook's too), classify, and
+    // (maybe) try again.
     let run_cell = |i: usize, label: &str, f: &F| -> (CellResult<T>, RunRecord) {
         let mut retries = 0u32;
         loop {
             let _ = take_events();
             install_budget(sup.budget);
             let start = Instant::now();
-            let caught = catch_unwind(AssertUnwindSafe(f));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(hook) = sup.fault_hook {
+                    hook(label);
+                }
+                f()
+            }));
             let wall_secs = start.elapsed().as_secs_f64();
             clear_budget();
             let events = take_events();
@@ -920,6 +934,62 @@ mod tests {
         clear_budget();
         assert_eq!(world_allowance(), (None, None));
         charge_events(5); // no-op outside a supervised cell
+    }
+
+    thread_local! {
+        /// Labels [`recording_hook`] saw on this (serial-sweep) thread.
+        static HOOKED: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Records every label and panics on `cell2`, like `ANP_FAULT_PANIC`.
+    fn recording_hook(label: &str) {
+        HOOKED.with(|h| h.borrow_mut().push(label.to_owned()));
+        if label == "cell2" {
+            panic!("injected fault: panic in {label}");
+        }
+    }
+
+    #[test]
+    fn fault_hook_sees_every_attempt_by_its_cell_label() {
+        let flaky = AtomicUsize::new(0);
+        let tasks: Vec<(String, _)> = (0..4u64)
+            .map(|i| {
+                let flaky = &flaky;
+                (format!("cell{i}"), move || {
+                    if i == 1 && flaky.fetch_add(1, Ordering::SeqCst) == 0 {
+                        return Err(ExperimentError::NoSamples);
+                    }
+                    Ok(i)
+                })
+            })
+            .collect();
+        let supervisor = Supervisor {
+            retry: RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::ZERO,
+            },
+            fault_hook: Some(recording_hook),
+            ..Supervisor::none()
+        };
+        let (results, t) =
+            sweep_supervised("hooked", Parallelism::fixed(1), &supervisor, None, 0, tasks).unwrap();
+        // Once per attempt: cell1 fails once and cell2's hook panics on
+        // both of its attempts, so each is seen again on its retry.
+        assert_eq!(
+            HOOKED.with(|h| h.take()),
+            ["cell0", "cell1", "cell1", "cell2", "cell2", "cell3"]
+        );
+        assert!(
+            matches!(&results[2], Err(TaskError::Panicked { cell: 2, label, payload })
+            if label == "cell2" && payload == "injected fault: panic in cell2")
+        );
+        for i in [0, 1, 3] {
+            assert_eq!(results[i].as_ref().ok(), Some(&(i as u64)), "cell{i}");
+        }
+        assert_eq!(t.runs[1].retries, 1);
+        assert_eq!(t.runs[2].outcome, "panicked");
+        // Unsupervised sweeps (perfbench, the library tests) carry no hook.
+        assert!(Supervisor::none().fault_hook.is_none());
     }
 
     #[test]

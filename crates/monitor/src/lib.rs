@@ -30,7 +30,6 @@ pub mod slowdown;
 pub mod stream;
 pub mod study;
 
-pub use anp_workloads::CompressionConfig;
 pub use scenario::{
     delayed_members, probed_profile_of_app, run_change_scenario, train_config, train_seed,
     train_series, ChangeOutcome, ChangeScenario,
@@ -41,9 +40,3 @@ pub use study::{
     gate_violations, monitor_records, render_report, run_monitor_study, DetectionRow, MonitorError,
     MonitorOpts, MonitorRecord, MonitorReport, OverheadRow, UtilizationRow,
 };
-
-/// The shared four-rung utilization ladder (canonically
-/// [`CompressionConfig::gated_ladder`]).
-pub fn gated_ladder() -> Vec<CompressionConfig> {
-    CompressionConfig::gated_ladder()
-}

@@ -89,7 +89,7 @@ impl MonitorOpts {
             },
             apps: vec![AppKind::Fftw, AppKind::Lulesh, AppKind::Mcb, AppKind::Milc],
             detect_apps: vec![AppKind::Fftw, AppKind::Milc],
-            ladder: crate::gated_ladder(),
+            ladder: CompressionConfig::gated_ladder(),
             util_tolerance: 0.05,
             detect_budget_windows: 6,
             overhead_budget_pct: 5.0,
@@ -105,7 +105,7 @@ impl MonitorOpts {
             monitor: MonitorConfig::default(),
             apps: AppKind::ALL.to_vec(),
             detect_apps: vec![AppKind::Fftw, AppKind::Milc],
-            ladder: crate::gated_ladder(),
+            ladder: CompressionConfig::gated_ladder(),
             util_tolerance: 0.15,
             detect_budget_windows: 12,
             overhead_budget_pct: 5.0,

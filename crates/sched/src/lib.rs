@@ -26,7 +26,7 @@
 //!   is an honest measurement of what a production scheduler would pay.
 //! * [`study`] — the experiment driver: streams over a seed set, every
 //!   policy on every stream, per-policy regret vs the oracle.
-//! * [`report`] — deterministic schedule/summary tables and the
+//! * [`report`] — the deterministic regret table and the
 //!   `anp-bench-v5` telemetry records.
 //!
 //! [`Study`]: anp_core::Study
@@ -52,10 +52,9 @@ pub use policy::{
     SwitchSnapshot,
 };
 pub use predictor::Predictor;
-pub use report::{oracle_mean, records, render_schedule, render_summary, SchedRecord};
+pub use report::{oracle_mean, records, render_summary, SchedRecord};
 pub use study::{
-    default_specs, gated_ladder, run_suite, stream_for, DecisionEngine, PolicyOutcome, PolicySpec,
-    StudyOpts,
+    default_specs, run_suite, stream_for, DecisionEngine, PolicyOutcome, PolicySpec, StudyOpts,
 };
 pub use truth::GroundTruth;
 

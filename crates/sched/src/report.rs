@@ -1,8 +1,7 @@
 //! Deterministic reporting and `anp-bench-v5` telemetry records.
 //!
-//! Two audiences, two surfaces. Humans get fixed-width tables —
-//! [`render_summary`] for the per-policy regret table, [`render_schedule`]
-//! for one stream's per-job placement — that contain **no wall-clock
+//! Two audiences, two surfaces. Humans get the fixed-width per-policy
+//! regret table, [`render_summary`], which contains **no wall-clock
 //! numbers**, so stdout is byte-identical across `--jobs` settings and
 //! machines (the CLI determinism test pins this). Machines get
 //! [`SchedRecord`]s, which *do* carry decision latency, embedded in the
@@ -10,7 +9,6 @@
 
 use anp_core::ModelKind;
 
-use crate::cluster::ScheduleOutcome;
 use crate::study::{PolicyOutcome, PolicySpec};
 
 /// One policy's row in the `anp-bench-v5` `sched` array.
@@ -107,7 +105,9 @@ pub fn records(outcomes: &[PolicyOutcome]) -> Vec<SchedRecord> {
 }
 
 /// Renders the per-policy regret table. Deliberately free of wall-clock
-/// columns: stdout must be byte-identical across worker counts.
+/// columns: stdout must be byte-identical across worker counts. The
+/// label column is as wide as the longest policy label, so every row's
+/// numbers sit under their headers.
 pub fn render_summary(outcomes: &[PolicyOutcome]) -> String {
     let zero = oracle_mean(outcomes).unwrap_or_else(|| {
         outcomes
@@ -115,42 +115,23 @@ pub fn render_summary(outcomes: &[PolicyOutcome]) -> String {
             .map(|o| o.mean_stretch_pct)
             .fold(f64::INFINITY, f64::min)
     });
+    let width = outcomes
+        .iter()
+        .map(|o| o.label.len())
+        .fold("policy".len(), usize::max);
     let mut s = format!(
-        "{:<28} {:>9} {:>9} {:>13} {:>8} {:>7}\n",
+        "{:<width$} {:>9} {:>9} {:>13} {:>8} {:>7}\n",
         "policy", "stretch%", "regret%", "makespan(ms)", "slo-viol", "queued"
     );
     for o in outcomes {
         s.push_str(&format!(
-            "{:<28} {:>9.2} {:>9.2} {:>13.2} {:>8} {:>7}\n",
+            "{:<width$} {:>9.2} {:>9.2} {:>13.2} {:>8} {:>7}\n",
             o.label,
             o.mean_stretch_pct,
             o.mean_stretch_pct - zero,
             o.mean_makespan_us / 1_000.0,
             o.slo_violations,
             o.queued
-        ));
-    }
-    s
-}
-
-/// Renders one stream's realized schedule, job by job.
-pub fn render_schedule(sched: &ScheduleOutcome) -> String {
-    let mut s = format!(
-        "{:<4} {:<8} {:>6} {:>12} {:>12} {:>12} {:>6} {:>9} {:>4}\n",
-        "job", "app", "size", "arrive(us)", "place(us)", "finish(us)", "switch", "stretch%", "slo"
-    );
-    for r in &sched.rows {
-        s.push_str(&format!(
-            "{:<4} {:<8} {:>6.2} {:>12.0} {:>12.0} {:>12.0} {:>6} {:>9.2} {:>4}\n",
-            r.id,
-            r.app.name(),
-            r.size,
-            r.arrival_us,
-            r.placed_us,
-            r.finish_us,
-            r.switch,
-            r.stretch_pct,
-            if r.slo_violated { "VIOL" } else { "-" }
         ));
     }
     s
@@ -208,6 +189,30 @@ mod tests {
         assert!(table.contains("regret%"));
         assert!(!table.to_lowercase().contains("wall"));
         assert!(!table.to_lowercase().contains("secs"));
+    }
+
+    #[test]
+    fn summary_columns_line_up_for_every_label() {
+        let mut specs = crate::study::default_specs();
+        specs.push(PolicySpec::Predictive(
+            ModelKind::Queue,
+            DecisionEngine::Des,
+        ));
+        let suite: Vec<_> = specs.into_iter().map(|s| outcome(s, 12.5)).collect();
+        let table = render_summary(&suite);
+        // Where each line's second field (`stretch%` or its value) ends.
+        let stretch_end = |line: &str| {
+            let label_end = line.find(' ').unwrap();
+            let rest = &line[label_end..];
+            let start = label_end + rest.len() - rest.trim_start().len();
+            start + line[start..].find(' ').unwrap()
+        };
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 10, "header plus nine policies:\n{table}");
+        let header = stretch_end(lines[0]);
+        for line in &lines {
+            assert_eq!(stretch_end(line), header, "misaligned row:\n{table}");
+        }
     }
 
     #[test]

@@ -112,14 +112,6 @@ pub struct StudyOpts {
     pub load: f64,
 }
 
-/// The four-rung utilization ladder used by the CLI's `sweep`/`predict`
-/// paths: one rung per utilization regime, light to near-saturation.
-/// (Canonically defined on [`CompressionConfig::gated_ladder`]; kept here
-/// as the name the scheduling code has always used.)
-pub fn gated_ladder() -> Vec<CompressionConfig> {
-    CompressionConfig::gated_ladder()
-}
-
 impl StudyOpts {
     /// CI-sized study: the small deterministic fabric (probe layout
     /// widened to 18 nodes so every proxy builds), four apps, three
@@ -146,7 +138,7 @@ impl StudyOpts {
         StudyOpts {
             cfg,
             apps: vec![AppKind::Fftw, AppKind::Lulesh, AppKind::Mcb, AppKind::Milc],
-            ladder: gated_ladder(),
+            ladder: CompressionConfig::gated_ladder(),
             stream_seeds: vec![seed + 1, seed + 2, seed + 3],
             switches: 3,
             jobs_per_stream: 16,
@@ -161,7 +153,7 @@ impl StudyOpts {
         StudyOpts {
             cfg,
             apps: AppKind::ALL.to_vec(),
-            ladder: gated_ladder(),
+            ladder: CompressionConfig::gated_ladder(),
             stream_seeds: vec![seed + 1, seed + 2, seed + 3],
             switches: 4,
             jobs_per_stream: 24,

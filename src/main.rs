@@ -8,8 +8,6 @@
 //! anp predict <APP> <APP>       # predict mutual slowdown of a pairing
 //! anp apps                      # list the built-in application proxies
 //! anp audit [--quick]           # invariant audit + differential oracle
-//! anp sched [--quick] [--model KIND]  # predictive co-scheduling study
-//! anp monitor [--quick]         # online monitor accuracy study
 //! anp run <ARTEFACT> [--quick]  # regenerate a paper artefact or study
 //! ```
 //!
@@ -18,7 +16,8 @@
 //! `--max-retries <n>`, `--run-budget <secs>`, `--event-budget <n>`,
 //! `--resume <journal>`. All commands run on the simulated Cab switch;
 //! `anp run <ARTEFACT>` regenerates the paper's tables and figures and
-//! the extension studies (the `anp-bench` registry).
+//! the extension studies (the `anp-bench` registry), among them the
+//! scheduling and monitoring studies (`sched_study`, `monitor_study`).
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -28,14 +27,7 @@ use anp_bench::ARTEFACTS;
 use anp_core::{
     all_models, audit_compiled, calibrate_with, completed_count, config_fingerprint,
     degradation_percent, loss_sweep_supervised, measure_campaign, partial_exit_code, run_oracle,
-    sweep_supervised_for, Backend, BackendError, CampaignStage, DesBackend, ExperimentConfig,
-    ExperimentError, LatencyProfile, ModelKind, MuPolicy, WorkloadSpec,
-};
-use anp_monitor::{
-    gate_violations, render_report as render_monitor_report, run_monitor_study, MonitorOpts,
-};
-use anp_sched::{
-    render_schedule, render_summary, run_suite, DecisionEngine, GroundTruth, PolicySpec, StudyOpts,
+    sweep_supervised_for, Backend, BackendError, CampaignStage, MuPolicy, WorkloadSpec,
 };
 use anp_simmpi::ReliabilityConfig;
 use anp_simnet::SimDuration;
@@ -58,26 +50,14 @@ fn usage() {
          \x20                      --jobs 8, a kill-and-resume run, and the\n\
          \x20                      flow model; exits 1 on any divergence\n\
          \x20                      (--quick: small deterministic fabric)\n\
-         \x20 sched [--quick] [--model KIND]\n\
-         \x20                      predictive co-scheduling study: a seeded\n\
-         \x20                      job stream placed by the KIND model (over\n\
-         \x20                      the --backend engine) vs first-fit,\n\
-         \x20                      random, solo-only, and the oracle, on\n\
-         \x20                      DES-measured ground truth; KIND is one of\n\
-         \x20                      AverageLT, AverageStDevLT, PDFLT, Queue\n\
-         \x20                      (default Queue)\n\
-         \x20 monitor [--quick]    online monitor accuracy study: a jittered\n\
-         \x20                      probe train co-runs with workloads in the\n\
-         \x20                      DES and its streaming estimate is gated\n\
-         \x20                      against ground truth — utilization error\n\
-         \x20                      per ladder rung, change-point detection\n\
-         \x20                      latency per app, and probe overhead;\n\
-         \x20                      exits 1 on any gate violation\n\
          \x20 run <ARTEFACT> [--quick] [--bench-json PATH] [--no-bench-json]\n\
          \x20     [global flags]\n\
          \x20                      regenerate a paper artefact or extension\n\
-         \x20                      study; only fig8/fig9 read --backend flow,\n\
-         \x20                      the others reject it; fig9 reuses fig8's\n\
+         \x20                      study, e.g. sched_study (predictive\n\
+         \x20                      co-scheduling) or monitor_study (online\n\
+         \x20                      monitoring; exits 1 on a gate violation);\n\
+         \x20                      only fig8/fig9 read --backend flow, the\n\
+         \x20                      others reject it; fig9 reuses fig8's\n\
          \x20                      cells through a shared --resume journal\n\
          APP is one of: FFTW, Lulesh, MCB, MILC, VPFFT, AMG (case-insensitive)\n\
          --jobs N runs experiment sweeps on N worker threads (default: all\n\
@@ -88,10 +68,10 @@ fn usage() {
          --max-retries N retries failed or panicked sweep cells (budget\n\
          trips are never retried); --run-budget / --event-budget cap each\n\
          cell attempt; --resume JOURNAL makes 'sweep', 'losses',\n\
-         'predict', 'sched', 'monitor' and 'run' crash-safe: completed\n\
-         cells are journaled and re-invocation re-runs only the missing\n\
-         ones. Sweeping commands exit 0 when every cell completed, 3 on a\n\
-         partial result, 1 when nothing did."
+         'predict' and 'run' crash-safe: completed cells are journaled\n\
+         and re-invocation re-runs only the missing ones. Sweeping\n\
+         commands exit 0 when every cell completed, 3 on a partial\n\
+         result, 1 when nothing did."
     );
     eprintln!("ARTEFACT is one of:");
     for a in ARTEFACTS {
@@ -134,91 +114,6 @@ fn campaign_exit(code: i32) -> ExitCode {
 fn parse_app(arg: Option<String>) -> Result<AppKind, Failure> {
     let name = arg.ok_or_else(bad_usage)?;
     AppKind::from_name(&name).ok_or_else(|| Failure::Usage(format!("unknown application '{name}'")))
-}
-
-/// Chaos hook for the supervision integration tests: `ANP_FAULT_PANIC`
-/// and `ANP_FAULT_SPIN` name sweep-cell labels (comma-separated). A
-/// matching cell panics, or burns its whole event budget up front so the
-/// deterministic watchdog trips on its first simulation. Both are inert
-/// unless the variables are set, and both go through the same supervised
-/// code paths a real fault would.
-fn fault_hook(label: &str) {
-    let listed = |var: &str| {
-        std::env::var(var)
-            .map(|v| v.split(',').any(|l| l == label))
-            .unwrap_or(false)
-    };
-    if listed("ANP_FAULT_PANIC") {
-        panic!("injected fault: panic in {label}");
-    }
-    if listed("ANP_FAULT_SPIN") {
-        anp_core::supervise::charge_events(u64::MAX / 2);
-    }
-}
-
-/// Wraps a backend so every measurement first passes its sweep-cell
-/// label through [`fault_hook`], using the same label spellings the
-/// supervised sweeps journal (`profile:APP`, `impact:COMP`, `solo:APP`,
-/// `corun:A+B`, `grid:APP:COMP`). This lets the fault-injection tests
-/// target individual ground-truth cells of `anp sched` exactly as they
-/// target `anp sweep` rungs.
-struct HookedBackend<B>(B);
-
-impl<B: Backend> Backend for HookedBackend<B> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn supports_faults(&self) -> bool {
-        self.0.supports_faults()
-    }
-
-    fn supports_timed_series(&self) -> bool {
-        self.0.supports_timed_series()
-    }
-
-    fn measure_impact_profile(
-        &self,
-        cfg: &ExperimentConfig,
-        workload: WorkloadSpec<'_>,
-    ) -> Result<LatencyProfile, ExperimentError> {
-        let label = match workload {
-            WorkloadSpec::Idle => "impact:idle".to_owned(),
-            WorkloadSpec::App(app) => format!("profile:{}", app.name()),
-            WorkloadSpec::Compression(comp) => format!("impact:{}", comp.label()),
-        };
-        fault_hook(&label);
-        self.0.measure_impact_profile(cfg, workload)
-    }
-
-    fn measure_compression_run(
-        &self,
-        cfg: &ExperimentConfig,
-        app: AppKind,
-        comp: &CompressionConfig,
-    ) -> Result<SimDuration, ExperimentError> {
-        fault_hook(&format!("grid:{}:{}", app.name(), comp.label()));
-        self.0.measure_compression_run(cfg, app, comp)
-    }
-
-    fn measure_solo_runtime(
-        &self,
-        cfg: &ExperimentConfig,
-        app: AppKind,
-    ) -> Result<SimDuration, ExperimentError> {
-        fault_hook(&format!("solo:{}", app.name()));
-        self.0.measure_solo_runtime(cfg, app)
-    }
-
-    fn measure_corun_runtime(
-        &self,
-        cfg: &ExperimentConfig,
-        victim: AppKind,
-        other: AppKind,
-    ) -> Result<SimDuration, ExperimentError> {
-        fault_hook(&format!("corun:{}+{}", victim.name(), other.name()));
-        self.0.measure_corun_runtime(cfg, victim, other)
-    }
 }
 
 fn main() -> ExitCode {
@@ -278,8 +173,6 @@ fn dispatch() -> Result<ExitCode, Failure> {
             let a = parse_app(args.next())?;
             predict(&ctx, &flags, a, parse_app(args.next())?)
         }
-        "sched" => sched(&ctx, &flags, args),
-        "monitor" => monitor(&ctx, args),
         _ => Err(bad_usage()),
     }
 }
@@ -361,9 +254,7 @@ fn sweep(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure>
     let tasks: Vec<(String, _)> = ladder
         .iter()
         .map(|comp| {
-            let label = format!("rung:{}", comp.label());
-            (label.clone(), move || {
-                fault_hook(&label);
+            (format!("rung:{}", comp.label()), move || {
                 let p = backend.measure_impact_profile(cfg, WorkloadSpec::Compression(comp))?;
                 let t = backend.measure_compression_run(cfg, app, comp)?;
                 Ok((p, t))
@@ -573,111 +464,4 @@ fn predict(ctx: &RunCtx, flags: &Flags, a: AppKind, b: AppKind) -> Result<ExitCo
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn sched(
-    ctx: &RunCtx,
-    flags: &Flags,
-    mut args: impl Iterator<Item = String>,
-) -> Result<ExitCode, Failure> {
-    let mut quick = false;
-    let mut model = ModelKind::Queue;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--model" => {
-                let v = args.next().ok_or_else(bad_usage)?;
-                model = v
-                    .parse()
-                    .map_err(|_| Failure::Usage(format!("unknown model '{v}'")))?;
-            }
-            _ => return Err(bad_usage()),
-        }
-    }
-    let mut sopts = if quick {
-        StudyOpts::quick(ctx.seed, 1)
-    } else {
-        StudyOpts::full(ctx.seed, 1)
-    };
-    sopts.cfg.jobs = ctx.cfg.jobs;
-    // Ground truth is always DES-measured (the reference engine); the
-    // global --backend selects the engine the predictive policy consults
-    // for its placement decisions.
-    let engine = if flags.backend == "des" {
-        DecisionEngine::Des
-    } else {
-        DecisionEngine::Flow
-    };
-    let campaign = measure_campaign(
-        &HookedBackend(DesBackend),
-        &sopts.cfg,
-        &sopts.apps,
-        &sopts.ladder,
-        true,
-        &ctx.supervisor,
-        ctx.journal.as_ref(),
-        |_, line| eprintln!("  [truth] {line}"),
-    )
-    .map_err(fail)?;
-    let ledger = campaign.ledger;
-    let Some(study) = campaign.study.filter(|_| ledger.is_complete()) else {
-        eprintln!("truth incomplete: scheduling skipped (a holed pair grid would bias regret)");
-        report_holes(&ledger, flags.resume.as_deref());
-        return Ok(campaign_exit(ledger.exit_code()));
-    };
-    let truth = &GroundTruth::new(study, &campaign.outcomes);
-    let specs = [
-        PolicySpec::Predictive(model, engine),
-        PolicySpec::FirstFit,
-        PolicySpec::Random,
-        PolicySpec::SoloOnly,
-        PolicySpec::Oracle,
-    ];
-    let outcomes =
-        run_suite(&sopts, truth, &specs, |line| eprintln!("  [sched] {line}")).map_err(fail)?;
-    // The predictive policy's realized schedule for the first stream, then
-    // the cross-policy summary. Wall-clock detail stays on stderr so
-    // stdout is byte-identical for any --jobs.
-    let predictive = &outcomes[0];
-    if let Some((stream_seed, sched)) = predictive.per_seed.first() {
-        println!("{} schedule, stream seed {stream_seed}:", predictive.label);
-        print!("{}", render_schedule(sched));
-        println!();
-    }
-    print!("{}", render_summary(&outcomes));
-    if predictive.decisions > 0 {
-        eprintln!(
-            "decision latency ({}): {:.3}ms per decision over {} decisions",
-            predictive.label,
-            predictive.decision_wall.as_secs_f64() * 1e3 / predictive.decisions as f64,
-            predictive.decisions
-        );
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn monitor(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
-    let mut mopts = if quick_flag(args)? {
-        MonitorOpts::quick(ctx.seed, 1)
-    } else {
-        MonitorOpts::full(ctx.seed, 1)
-    };
-    mopts.cfg.jobs = ctx.cfg.jobs;
-    // Progress narration (cell-by-cell results) goes to stderr; stdout
-    // carries only the final wall-clock-free tables, so it is
-    // byte-identical for any --jobs setting and on --resume.
-    let report = run_monitor_study(&mopts, &ctx.supervisor, ctx.journal.as_ref(), |line| {
-        eprintln!("  [monitor] {line}")
-    })
-    .map_err(fail)?;
-    print!("{}", render_monitor_report(&mopts, &report));
-    let violations = gate_violations(&mopts, &report);
-    for v in &violations {
-        eprintln!("gate violation: {v}");
-    }
-    Ok(if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }

@@ -1,9 +1,10 @@
-//! End-to-end tests of `anp monitor` and the CLI's flag diagnostics:
-//! the monitor study's stdout must be byte-identical for any `--jobs`
-//! setting and deterministic per seed, a bad flag value must name the
-//! flag and the offending value on stderr before the usage text, and
-//! `anp apps` must carry the communication-skeleton column. A journaled
-//! study must resume every cell and reproduce its report byte for byte.
+//! End-to-end tests of `anp run monitor_study`, the monitoring study's
+//! one entry point, and the CLI's flag diagnostics: the study's stdout
+//! must be byte-identical for any `--jobs` setting and deterministic per
+//! seed, a bad flag value must name the flag and the offending value on
+//! stderr before the usage text, and `anp apps` must carry the
+//! communication-skeleton column. A journaled study must resume every
+//! cell and reproduce its report byte for byte.
 
 use std::process::{Command, Output};
 
@@ -28,16 +29,30 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// `anp run monitor_study --quick` at `seed` on `jobs` workers.
+fn monitor_study(seed: &str, jobs: &str) -> Output {
+    run(&[
+        "run",
+        "monitor_study",
+        "--quick",
+        "--no-bench-json",
+        "--seed",
+        seed,
+        "--jobs",
+        jobs,
+    ])
+}
+
 #[test]
 fn monitor_stdout_is_byte_identical_for_any_worker_count() {
-    let serial = run(&["--seed", "42", "--jobs", "1", "monitor", "--quick"]);
+    let serial = monitor_study("42", "1");
     assert_eq!(
         serial.status.code(),
         Some(0),
         "serial monitor must pass its gates:\n{}",
         stderr_of(&serial)
     );
-    let parallel = run(&["--seed", "42", "--jobs", "8", "monitor", "--quick"]);
+    let parallel = monitor_study("42", "8");
     assert_eq!(
         parallel.status.code(),
         Some(0),
@@ -61,17 +76,27 @@ fn monitor_stdout_is_byte_identical_for_any_worker_count() {
 
 #[test]
 fn monitor_is_deterministic_per_seed_and_sensitive_to_it() {
-    let a = run(&["--seed", "7", "--jobs", "2", "monitor", "--quick"]);
-    let b = run(&["--seed", "7", "--jobs", "2", "monitor", "--quick"]);
+    let a = monitor_study("7", "2");
+    let b = monitor_study("7", "2");
     assert_eq!(
         stdout_of(&a),
         stdout_of(&b),
         "same seed must reproduce the same report"
     );
-    let c = run(&["--seed", "8", "--jobs", "2", "monitor", "--quick"]);
+    let c = monitor_study("8", "2");
+    // The banner names the seed and the `[monitor]` progress lines carry
+    // the seeded calibration, so compare only the report's tables, from
+    // the `monitor study:` line on.
+    let report = |out: &Output| {
+        let stdout = stdout_of(out);
+        let start = stdout
+            .find("monitor study:")
+            .unwrap_or_else(|| panic!("stdout must carry the report:\n{stdout}"));
+        stdout[start..].to_owned()
+    };
     assert_ne!(
-        stdout_of(&a),
-        stdout_of(&c),
+        report(&a),
+        report(&c),
         "a different seed must perturb the report"
     );
 }

@@ -4,13 +4,14 @@
 //! reuse fig8's `--resume` journal cell for cell, bad invocations (an
 //! unknown artefact, a flag the artefact would ignore, a non-finite
 //! `--run-budget`) must exit 2 with the problem named on stderr before
-//! any simulation runs, and every `anp run` command the docs show must
-//! parse.
+//! any simulation runs, every command the docs show must name a command
+//! `anp` lists and, for `anp run`, parse, and the chaos hook must reach
+//! an artefact's cells by their journal labels.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-use anp_bench::cli::{parse_run, Flags};
+use anp_bench::cli::{parse_run, Flags, GLOBAL_FLAGS};
 
 const ANP: &str = env!("CARGO_BIN_EXE_anp");
 
@@ -117,13 +118,37 @@ fn fig9_resumes_every_cell_from_fig8s_journal() {
 
 #[test]
 fn documented_run_commands_parse() {
-    const CMD: &str = "cargo run --release -- run ";
-    let mut seen = 0;
-    for doc in ["README.md", "EXPERIMENTS.md"] {
+    // The commands `anp` lists in the usage text it prints, with exit
+    // code 2 and no simulation, when run without arguments.
+    let bare = run(&[]);
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(stdout_of(&bare).is_empty(), "{}", stdout_of(&bare));
+    let usage = stderr_of(&bare);
+    let commands: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| l.starts_with(' '))
+        .filter_map(|l| l.strip_prefix("  "))
+        .filter(|l| l.starts_with(|c: char| c.is_ascii_lowercase()))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(
+        commands.contains(&"run") && commands.len() >= 8,
+        "usage lists {commands:?}:\n{usage}"
+    );
+
+    const CMD: &str = "cargo run --release --";
+    let (mut seen, mut runs) = (0, 0);
+    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
         let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
             .unwrap_or_else(|e| panic!("{doc}: {e}"));
         for (at, _) in text.match_indices(CMD) {
             let rest = &text[at + CMD.len()..];
+            // `--features …`, `--bin …` and `--example …` are cargo's own.
+            if !rest.starts_with(char::is_whitespace) {
+                continue;
+            }
             // An inline code span may wrap onto the next line; a line of
             // a fenced block ends at its newline.
             let end = if text[..at].ends_with('`') {
@@ -131,15 +156,58 @@ fn documented_run_commands_parse() {
             } else {
                 rest.find('\n')
             };
-            let command = &rest[..end.unwrap_or(rest.len())];
+            let command = rest[..end.unwrap_or(rest.len())].trim();
             let mut args = command.split_whitespace().map(str::to_owned).peekable();
-            if let Err(e) = parse_run(&mut Flags::default(), &mut args) {
-                panic!("{doc}: `{CMD}{command}` does not parse: {e}");
+            let mut flags = Flags::default();
+            if let Err(e) = flags.parse(&mut args, GLOBAL_FLAGS) {
+                panic!("{doc}: `{CMD} {command}` does not parse: {e}");
+            }
+            let name = args.next().unwrap_or_default();
+            assert!(
+                commands.contains(&name.as_str()),
+                "{doc}: `{CMD} {command}` names no command `anp` lists ({commands:?})"
+            );
+            if name == "run" {
+                if let Err(e) = parse_run(&mut flags, &mut args) {
+                    panic!("{doc}: `{CMD} {command}` does not parse: {e}");
+                }
+                runs += 1;
             }
             seen += 1;
         }
     }
-    assert!(seen >= 20, "only {seen} documented commands found");
+    assert!(runs >= 20, "only {runs} documented run commands found");
+    assert!(seen > runs, "no documented non-run command found");
+}
+
+#[test]
+fn chaos_hook_faults_an_artefact_cell_by_its_journal_label() {
+    // fig9's pairing sweep journals this directed co-run as
+    // `corun:FFTW+Lulesh`; the sweep engine's hook panics it, the study
+    // lands partial and the hole is listed by that label.
+    let out = Command::new(ANP)
+        .args([
+            "run",
+            "fig9_error_summary",
+            "--quick",
+            "--backend",
+            "flow",
+            "--no-bench-json",
+        ])
+        .env("ANP_FAULT_PANIC", "corun:FFTW+Lulesh")
+        .output()
+        .expect("anp binary runs");
+    let err = stderr_of(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "one hole is a partial result:\n{err}"
+    );
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("MISSING") && l.contains("corun:FFTW+Lulesh")),
+        "stderr must list the faulted cell:\n{err}"
+    );
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! End-to-end tests of `anp sched`: the scheduling study's stdout must
-//! be byte-identical for any `--jobs` setting (the schedule table and
-//! regret summary are simulation results, not wall-clock artifacts), and
-//! a fault injected into one ground-truth cell must skip scheduling and
-//! exit with the partial-result code instead of printing a regret table
-//! biased by the hole.
+//! End-to-end tests of `anp run sched_study`, the scheduling study's
+//! one entry point: its stdout must be byte-identical for any `--jobs`
+//! setting (the regret table is a simulation result, not a wall-clock
+//! artifact), and a fault injected into one ground-truth cell through
+//! the sweep engine's chaos hook must skip scheduling and exit with the
+//! partial-result code instead of printing a regret table biased by the
+//! hole. `anp sched`, `anp monitor` and `--model` are usage errors.
 
 use std::process::{Command, Output};
 
@@ -28,14 +29,29 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn sched_stdout_is_byte_identical_for_any_worker_count() {
-    let serial = run(&["--seed", "42", "--jobs", "1", "sched", "--quick"], &[]);
+    let study = |jobs: &str| {
+        run(
+            &[
+                "run",
+                "sched_study",
+                "--quick",
+                "--no-bench-json",
+                "--seed",
+                "42",
+                "--jobs",
+                jobs,
+            ],
+            &[],
+        )
+    };
+    let serial = study("1");
     assert_eq!(
         serial.status.code(),
         Some(0),
         "serial sched must complete:\n{}",
         stderr_of(&serial)
     );
-    let parallel = run(&["--seed", "42", "--jobs", "8", "sched", "--quick"], &[]);
+    let parallel = study("8");
     assert_eq!(
         parallel.status.code(),
         Some(0),
@@ -71,7 +87,14 @@ fn faulted_truth_cell_skips_scheduling_and_exits_partial() {
     // completes and the campaign lands partial (exit 3), with the hole
     // attributed on stderr and no regret table on stdout.
     let out = run(
-        &["--jobs", "8", "sched", "--quick"],
+        &[
+            "run",
+            "sched_study",
+            "--quick",
+            "--no-bench-json",
+            "--jobs",
+            "8",
+        ],
         &[("ANP_FAULT_PANIC", "corun:FFTW+Lulesh")],
     );
     assert_eq!(
@@ -97,12 +120,21 @@ fn faulted_truth_cell_skips_scheduling_and_exits_partial() {
 }
 
 #[test]
-fn sched_rejects_unknown_model_names() {
-    let out = run(&["sched", "--quick", "--model", "Bogus"], &[]);
-    assert_eq!(out.status.code(), Some(2), "bad model is a usage error");
+fn retired_sched_and_monitor_commands_are_usage_errors() {
+    for cmd in ["sched", "monitor"] {
+        let out = run(&[cmd, "--quick"], &[]);
+        assert_eq!(out.status.code(), Some(2), "`anp {cmd}` is gone");
+        assert!(
+            stdout_of(&out).is_empty() && stderr_of(&out).starts_with("usage: anp"),
+            "`anp {cmd}` must print only the usage text:\n{}",
+            stderr_of(&out)
+        );
+    }
+    let out = run(&["run", "sched_study", "--quick", "--model", "Queue"], &[]);
+    assert_eq!(out.status.code(), Some(2), "--model is gone");
     assert!(
-        stderr_of(&out).contains("unknown model 'Bogus'"),
-        "stderr must name the bad model:\n{}",
+        stderr_of(&out).contains("unknown argument: --model"),
+        "stderr must name the retired flag:\n{}",
         stderr_of(&out)
     );
 }
