@@ -9,8 +9,9 @@
 use anp_bench::xval::run_xval_supervised;
 use anp_core::journal::{fnv1a, Journaled};
 use anp_core::{
-    all_models, calibrate_with, loss_sweep_supervised, Backend, DesBackend, ExperimentConfig,
-    LookupTable, MuPolicy, Parallelism, Study, Supervisor,
+    all_models, calibrate_with, degradation_percent, impact_profile_of_compression,
+    loss_sweep_supervised, runtime_of, Backend, DesBackend, ExperimentConfig, LookupTable,
+    MuPolicy, Parallelism, Study, Supervisor,
 };
 use anp_flowsim::{describe_members, FlowBackend, TrafficDescriptor};
 use anp_monitor::{monitor_records, run_monitor_study, MonitorOpts, MonitorRecord};
@@ -207,6 +208,56 @@ fn flow_study_on_cab_matches_its_pinned_digests() {
         got,
         [0x5a81e30f1297eeca, 0x81a863bfd8f66a99, 0xe26dd43d4b4a6fbc],
         "lut, profiles, pairings"
+    );
+}
+
+/// DES at the paper's Cab configuration, where the tiny fabric's pins do
+/// not reach: the switch's tail service distribution, deep queues under
+/// CompressionB, and compute and probe timers that land microseconds
+/// ahead. A reduced quick Table I (each cell built as `solo_runtime` and
+/// `runtime_under_corun` build it, at a few iterations) and one impact
+/// profile of the heaviest quick CompressionB load on a short window.
+#[test]
+fn des_on_cab_matches_its_pinned_digests() {
+    const GRID: [(AppKind, u32); 3] = [
+        (AppKind::Fftw, 3),
+        (AppKind::Lulesh, 4),
+        (AppKind::Milc, 25),
+    ];
+    let cfg = ExperimentConfig::cab();
+    let cell = |victim: AppKind, iterations: u32, other: Option<AppKind>| {
+        let members = victim.build(
+            RunMode::Iterations(iterations),
+            cfg.workload_seed(victim as u64 + 1),
+        );
+        let noise = other.map(|o| o.build(RunMode::Endless, cfg.workload_seed(o as u64 + 101)));
+        runtime_of(&cfg, victim.name(), members, noise).unwrap()
+    };
+    let mut lines = Vec::new();
+    for (victim, iterations) in GRID {
+        let solo = cell(victim, iterations, None);
+        lines.push(format!("{}={}", victim.name(), solo.as_nanos()));
+        for (other, _) in GRID {
+            let loaded = cell(victim, iterations, Some(other));
+            lines.push(format!(
+                "{}+{}={}",
+                victim.name(),
+                other.name(),
+                loaded.as_nanos()
+            ));
+            lines.push(bits(degradation_percent(solo, loaded)));
+        }
+    }
+
+    let mut impact_cfg = ExperimentConfig::cab();
+    impact_cfg.measure_window = SimDuration::from_millis(10);
+    let profile =
+        impact_profile_of_compression(&impact_cfg, &CompressionConfig::new(17, 25_000, 10))
+            .unwrap();
+    assert_eq!(
+        [digest(&lines), digest(&[profile.encode_journal()])],
+        [0x0b803b76068b9d3c, 0x35c760ffeca17c63],
+        "table, impact profile"
     );
 }
 
