@@ -13,6 +13,7 @@ use anp_simmpi::coll::{
     expand_reduce,
 };
 use anp_simmpi::{Ctx, Op};
+use anp_simnet::packet::packet_count;
 use anp_simnet::{NodeId, SimDuration, SimTime, SwitchConfig, Topology};
 use anp_workloads::compressionb::CompressionConfig;
 use anp_workloads::Members;
@@ -179,7 +180,7 @@ impl Layout {
             add_exact(&mut sends.local_bytes, bytes);
             return;
         }
-        let pkts = bytes.div_ceil(self.mtu).max(1);
+        let pkts = packet_count(bytes, self.mtu);
         add_exact(&mut sends.remote_msgs, 1);
         add_exact(&mut sends.remote_bytes, bytes);
         add_exact(&mut sends.remote_packets, pkts);
@@ -381,7 +382,7 @@ pub fn describe_compression(comp: &CompressionConfig, net: &SwitchConfig) -> Tra
     let ranks = nodes * per_node;
     let p = u64::from(comp.partners);
     let m = u64::from(comp.messages);
-    let pkts_per_msg = comp.msg_bytes.div_ceil(net.mtu).max(1);
+    let pkts_per_msg = packet_count(comp.msg_bytes, net.mtu);
 
     // Ring distances 1..=P from every node; count the fat-tree
     // leaf-crossing fraction exactly.
@@ -485,7 +486,7 @@ mod tests {
                         if dst_node == src_node {
                             d.local_bytes += bytes as f64;
                         } else {
-                            let pkts = bytes.div_ceil(net.mtu).max(1) as f64;
+                            let pkts = packet_count(bytes, net.mtu) as f64;
                             d.remote_msgs += 1.0;
                             d.remote_bytes += bytes as f64;
                             d.remote_packets += pkts;

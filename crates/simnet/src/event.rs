@@ -3,13 +3,43 @@
 //! Events are ordered by `(time, sequence)`. The sequence number is assigned
 //! at scheduling time, so two events scheduled for the same instant fire in
 //! scheduling order — a total order that makes every run byte-for-byte
-//! reproducible regardless of heap internals.
+//! reproducible.
+//!
+//! The queue is a two-tier timing wheel. Events due less than [`WINDOW`]
+//! after the clock go into a near tier of one FIFO per nanosecond, found
+//! through an occupancy bitmap; later events wait in a far `(time, seq)`
+//! heap and move into their slot, in heap order, as soon as the clock comes
+//! within [`WINDOW`] of them. A direct insert into a slot is only possible
+//! after that move, so each slot's FIFO is in sequence order and the wheel
+//! pops exactly what one `(time, seq)` heap would. The window is sized to
+//! the simulator's delays: on the Cab quick Table I, 86 % of events are
+//! scheduled one serialization (205, 250 or 300 ns) ahead and 98.7 % less
+//! than 4,096 ns ahead, so nearly every event skips the heap. A 1,024-ns
+//! window measured slower, and 16,384 ns no faster.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
+/// Span of the near tier: events due less than this far ahead take a
+/// nanosecond slot; the rest wait in the far heap.
+pub const WINDOW: SimDuration = SimDuration::from_nanos(4_096);
+
+/// One slot per nanosecond of [`WINDOW`]; a power of two, so the slot of
+/// an instant is a mask of its nanoseconds.
+const SLOTS: usize = WINDOW.as_nanos() as usize;
+/// Occupancy words, one bit per slot.
+const WORDS: usize = SLOTS / 64;
+/// End of a slot FIFO or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The slot an instant maps to: its nanoseconds modulo [`SLOTS`].
+fn slot_of(t: SimTime) -> usize {
+    t.as_nanos() as usize & (SLOTS - 1)
+}
+
+/// A far-tier entry.
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -37,13 +67,38 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A near-tier event: a link in its slot's FIFO, or in the free list once
+/// popped.
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// Head and tail node of one slot's FIFO (`NIL` when empty).
+#[derive(Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
 /// A time-ordered event queue with a monotonically advancing clock.
 ///
 /// `EventQueue` is the single source of truth for "now" in a simulation:
 /// [`EventQueue::pop`] advances the clock to the popped event's timestamp.
 /// Scheduling into the past is a logic error and panics.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Near tier: every event due in `[now, now + WINDOW)`, by slot.
+    slots: Box<[Fifo]>,
+    /// Bit `s % 64` of word `s / 64` is set when slot `s` is non-empty.
+    occupied: [u64; WORDS],
+    /// Storage of near-tier events, threaded by the FIFOs and free list.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list in `nodes`.
+    free: u32,
+    /// Events in the near tier.
+    near_len: usize,
+    /// Far tier: events due `WINDOW` or more after `now`.
+    far: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -59,7 +114,19 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: vec![
+                Fifo {
+                    head: NIL,
+                    tail: NIL
+                };
+                SLOTS
+            ]
+            .into_boxed_slice(),
+            occupied: [0; WORDS],
+            nodes: Vec::new(),
+            free: NIL,
+            near_len: 0,
+            far: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
@@ -74,12 +141,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting to fire.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near_len + self.far.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events popped so far (simulation-size telemetry).
@@ -98,13 +165,17 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            event,
-        });
+        if at.since(self.now) < WINDOW {
+            self.push_near(at, event);
+        } else {
+            let seq = self.seq;
+            self.seq += 1;
+            self.far.push(Entry {
+                time: at,
+                seq,
+                event,
+            });
+        }
     }
 
     /// Schedules `event` to fire `after` the current clock.
@@ -114,16 +185,101 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "event queue went backwards");
-        self.now = entry.time;
+        if self.near_len == 0 {
+            let first = self.far.peek()?.time;
+            self.advance(first);
+        }
+        let (slot, at) = self.next_busy();
+        if at != self.now {
+            self.advance(at);
+        }
+        let fifo = &mut self.slots[slot];
+        let idx = fifo.head;
+        let node = &mut self.nodes[idx as usize];
+        fifo.head = node.next;
+        if fifo.head == NIL {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+        node.next = self.free;
+        self.free = idx;
+        self.near_len -= 1;
         self.popped += 1;
-        Some((entry.time, entry.event))
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
+        let event = node.event.take().expect("occupied slot holds an event");
+        Some((at, event))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        if self.near_len > 0 {
+            Some(self.next_busy().1)
+        } else {
+            self.far.peek().map(|e| e.time)
+        }
+    }
+
+    /// Appends `event` to the FIFO of `at`'s slot; `at` must lie within
+    /// `WINDOW` of the clock.
+    fn push_near(&mut self, at: SimTime, event: E) {
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+            idx
+        };
+        let slot = slot_of(at);
+        let fifo = &mut self.slots[slot];
+        if fifo.head == NIL {
+            fifo.head = idx;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        } else {
+            self.nodes[fifo.tail as usize].next = idx;
+        }
+        fifo.tail = idx;
+        self.near_len += 1;
+    }
+
+    /// Moves the clock to `t` and every far event now within `WINDOW` of
+    /// it into its slot, in `(time, seq)` order.
+    fn advance(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now, "event queue went backwards");
+        self.now = t;
+        while self.far.peek().is_some_and(|e| e.time.since(t) < WINDOW) {
+            let Some(Entry { time, event, .. }) = self.far.pop() else {
+                break;
+            };
+            self.push_near(time, event);
+        }
+    }
+
+    /// The first non-empty slot at or after the clock's, wrapping around,
+    /// and the instant it holds. The near tier must be non-empty.
+    fn next_busy(&self) -> (usize, SimTime) {
+        let cur = slot_of(self.now);
+        let word = cur / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (cur % 64));
+        let mut w = word;
+        // The last round revisits `word` whole, for slots before `cur`.
+        for step in 1..=WORDS {
+            if bits != 0 {
+                break;
+            }
+            w = (word + step) % WORDS;
+            bits = self.occupied[w];
+        }
+        debug_assert!(bits != 0, "next_busy on an empty near tier");
+        let slot = w * 64 + bits.trailing_zeros() as usize;
+        let ahead = slot.wrapping_sub(cur) & (SLOTS - 1);
+        (slot, self.now + SimDuration::from_nanos(ahead as u64))
     }
 }
 

@@ -46,7 +46,7 @@ use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
 use crate::fault::{LinkId, LinkState, ServerFaultState};
 use crate::nic::Nic;
-use crate::packet::{segment_sizes, MessageId, NodeId, Packet};
+use crate::packet::{packet_count, segments, MessageId, NodeId, Packet};
 use crate::stats::{FabricStats, SwitchStats};
 use crate::switch::{CentralStage, CreditPool, EgressPort};
 use crate::time::{SimDuration, SimTime};
@@ -743,8 +743,7 @@ impl Fabric {
         self.next_msg += 1;
         self.stats.messages_sent += 1;
 
-        let sizes = segment_sizes(bytes, self.cfg.mtu);
-        let n_pkts = sizes.len() as u32;
+        let n_pkts = packet_count(bytes, self.cfg.mtu) as u32;
         self.inflight.insert(
             id,
             MsgProgress {
@@ -762,15 +761,15 @@ impl Fabric {
             self.stats.local_messages += 1;
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
-            for (i, sz) in sizes.iter().enumerate() {
-                busy += crate::time::SimDuration::serialization(*sz, self.cfg.local_bandwidth);
+            for (i, sz) in (0..n_pkts).zip(segments(bytes, self.cfg.mtu)) {
+                busy += crate::time::SimDuration::serialization(sz, self.cfg.local_bandwidth);
                 let pkt = Packet {
                     msg: id,
-                    index: i as u32,
-                    last: i + 1 == sizes.len(),
+                    index: i,
+                    last: i + 1 == n_pkts,
                     src,
                     dst,
-                    bytes: *sz,
+                    bytes: sz,
                     created: now,
                 };
                 q.schedule_at(
@@ -785,16 +784,16 @@ impl Fabric {
 
         self.stats.packets_created += n_pkts as u64;
         let now = q.now();
-        for (i, sz) in sizes.iter().enumerate() {
+        for (i, sz) in (0..n_pkts).zip(segments(bytes, self.cfg.mtu)) {
             self.nics[src.index()].enqueue(
                 flow,
                 Packet {
                     msg: id,
-                    index: i as u32,
-                    last: i + 1 == sizes.len(),
+                    index: i,
+                    last: i + 1 == n_pkts,
                     src,
                     dst,
-                    bytes: *sz,
+                    bytes: sz,
                     created: now,
                 },
             );

@@ -25,7 +25,8 @@ pub type FlowId = u64;
 /// upper layer by the fabric.
 #[derive(Debug, Default)]
 pub struct Nic {
-    /// Per-flow FIFO queues.
+    /// Per-flow FIFO queues. A drained flow keeps its queue, so its next
+    /// burst does not allocate again.
     flows: IdHashMap<FlowId, VecDeque<Packet>>,
     /// Round-robin order of flows with queued packets.
     rr: VecDeque<FlowId>,
@@ -75,10 +76,8 @@ impl Nic {
             reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
         )]
         let pkt = q.pop_front().expect("flow in rr is non-empty");
-        if q.is_empty() {
-            self.flows.remove(&flow);
-        } else {
-            // One packet per turn: re-queue the flow at the back.
+        // One packet per turn: re-queue the flow at the back.
+        if !q.is_empty() {
             self.rr.push_back(flow);
         }
         self.queued -= 1;

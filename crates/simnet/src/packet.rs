@@ -58,30 +58,40 @@ pub struct Packet {
     pub created: SimTime,
 }
 
-/// Splits `bytes` into MTU-sized chunks; the final chunk carries the
-/// remainder. A zero-byte message still produces one (empty) packet so that
-/// zero-payload control messages (barrier tokens, eager headers) transit the
-/// switch like any other traffic.
-pub fn segment_sizes(bytes: u64, mtu: u64) -> Vec<u64> {
+/// Number of packets a message of `bytes` is cut into at `mtu`: the
+/// rule the packet simulator segments by and the flow model counts by. A
+/// zero-byte message still takes one (empty) packet so that zero-payload
+/// control messages (barrier tokens, eager headers) transit the switch
+/// like any other traffic.
+///
+/// # Panics
+/// Panics if `mtu` is zero.
+pub fn packet_count(bytes: u64, mtu: u64) -> u64 {
     // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
     assert!(mtu > 0, "MTU must be positive");
-    if bytes == 0 {
-        return vec![0];
-    }
-    let full = (bytes / mtu) as usize;
-    let rem = bytes % mtu;
-    let mut out = Vec::with_capacity(full + usize::from(rem > 0));
-    out.extend(std::iter::repeat_n(mtu, full));
-    if rem > 0 {
-        out.push(rem);
-    }
-    out
+    bytes.div_ceil(mtu).max(1)
+}
+
+/// The sizes of the [`packet_count`] packets a message of `bytes` is cut
+/// into at `mtu`, without allocating: every packet is `mtu` bytes except
+/// the last, which carries the remainder.
+///
+/// # Panics
+/// Panics if `mtu` is zero.
+pub fn segments(bytes: u64, mtu: u64) -> impl Iterator<Item = u64> {
+    // Packet `i` starts at byte `i * mtu`, which is below `bytes` for
+    // every packet but the empty one of a zero-byte message.
+    (0..packet_count(bytes, mtu)).map(move |i| (bytes - i * mtu).min(mtu))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn segment_sizes(bytes: u64, mtu: u64) -> Vec<u64> {
+        segments(bytes, mtu).collect()
+    }
 
     #[test]
     fn segmentation_exact_multiple() {
@@ -106,10 +116,12 @@ mod tests {
     }
 
     proptest! {
-        /// Segmentation conserves bytes and respects the MTU.
+        /// Segmentation conserves bytes, respects the MTU and yields
+        /// `packet_count` packets.
         #[test]
         fn prop_segmentation_conserves_bytes(bytes in 0u64..1_000_000, mtu in 1u64..10_000) {
             let segs = segment_sizes(bytes, mtu);
+            prop_assert_eq!(segs.len() as u64, packet_count(bytes, mtu));
             prop_assert_eq!(segs.iter().sum::<u64>(), bytes);
             prop_assert!(segs.iter().all(|&s| s <= mtu));
             // Only the last packet may be short.

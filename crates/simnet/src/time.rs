@@ -170,11 +170,13 @@ impl SimDuration {
     pub fn serialization(bytes: u64, bytes_per_sec: u64) -> Self {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-        SimDuration(ns as u64)
+        // Every packet fits u64 arithmetic; only payloads above ≈18 GB need
+        // the (slower) u128 division.
+        let ns = match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(bytes_per_sec),
+            None => (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128) as u64,
+        };
+        SimDuration(ns)
     }
 
     /// Raw nanoseconds.
@@ -426,6 +428,26 @@ mod tests {
         );
         // A single byte still takes a nonzero time.
         assert!(SimDuration::serialization(1, u64::MAX / 2).as_nanos() >= 1);
+    }
+
+    proptest::proptest! {
+        /// The u64 fast path of `serialization` is the u128 formula bit for
+        /// bit, on both sides of the overflow boundary (`bytes` ≈ 1.8e10).
+        #[test]
+        fn prop_serialization_matches_u128_formula(
+            class in 0u8..3,
+            raw in 0u64..u64::MAX,
+            bandwidth in 1u64..u64::MAX
+        ) {
+            let bytes = match class {
+                0 => raw % 100_000,
+                1 => raw % 40_000_000_000,
+                _ => raw,
+            };
+            let bandwidth = if class == 0 { bandwidth % 100_000_000_000 + 1 } else { bandwidth };
+            let wide = (bytes as u128 * 1_000_000_000u128).div_ceil(bandwidth as u128) as u64;
+            proptest::prop_assert_eq!(SimDuration::serialization(bytes, bandwidth).as_nanos(), wide);
+        }
     }
 
     #[test]
