@@ -23,9 +23,13 @@ use anp_core::{
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
 
-/// Highest acceptable relative error on mean probe latency.
+/// Highest acceptable relative error on mean probe latency. This and
+/// [`SLOWDOWN_TOLERANCE`] are the only copy of the flow model's error
+/// envelope: `crates/bench/tests/xval_gates.rs` gates on them, and
+/// DESIGN.md and README quote them.
 pub const PROBE_TOLERANCE: f64 = 0.10;
-/// Highest acceptable relative error on `loaded / solo` runtime ratios.
+/// Highest acceptable relative error on `loaded / solo` runtime ratios
+/// (see [`PROBE_TOLERANCE`]).
 pub const SLOWDOWN_TOLERANCE: f64 = 0.15;
 /// Lowest acceptable DES/flow wall-clock speedup on the Cab-like grid.
 pub const MIN_SPEEDUP: f64 = 20.0;

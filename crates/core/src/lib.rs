@@ -32,10 +32,6 @@
 //! * [`backend`] — the object-safe [`Backend`] seam between measurement
 //!   engines: [`DesBackend`] (the packet-level simulator, ground truth)
 //!   and the analytic flow-level model in the `anp-flowsim` crate;
-//! * [`oracle`] — the differential oracle: one measurement ladder through
-//!   four execution modes (DES serial, DES parallel, kill-and-resume,
-//!   flow), artefacts diffed bit-exactly (DES) or envelope-checked
-//!   (flow), with simulator invariant auditing forced on.
 //!
 //! ## The methodology in one paragraph
 //!
@@ -58,7 +54,6 @@ pub mod experiments;
 pub mod journal;
 pub mod lut;
 pub mod models;
-pub mod oracle;
 pub mod prediction;
 pub mod queue;
 pub mod samples;
@@ -66,7 +61,7 @@ pub mod series;
 pub mod supervise;
 pub mod sweep;
 
-pub use anp_simnet::{audit_compiled, AuditReport, AuditViolation, InvariantKind};
+pub use anp_simnet::{AuditReport, AuditViolation, InvariantKind};
 pub use backend::{calibrate_with, Backend, BackendError, DesBackend, WorkloadSpec};
 pub use experiments::{
     calibrate, degradation_percent, idle_profile, impact_profile, impact_profile_of_app,
@@ -81,10 +76,6 @@ pub use lut::{CompressionEntry, LookupTable, SupervisedTable};
 pub use models::{
     all_models, AverageLt, AverageStDevLt, ModelKind, PdfLt, QueueModel, QueuePhaseModel,
     SlowdownModel,
-};
-pub use oracle::{
-    run_oracle, Divergence, ModeArtefacts, OracleError, OracleReport, RungArtefact,
-    FLOW_PROBE_ENVELOPE, FLOW_RUNTIME_ENVELOPE,
 };
 pub use prediction::{
     error_summaries, measure_campaign, Campaign, CampaignError, CampaignStage, PairOutcome,

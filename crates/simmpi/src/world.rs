@@ -1029,10 +1029,7 @@ impl World {
                     }
                 }
             }
-            Notice::PacketDelivered { .. }
-            | Notice::PacketDropped { .. }
-            | Notice::LinkDown { .. }
-            | Notice::LinkUp { .. } => {}
+            Notice::PacketDropped { .. } | Notice::LinkDown { .. } | Notice::LinkUp { .. } => {}
         }
     }
 

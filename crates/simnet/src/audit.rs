@@ -13,8 +13,8 @@
 //! trace leading up to it. The checking half lives behind the `audit` cargo
 //! feature inside [`crate::fabric`] and `anp-simmpi`; when the feature is off
 //! the hooks compile to nothing and runtime cost is zero. The types here are
-//! always compiled so that callers (the experiment layer, the `anp audit`
-//! CLI) never need `cfg` gates of their own.
+//! always compiled so that callers (the experiment layer and the monitor's
+//! probe trains) never need `cfg` gates of their own.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;

@@ -117,12 +117,6 @@ pub enum Notice {
         /// The sending node.
         src: NodeId,
     },
-    /// A packet arrived at its destination (telemetry; message-level callers
-    /// can ignore it).
-    PacketDelivered {
-        /// The delivered packet.
-        packet: Packet,
-    },
     /// Every packet of the message has arrived at the destination node.
     MessageDelivered {
         /// The completed message.
@@ -931,7 +925,6 @@ impl Fabric {
                     prog.deliver_remaining -= 1;
                     prog.deliver_remaining == 0
                 };
-                out.push(Notice::PacketDelivered { packet });
                 if done {
                     #[expect(
                         clippy::expect_used,
@@ -1154,11 +1147,6 @@ mod tests {
         // 2500 B at MTU 1024 → 3 packets.
         let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(2), 2500);
         let notices = drain(&mut fab, &mut q, SimTime::from_nanos(100_000));
-        let pkts = notices
-            .iter()
-            .filter(|n| matches!(n, Notice::PacketDelivered { .. }))
-            .count();
-        assert_eq!(pkts, 3);
         assert_eq!(delivered(&notices), vec![id]);
         assert_eq!(fab.stats().packets_created, 3);
         assert_eq!(fab.stats().packets_delivered, 3);

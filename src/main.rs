@@ -7,7 +7,6 @@
 //! anp losses <APP>              # degradation vs packet-loss rate for APP
 //! anp predict <APP> <APP>       # predict mutual slowdown of a pairing
 //! anp apps                      # list the built-in application proxies
-//! anp audit [--quick]           # invariant audit + differential oracle
 //! anp run <ARTEFACT> [--quick]  # regenerate a paper artefact or study
 //! ```
 //!
@@ -25,9 +24,9 @@ use std::process::ExitCode;
 use anp_bench::cli::{parse_run, report_holes, Flags, RunCtx, UsageError, GLOBAL_FLAGS};
 use anp_bench::ARTEFACTS;
 use anp_core::{
-    all_models, audit_compiled, calibrate_with, completed_count, config_fingerprint,
-    degradation_percent, loss_sweep_supervised, measure_campaign, partial_exit_code, run_oracle,
-    sweep_supervised_for, Backend, BackendError, CampaignStage, MuPolicy, WorkloadSpec,
+    all_models, calibrate_with, completed_count, config_fingerprint, degradation_percent,
+    loss_sweep_supervised, measure_campaign, partial_exit_code, sweep_supervised_for, BackendError,
+    CampaignStage, MuPolicy, WorkloadSpec,
 };
 use anp_simmpi::ReliabilityConfig;
 use anp_simnet::SimDuration;
@@ -45,11 +44,6 @@ fn usage() {
          \x20 sweep <APP>          degradation vs utilization ladder for APP\n\
          \x20 losses <APP>         degradation vs packet-loss rate for APP\n\
          \x20 predict <A> <B>      predict A and B's mutual slowdown\n\
-         \x20 audit [--quick]      invariant audit + differential oracle:\n\
-         \x20                      the same ladder through DES --jobs 1,\n\
-         \x20                      --jobs 8, a kill-and-resume run, and the\n\
-         \x20                      flow model; exits 1 on any divergence\n\
-         \x20                      (--quick: small deterministic fabric)\n\
          \x20 run <ARTEFACT> [--quick] [--bench-json PATH] [--no-bench-json]\n\
          \x20     [global flags]\n\
          \x20                      regenerate a paper artefact or extension\n\
@@ -168,21 +162,11 @@ fn dispatch() -> Result<ExitCode, Failure> {
         "probe" => probe(&ctx, parse_app(args.next())?),
         "sweep" => sweep(&ctx, &flags, parse_app(args.next())?),
         "losses" => losses(&ctx, &flags, parse_app(args.next())?),
-        "audit" => audit(&ctx, args),
         "predict" => {
             let a = parse_app(args.next())?;
             predict(&ctx, &flags, a, parse_app(args.next())?)
         }
         _ => Err(bad_usage()),
-    }
-}
-
-/// `--quick` as a command's only optional argument.
-fn quick_flag(mut args: impl Iterator<Item = String>) -> Result<bool, Failure> {
-    match args.next() {
-        None => Ok(false),
-        Some(a) if a == "--quick" => Ok(true),
-        Some(_) => Err(bad_usage()),
     }
 }
 
@@ -364,65 +348,6 @@ fn losses(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure
         resume_hint(flags);
     }
     Ok(campaign_exit(partial_exit_code(completed, total)))
-}
-
-fn audit(ctx: &RunCtx, args: impl Iterator<Item = String>) -> Result<ExitCode, Failure> {
-    let quick = quick_flag(args)?;
-    let cfg = &ctx.cfg;
-    if !audit_compiled() {
-        eprintln!(
-            "warning: invariant auditing is compiled out — rebuild with \
-             `--features audit` to check conservation laws; running the \
-             differential oracle without them"
-        );
-    }
-    // The ladder runs on the Cab-like preset: the flow model's 10%/15%
-    // envelope is documented and gate-tested there (`backend_xval`), so
-    // that is where the oracle may hold it to the envelope. Quick mode
-    // trims the app axis to FFTW; the full run adds the compute-bound
-    // extreme.
-    //
-    // The oracle always measures against the DES reference; the flow
-    // engine is the fourth, envelope-checked mode and is skipped (with a
-    // warning) if it cannot honor the config.
-    let flow = anp_flowsim::backend_from_name("flow").and_then(|b| b.validate(cfg).map(|()| b));
-    let flow: Option<Box<dyn Backend>> = match flow {
-        Ok(b) => Some(b),
-        Err(e) => {
-            eprintln!("warning: flow mode skipped: {e}");
-            None
-        }
-    };
-    let apps = if quick {
-        vec![AppKind::Fftw]
-    } else {
-        vec![AppKind::Fftw, AppKind::Milc]
-    };
-    let mut clean = true;
-    for app in apps {
-        eprintln!("auditing {} on the gated ladder", app.name());
-        let journal_path = std::env::temp_dir().join(format!(
-            "anp-audit-{}-{}.journal",
-            app.name(),
-            std::process::id()
-        ));
-        let report = run_oracle(
-            cfg,
-            app,
-            &CompressionConfig::gated_ladder(),
-            flow.as_deref(),
-            &journal_path,
-            &mut |line| eprintln!("  {line}"),
-        )
-        .map_err(fail)?;
-        println!("{report}");
-        clean &= report.is_clean();
-    }
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn predict(ctx: &RunCtx, flags: &Flags, a: AppKind, b: AppKind) -> Result<ExitCode, Failure> {

@@ -5,6 +5,15 @@
 //! result. A refactor or optimisation that claims to leave results
 //! unchanged must leave every pinned value here unchanged; a change that
 //! moves one on purpose re-pins it and says why in CHANGES.md.
+//!
+//! Every DES surface runs with [`ExperimentConfig::audit`] set. In a
+//! plain `cargo test` the flag is inert; CI also runs
+//! `cargo test --release --features audit --test golden`, where the
+//! simulator's conservation auditor is live on every pinned DES run (the
+//! tiny study, the loss sweep, `backend_xval`, the Cab table and impact
+//! profile, and the monitor study). That run must reproduce the same
+//! committed digests with zero violations: a tripped invariant fails the
+//! surface as `ExperimentError::Invariant`.
 
 use anp_bench::xval::run_xval_supervised;
 use anp_core::journal::{fnv1a, Journaled};
@@ -90,7 +99,8 @@ fn digest(parts: &[String]) -> u64 {
     fnv1a(&parts.iter().map(String::as_str).collect::<Vec<_>>())
 }
 
-/// The deterministic 18-node fabric of `tests/parallel_equivalence.rs`.
+/// The deterministic 18-node fabric of `tests/parallel_equivalence.rs`,
+/// audited.
 fn tiny_cfg() -> ExperimentConfig {
     let mut switch = SwitchConfig::tiny_deterministic();
     switch.nodes = 18;
@@ -107,7 +117,7 @@ fn tiny_cfg() -> ExperimentConfig {
         run_cap: SimDuration::from_secs(60),
         seed: 7,
         jobs: Parallelism::fixed(2),
-        audit: false,
+        audit: true,
     }
 }
 
@@ -224,7 +234,7 @@ fn des_on_cab_matches_its_pinned_digests() {
         (AppKind::Lulesh, 4),
         (AppKind::Milc, 25),
     ];
-    let cfg = ExperimentConfig::cab();
+    let cfg = ExperimentConfig::cab().with_audit(true);
     let cell = |victim: AppKind, iterations: u32, other: Option<AppKind>| {
         let members = victim.build(
             RunMode::Iterations(iterations),
@@ -249,7 +259,7 @@ fn des_on_cab_matches_its_pinned_digests() {
         }
     }
 
-    let mut impact_cfg = ExperimentConfig::cab();
+    let mut impact_cfg = ExperimentConfig::cab().with_audit(true);
     impact_cfg.measure_window = SimDuration::from_millis(10);
     let profile =
         impact_profile_of_compression(&impact_cfg, &CompressionConfig::new(17, 25_000, 10))
@@ -286,6 +296,7 @@ fn loss_sweep_on_the_tiny_fabric_matches_its_pinned_digest() {
 #[test]
 fn reduced_monitor_study_matches_its_pinned_digests() {
     let mut opts = MonitorOpts::quick(7, 2);
+    opts.cfg.audit = true;
     opts.ladder.truncate(1);
     opts.detect_apps = vec![AppKind::Fftw];
     opts.apps = vec![AppKind::Fftw];

@@ -133,9 +133,18 @@ fn documented_run_commands_parse() {
         .filter(|l| l.starts_with(|c: char| c.is_ascii_lowercase()))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert!(
-        commands.contains(&"run") && commands.len() >= 8,
-        "usage lists {commands:?}:\n{usage}"
+    assert_eq!(
+        commands,
+        [
+            "calibrate",
+            "apps",
+            "probe",
+            "sweep",
+            "losses",
+            "predict",
+            "run"
+        ],
+        "usage lists:\n{usage}"
     );
 
     const CMD: &str = "cargo run --release --";

@@ -120,9 +120,16 @@ fn faulted_truth_cell_skips_scheduling_and_exits_partial() {
 }
 
 #[test]
-fn retired_sched_and_monitor_commands_are_usage_errors() {
-    for cmd in ["sched", "monitor"] {
-        let out = run(&[cmd, "--quick"], &[]);
+fn retired_sched_monitor_and_audit_commands_are_usage_errors() {
+    let retired: [&[&str]; 4] = [
+        &["sched", "--quick"],
+        &["monitor", "--quick"],
+        &["audit"],
+        &["audit", "--quick"],
+    ];
+    for args in retired {
+        let cmd = args.join(" ");
+        let out = run(args, &[]);
         assert_eq!(out.status.code(), Some(2), "`anp {cmd}` is gone");
         assert!(
             stdout_of(&out).is_empty() && stderr_of(&out).starts_with("usage: anp"),
