@@ -1,10 +1,13 @@
 //! Criterion benchmarks of the discrete-event core: event-queue
-//! scheduling/popping (bulk, and the simulator's steady hold pattern) and
-//! the full packet path through the fabric.
+//! scheduling/popping (bulk, and the simulator's steady hold pattern), the
+//! full packet path through the fabric, and the flow backend's traffic
+//! walk over an application's generators.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use anp_flowsim::describe_members;
 use anp_simnet::{drain, EventQueue, Fabric, NetEvent, NodeId, SimDuration, SimTime, SwitchConfig};
+use anp_workloads::{AppKind, RunMode};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -114,5 +117,23 @@ fn bench_fabric_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_fabric_path);
+/// One traffic extraction of a full-length Cab application, as the flow
+/// backend runs it per seed: MILC and FFTW issue the most ops of the six
+/// (200 iterations of halos and allreduces; 25 of two all-to-alls).
+fn bench_extract(c: &mut Criterion) {
+    let mut g = c.benchmark_group("extract");
+    let net = SwitchConfig::cab();
+    for app in [AppKind::Milc, AppKind::Fftw] {
+        g.bench_function(format!("describe_members_{}", app.name()), |b| {
+            b.iter_batched(
+                || app.build(RunMode::Iterations(0), 1),
+                |members| describe_members(app.name(), members, &net),
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_event_queue, bench_fabric_path, bench_extract);
 criterion_main!(benches);

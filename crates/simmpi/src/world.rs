@@ -100,6 +100,8 @@ struct JobInfo {
     name: String,
     /// Global rank index of each job-local rank.
     ranks: Vec<u32>,
+    /// Ranks that have not executed [`Op::Stop`] yet.
+    unstopped: usize,
 }
 
 /// What a wire message carries, protocol-wise.
@@ -704,6 +706,7 @@ impl World {
         }
         self.jobs.push(JobInfo {
             name: name.into(),
+            unstopped: ranks.len(),
             ranks,
         });
         job
@@ -741,10 +744,7 @@ impl World {
 
     /// True when every rank of `job` has executed [`Op::Stop`].
     pub fn job_done(&self, job: JobId) -> bool {
-        self.jobs[job.0 as usize]
-            .ranks
-            .iter()
-            .all(|&g| self.ranks[g as usize].status == Status::Stopped)
+        self.jobs[job.0 as usize].unstopped == 0
     }
 
     /// The time the last rank of `job` stopped, if the job is done.
@@ -856,19 +856,12 @@ impl World {
     /// Processes one event. Returns `false` when the queue is empty or the
     /// next event lies beyond `horizon`.
     fn step(&mut self, horizon: SimTime) -> bool {
-        let Some(t) = self.q.peek_time() else {
+        let Some((_, ev)) = self.q.pop_until(horizon) else {
             return false;
         };
-        if t > horizon {
-            return false;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-        )]
-        let (_, ev) = self.q.pop().expect("peeked event vanished");
         #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
+            let t = self.q.now();
             if t < a.prev_now {
                 let detail = format!("event clock moved backwards: {} after {}", t, a.prev_now);
                 a.log.violate(InvariantKind::TimeMonotonicity, t, detail);
@@ -1370,6 +1363,7 @@ impl World {
                     );
                     r.status = Status::Stopped;
                     r.stopped_at = Some(self.q.now());
+                    self.jobs[r.job.0 as usize].unstopped -= 1;
                     self.trace
                         .transition(rank, RankPhase::Running, self.q.now());
                     return;

@@ -185,11 +185,26 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Pops the earliest event if it is due at or before `horizon`,
+    /// advancing the clock to its timestamp. Otherwise returns `None` and
+    /// leaves the queue and its clock as they were. One call does what
+    /// [`EventQueue::peek_time`] followed by [`EventQueue::pop`] does,
+    /// with one scan of the near tier instead of two.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if self.near_len == 0 {
             let first = self.far.peek()?.time;
+            if first > horizon {
+                return None;
+            }
             self.advance(first);
         }
         let (slot, at) = self.next_busy();
+        if at > horizon {
+            return None;
+        }
         if at != self.now {
             self.advance(at);
         }

@@ -737,14 +737,16 @@ impl Fabric {
         self.next_msg += 1;
         self.stats.messages_sent += 1;
 
-        let n_pkts = packet_count(bytes, self.cfg.mtu) as u32;
+        let n_pkts = packet_count(bytes, self.cfg.mtu);
+        // Packet `i` (1-based) with its size; the count is computed once.
+        let packets = (1..=n_pkts).zip(segments(bytes, self.cfg.mtu, n_pkts));
         self.inflight.insert(
             id,
             MsgProgress {
                 src,
                 dst,
                 bytes,
-                deliver_remaining: n_pkts,
+                deliver_remaining: n_pkts as u32,
                 dropped: 0,
             },
         );
@@ -755,16 +757,14 @@ impl Fabric {
             self.stats.local_messages += 1;
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
-            for (i, sz) in (0..n_pkts).zip(segments(bytes, self.cfg.mtu)) {
+            for (i, sz) in packets {
                 busy += crate::time::SimDuration::serialization(sz, self.cfg.local_bandwidth);
                 let pkt = Packet {
                     msg: id,
-                    index: i,
-                    last: i + 1 == n_pkts,
+                    last: i == n_pkts,
                     src,
                     dst,
                     bytes: sz,
-                    created: now,
                 };
                 q.schedule_at(
                     busy + self.cfg.local_latency,
@@ -776,19 +776,16 @@ impl Fabric {
             return id;
         }
 
-        self.stats.packets_created += n_pkts as u64;
-        let now = q.now();
-        for (i, sz) in (0..n_pkts).zip(segments(bytes, self.cfg.mtu)) {
+        self.stats.packets_created += n_pkts;
+        for (i, sz) in packets {
             self.nics[src.index()].enqueue(
                 flow,
                 Packet {
                     msg: id,
-                    index: i,
-                    last: i + 1 == n_pkts,
+                    last: i == n_pkts,
                     src,
                     dst,
                     bytes: sz,
-                    created: now,
                 },
             );
         }
@@ -1092,15 +1089,7 @@ where
     E: From<NetEvent> + Into<NetEvent>,
 {
     let mut out = Vec::new();
-    while let Some(t) = q.peek_time() {
-        if t > horizon {
-            break;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-        )]
-        let (_, ev) = q.pop().expect("peeked event vanished");
+    while let Some((_, ev)) = q.pop_until(horizon) {
         fabric.handle(q, ev.into(), &mut out);
     }
     out

@@ -118,17 +118,14 @@ impl Nic {
 mod tests {
     use super::*;
     use crate::packet::{MessageId, NodeId};
-    use crate::time::SimTime;
 
     fn pkt(msg: u64, bytes: u64) -> Packet {
         Packet {
             msg: MessageId(msg),
-            index: 0,
             last: true,
             src: NodeId(0),
             dst: NodeId(1),
             bytes,
-            created: SimTime::ZERO,
         }
     }
 

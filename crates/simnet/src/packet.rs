@@ -6,8 +6,6 @@
 //! messages are broken up into multiple small (few KB) packets and sent to
 //! the network switch".
 
-use crate::time::SimTime;
-
 /// Identifies a compute node attached to the switch (also its port index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -44,8 +42,6 @@ pub struct Message {
 pub struct Packet {
     /// The message this packet belongs to.
     pub msg: MessageId,
-    /// Index of this packet within its message (0-based).
-    pub index: u32,
     /// True for the final packet of the message.
     pub last: bool,
     /// Source node.
@@ -54,8 +50,6 @@ pub struct Packet {
     pub dst: NodeId,
     /// Bytes carried by this packet (≤ MTU; the last packet may be short).
     pub bytes: u64,
-    /// When the packet was enqueued at the source NIC (message send time).
-    pub created: SimTime,
 }
 
 /// Number of packets a message of `bytes` is cut into at `mtu`: the
@@ -69,19 +63,24 @@ pub struct Packet {
 pub fn packet_count(bytes: u64, mtu: u64) -> u64 {
     // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
     assert!(mtu > 0, "MTU must be positive");
-    bytes.div_ceil(mtu).max(1)
+    // Most messages fit one packet, and a traffic walk counts the packets
+    // of every send: those skip the 64-bit division.
+    if bytes <= mtu {
+        1
+    } else {
+        bytes.div_ceil(mtu)
+    }
 }
 
-/// The sizes of the [`packet_count`] packets a message of `bytes` is cut
-/// into at `mtu`, without allocating: every packet is `mtu` bytes except
-/// the last, which carries the remainder.
-///
-/// # Panics
-/// Panics if `mtu` is zero.
-pub fn segments(bytes: u64, mtu: u64) -> impl Iterator<Item = u64> {
+/// The sizes of the `count` packets a message of `bytes` is cut into at
+/// `mtu`, without allocating: every packet is `mtu` bytes except the
+/// last, which carries the remainder. `count` must be
+/// [`packet_count`]`(bytes, mtu)`, which the caller has already computed.
+pub(crate) fn segments(bytes: u64, mtu: u64, count: u64) -> impl Iterator<Item = u64> {
+    debug_assert_eq!(count, packet_count(bytes, mtu));
     // Packet `i` starts at byte `i * mtu`, which is below `bytes` for
     // every packet but the empty one of a zero-byte message.
-    (0..packet_count(bytes, mtu)).map(move |i| (bytes - i * mtu).min(mtu))
+    (0..count).map(move |i| (bytes - i * mtu).min(mtu))
 }
 
 #[cfg(test)]
@@ -90,7 +89,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn segment_sizes(bytes: u64, mtu: u64) -> Vec<u64> {
-        segments(bytes, mtu).collect()
+        segments(bytes, mtu, packet_count(bytes, mtu)).collect()
     }
 
     #[test]

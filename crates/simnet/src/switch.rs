@@ -269,12 +269,10 @@ mod tests {
     fn pkt(id: u64) -> Packet {
         Packet {
             msg: MessageId(id),
-            index: 0,
             last: true,
             src: NodeId(0),
             dst: NodeId(1),
             bytes: 1024,
-            created: SimTime::ZERO,
         }
     }
 

@@ -95,8 +95,7 @@ pub fn build_amg(
                 format!("amg[{local}]"),
                 rank_seed(seed, local),
                 mode,
-                move |_iter, rng| {
-                    let mut ops = Vec::new();
+                move |_iter, rng, ops| {
                     let halo = |ops: &mut Vec<Op>, bytes: u64| {
                         for &nb in &neighbors {
                             ops.push(Op::Irecv {
@@ -114,16 +113,15 @@ pub fn build_amg(
                     // Down-sweep: smooth + restrict at every level.
                     for lvl in &levels {
                         ops.push(jittered_compute(rng, lvl.compute_ns, 0.07));
-                        halo(&mut ops, lvl.halo_bytes);
+                        halo(ops, lvl.halo_bytes);
                     }
                     // Coarse solve: a global reduction.
                     ops.push(Op::Allreduce { bytes: 8 });
                     // Up-sweep: interpolate + smooth, coarse to fine.
                     for lvl in levels.iter().rev() {
-                        halo(&mut ops, lvl.halo_bytes);
+                        halo(ops, lvl.halo_bytes);
                         ops.push(jittered_compute(rng, lvl.compute_ns, 0.07));
                     }
-                    ops
                 },
             );
             (Box::new(program) as Box<dyn Program>, layout.node_of(local))

@@ -1,7 +1,5 @@
 //! Shared machinery for the six application proxies.
 
-use std::collections::VecDeque;
-
 use anp_simmpi::{Ctx, Op, Program};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,18 +23,27 @@ pub enum RunMode {
 /// This is how every application proxy is expressed: the closure captures
 /// the rank's communication skeleton (neighbours, message sizes, compute
 /// spans) and may vary spans per iteration through the RNG.
+///
+/// The closure is called as `gen(iter, rng, ops)` and pushes iteration
+/// `iter`'s operations onto `ops`, which it receives empty. The program
+/// owns that one buffer for its whole life and serves it through a
+/// cursor, so refilling it allocates nothing once it has grown to the
+/// longest iteration. The buffer is trimmed to the first iteration's
+/// length. An iteration must push at least one op.
 pub struct IterativeProgram<F> {
     gen: F,
     mode: RunMode,
     iter: u32,
-    queue: VecDeque<Op>,
+    ops: Vec<Op>,
+    /// Index in `ops` of the next op to serve.
+    cursor: usize,
     rng: StdRng,
     label: String,
 }
 
 impl<F> IterativeProgram<F>
 where
-    F: FnMut(u32, &mut StdRng) -> Vec<Op>,
+    F: FnMut(u32, &mut StdRng, &mut Vec<Op>),
 {
     /// Creates a program from an iteration generator.
     pub fn new(label: impl Into<String>, seed: u64, mode: RunMode, gen: F) -> Self {
@@ -44,7 +51,8 @@ where
             gen,
             mode,
             iter: 0,
-            queue: VecDeque::new(),
+            ops: Vec::new(),
+            cursor: 0,
             rng: StdRng::seed_from_u64(seed),
             label: label.into(),
         }
@@ -53,30 +61,37 @@ where
 
 impl<F> Program for IterativeProgram<F>
 where
-    F: FnMut(u32, &mut StdRng) -> Vec<Op>,
+    F: FnMut(u32, &mut StdRng, &mut Vec<Op>),
 {
-    #[expect(
-        clippy::expect_used,
-        reason = "locally proven: guarded by the explicit check a few lines above"
-    )]
+    /// # Panics
+    /// Panics if the generator pushes no ops for an iteration.
     fn next_op(&mut self, _ctx: &Ctx) -> Op {
-        while self.queue.is_empty() {
+        if self.cursor == self.ops.len() {
             if let RunMode::Iterations(n) = self.mode {
                 if self.iter >= n {
                     return Op::Stop;
                 }
             }
-            let ops = (self.gen)(self.iter, &mut self.rng);
+            self.ops.clear();
+            self.cursor = 0;
+            (self.gen)(self.iter, &mut self.rng, &mut self.ops);
             // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
             assert!(
-                !ops.is_empty(),
+                !self.ops.is_empty(),
                 "iteration generator for '{}' produced no ops",
                 self.label
             );
-            self.queue.extend(ops);
+            if self.iter == 0 {
+                // Pushes grow the buffer to up to twice the iteration's
+                // length, and every rank keeps its buffer for the whole
+                // run: hold the first iteration exactly instead.
+                self.ops.shrink_to_fit();
+            }
             self.iter += 1;
         }
-        self.queue.pop_front().expect("queue refilled above")
+        let op = self.ops[self.cursor];
+        self.cursor += 1;
+        op
     }
 
     fn name(&self) -> &str {
@@ -115,8 +130,8 @@ mod tests {
 
     #[test]
     fn fixed_iterations_then_stop() {
-        let mut p = IterativeProgram::new("t", 1, RunMode::Iterations(2), |i, _| {
-            vec![Op::Compute(SimDuration::from_nanos(u64::from(i) + 1))]
+        let mut p = IterativeProgram::new("t", 1, RunMode::Iterations(2), |i, _, ops| {
+            ops.push(Op::Compute(SimDuration::from_nanos(u64::from(i) + 1)));
         });
         assert_eq!(p.next_op(&ctx()), Op::Compute(SimDuration::from_nanos(1)));
         assert_eq!(p.next_op(&ctx()), Op::Compute(SimDuration::from_nanos(2)));
@@ -126,7 +141,8 @@ mod tests {
 
     #[test]
     fn endless_mode_never_stops() {
-        let mut p = IterativeProgram::new("t", 1, RunMode::Endless, |_, _| vec![Op::WaitAll]);
+        let mut p =
+            IterativeProgram::new("t", 1, RunMode::Endless, |_, _, ops| ops.push(Op::WaitAll));
         for _ in 0..1000 {
             assert_eq!(p.next_op(&ctx()), Op::WaitAll);
         }
@@ -135,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "produced no ops")]
     fn empty_generator_panics() {
-        let mut p = IterativeProgram::new("t", 1, RunMode::Endless, |_, _| vec![]);
+        let mut p = IterativeProgram::new("t", 1, RunMode::Endless, |_, _, _| {});
         p.next_op(&ctx());
     }
 

@@ -57,17 +57,14 @@ pub fn build_fftw(
                 format!("fftw[{local}]"),
                 rank_seed(seed, local),
                 mode,
-                move |_iter, rng| {
-                    vec![
-                        jittered_compute(rng, p.compute_per_phase_ns, 0.05),
-                        Op::Alltoall {
+                move |_iter, rng, ops| {
+                    // Two phases, each a 1-D transform then a transpose.
+                    for _ in 0..2 {
+                        ops.push(jittered_compute(rng, p.compute_per_phase_ns, 0.05));
+                        ops.push(Op::Alltoall {
                             bytes_per_pair: p.bytes_per_pair,
-                        },
-                        jittered_compute(rng, p.compute_per_phase_ns, 0.05),
-                        Op::Alltoall {
-                            bytes_per_pair: p.bytes_per_pair,
-                        },
-                    ]
+                        });
+                    }
                 },
             );
             (Box::new(program) as Box<dyn Program>, layout.node_of(local))

@@ -87,12 +87,11 @@ pub fn build_lulesh(
                 format!("lulesh[{local}]"),
                 rank_seed(seed, local),
                 mode,
-                move |_iter, rng| {
-                    let mut ops = halo.clone();
+                move |_iter, rng, ops| {
+                    ops.extend_from_slice(&halo);
                     ops.push(jittered_compute(rng, p.compute_ns, 0.08));
                     // The per-step stable-timestep reduction.
                     ops.push(Op::Allreduce { bytes: 8 });
-                    ops
                 },
             );
             (Box::new(program) as Box<dyn Program>, layout.node_of(local))

@@ -73,8 +73,7 @@ pub fn build_mcb(
                 format!("mcb[{local}]"),
                 rank_seed(seed, local),
                 mode,
-                move |iter, rng| {
-                    let mut ops = Vec::with_capacity(6);
+                move |iter, rng, ops| {
                     ops.push(jittered_compute(rng, p.compute_ns, p.compute_jitter));
                     let bytes = if p.burst_every > 0 && (iter + 1) % p.burst_every == 0 {
                         p.burst_bytes
@@ -94,7 +93,6 @@ pub fn build_mcb(
                     if p.allreduce_every > 0 && (iter + 1) % p.allreduce_every == 0 {
                         ops.push(Op::Allreduce { bytes: 8 });
                     }
-                    ops
                 },
             );
             (Box::new(program) as Box<dyn Program>, layout.node_of(local))

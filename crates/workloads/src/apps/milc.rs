@@ -74,8 +74,7 @@ pub fn build_milc(
                 format!("milc[{local}]"),
                 rank_seed(seed, local),
                 mode,
-                move |_iter, rng| {
-                    let mut ops = Vec::with_capacity(neighbors.len() * 2 + 4);
+                move |_iter, rng, ops| {
                     for &nb in &neighbors {
                         ops.push(Op::Irecv {
                             src: Src::Rank(nb),
@@ -94,7 +93,6 @@ pub fn build_milc(
                             bytes: p.allreduce_bytes,
                         });
                     }
-                    ops
                 },
             );
             (Box::new(program) as Box<dyn Program>, layout.node_of(local))

@@ -4,7 +4,7 @@
 //! and a far heap, split at `anp_simnet::event::WINDOW`). Every simulated
 //! result depends on it popping exactly what one `(time, seq)` heap
 //! would, so this drives both with the same interleaved schedules and
-//! pops and compares every step. The delays straddle the window edge and
+//! pops (plain, and bounded by a horizon) and compares every step. The delays straddle the window edge and
 //! reach milliseconds; ties and drains that leave only far events force
 //! the migration and jump paths.
 
@@ -51,6 +51,29 @@ impl Pair {
         Ok(expected.is_some())
     }
 
+    /// `pop_until(horizon)` pops what the reference pops when its next
+    /// event is due by `horizon`; otherwise it pops nothing and leaves the
+    /// clock and the length alone.
+    fn pop_until(&mut self, horizon: SimTime) -> Result<(), TestCaseError> {
+        let due = self
+            .reference
+            .peek()
+            .is_some_and(|Reverse((at, _))| *at <= horizon);
+        if due {
+            let expected = self.reference.pop().map(|Reverse(e)| e);
+            prop_assert_eq!(self.q.pop_until(horizon), expected);
+            if let Some((at, _)) = expected {
+                prop_assert_eq!(self.q.now(), at);
+            }
+        } else {
+            let (now, len) = (self.q.now(), self.q.len());
+            prop_assert_eq!(self.q.pop_until(horizon), None);
+            prop_assert_eq!(self.q.now(), now);
+            prop_assert_eq!(self.q.len(), len);
+        }
+        Ok(())
+    }
+
     /// `peek_time` and `len` agree with the reference.
     fn check(&self) -> Result<(), TestCaseError> {
         let next = self.reference.peek().map(|Reverse((at, _))| *at);
@@ -83,7 +106,7 @@ proptest! {
 
     #[test]
     fn wheel_pops_what_a_time_seq_heap_pops(
-        ops in collection::vec((0u8..12, 0u8..9, 0u64..u64::MAX), 1..400)
+        ops in collection::vec((0u8..14, 0u8..9, 0u64..u64::MAX), 1..400)
     ) {
         let mut pair = Pair::new();
         for (op, class, raw) in ops {
@@ -95,6 +118,18 @@ proptest! {
                 }
                 7..=10 => {
                     pair.pop()?;
+                }
+                // A bounded pop, with the horizon just before the next
+                // event, at it, or a schedule delay past the clock.
+                12..=13 => {
+                    let now = pair.q.now();
+                    let next = pair.reference.peek().map_or(now, |Reverse((at, _))| *at);
+                    let horizon = match class % 3 {
+                        0 => SimTime::from_nanos(next.as_nanos().saturating_sub(1)),
+                        1 => next,
+                        _ => now + delay(class, raw, &pair),
+                    };
+                    pair.pop_until(horizon)?;
                 }
                 // Pop every event within the window of the clock, so the
                 // next pop has to jump to the far tier.
