@@ -25,8 +25,6 @@ fn bench_matching(c: &mut Criterion) {
                     if mb.deliver(Envelope {
                         src: i % 64,
                         tag: i % 8,
-                        bytes: 64,
-                        rendezvous: None,
                     }) {
                         matched += 1;
                     }
@@ -44,8 +42,6 @@ fn bench_matching(c: &mut Criterion) {
                     mb.deliver(Envelope {
                         src: i % 64,
                         tag: 0,
-                        bytes: 64,
-                        rendezvous: None,
                     });
                 }
                 mb
@@ -53,7 +49,7 @@ fn bench_matching(c: &mut Criterion) {
             |mut mb| {
                 let mut hits = 0u32;
                 for i in 0..1_000u32 {
-                    if mb.post(Src::Rank(i % 64), 0).is_some() {
+                    if mb.post(Src::Rank(i % 64), 0) {
                         hits += 1;
                     }
                 }

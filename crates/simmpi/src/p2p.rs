@@ -5,20 +5,15 @@ use std::collections::VecDeque;
 
 use crate::op::Src;
 
-/// A message (or rendezvous announcement) waiting to be matched at the
-/// destination rank.
+/// An arrived message waiting to be matched at the destination rank:
+/// only its match selector, since matching is all the receiver does with
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Job-local source rank.
     pub src: u32,
     /// Match tag.
     pub tag: u32,
-    /// Payload size.
-    pub bytes: u64,
-    /// For rendezvous traffic: the handshake id of the RTS this envelope
-    /// announces. `None` for eager messages, whose payload has already
-    /// arrived when the envelope matches.
-    pub rendezvous: Option<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -32,8 +27,9 @@ struct PostedRecv {
 /// Semantics follow MPI: a receive matches the *earliest* unexpected
 /// message satisfying its `(src, tag)` selector; an arriving message
 /// matches the earliest posted receive that accepts it. Messages between
-/// the same (src, dst, tag) triple are non-overtaking because the fabric
-/// delivers a sender's packets in order and matching is FIFO.
+/// the same (src, dst, tag) triple are non-overtaking because the world
+/// hands a pair's messages over in send order (it resequences what the
+/// switch reorders) and matching is FIFO.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     posted: VecDeque<PostedRecv>,
@@ -41,19 +37,20 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// Posts a receive. Returns `Some(envelope)` if an already-arrived
-    /// message matches (the receive completes immediately); `None` if the
-    /// receive is now pending.
-    pub fn post(&mut self, src: Src, tag: u32) -> Option<Envelope> {
+    /// Posts a receive. Returns `true` if an already-arrived message
+    /// matched (the receive completes immediately), `false` if the receive
+    /// is now pending.
+    pub fn post(&mut self, src: Src, tag: u32) -> bool {
         if let Some(pos) = self
             .unexpected
             .iter()
             .position(|e| src.matches(e.src) && e.tag == tag)
         {
-            return self.unexpected.remove(pos);
+            self.unexpected.remove(pos);
+            return true;
         }
         self.posted.push_back(PostedRecv { src, tag });
-        None
+        false
     }
 
     /// Delivers an arrived message. Returns `true` if it completed a
@@ -95,18 +92,13 @@ mod tests {
     use proptest::prelude::*;
 
     fn env(src: u32, tag: u32) -> Envelope {
-        Envelope {
-            src,
-            tag,
-            bytes: 64,
-            rendezvous: None,
-        }
+        Envelope { src, tag }
     }
 
     #[test]
     fn recv_before_message() {
         let mut mb = Mailbox::default();
-        assert!(mb.post(Src::Rank(1), 7).is_none());
+        assert!(!mb.post(Src::Rank(1), 7));
         assert!(mb.deliver(env(1, 7)), "must match the posted recv");
         assert_eq!(mb.pending_recvs(), 0);
         assert_eq!(mb.unexpected_len(), 0);
@@ -116,8 +108,8 @@ mod tests {
     fn message_before_recv() {
         let mut mb = Mailbox::default();
         assert!(!mb.deliver(env(2, 5)), "no recv posted: unexpected");
-        let got = mb.post(Src::Rank(2), 5);
-        assert_eq!(got, Some(env(2, 5)));
+        assert!(mb.post(Src::Rank(2), 5));
+        assert_eq!(mb.unexpected_len(), 0);
     }
 
     #[test]
@@ -149,8 +141,10 @@ mod tests {
         mb.deliver(env(1, 0));
         mb.deliver(env(2, 0));
         // A wildcard recv must take the earliest arrival.
-        assert_eq!(mb.post(Src::Any, 0).unwrap().src, 1);
-        assert_eq!(mb.post(Src::Any, 0).unwrap().src, 2);
+        assert!(mb.post(Src::Any, 0));
+        assert_eq!(mb.unexpected, [env(2, 0)]);
+        assert!(mb.post(Src::Any, 0));
+        assert_eq!(mb.unexpected_len(), 0);
     }
 
     #[test]
@@ -167,22 +161,17 @@ mod tests {
     }
 
     #[test]
-    fn same_source_messages_do_not_overtake() {
+    fn a_specific_recv_skips_earlier_arrivals_it_does_not_select() {
         let mut mb = Mailbox::default();
-        mb.deliver(Envelope {
-            src: 1,
-            tag: 0,
-            bytes: 111,
-            rendezvous: None,
-        });
-        mb.deliver(Envelope {
-            src: 1,
-            tag: 0,
-            bytes: 222,
-            rendezvous: None,
-        });
-        assert_eq!(mb.post(Src::Rank(1), 0).unwrap().bytes, 111);
-        assert_eq!(mb.post(Src::Rank(1), 0).unwrap().bytes, 222);
+        mb.deliver(env(1, 0));
+        mb.deliver(env(2, 0));
+        mb.deliver(env(1, 1));
+        // Rank 2's message is taken from the middle; the others keep
+        // their arrival order.
+        assert!(mb.post(Src::Rank(2), 0));
+        assert_eq!(mb.unexpected, [env(1, 0), env(1, 1)]);
+        assert!(!mb.post(Src::Rank(2), 0), "nothing left from rank 2");
+        assert_eq!(mb.posted_descriptors(), vec![(Src::Rank(2), 0)]);
     }
 
     proptest! {
@@ -198,12 +187,12 @@ mod tests {
             let mut matched = 0u64;
             for (kind, src, tag) in actions {
                 if kind == 0 {
-                    if mb.post(Src::Rank(src), tag).is_some() {
+                    if mb.post(Src::Rank(src), tag) {
                         matched += 1;
                     }
                     posts += 1;
                 } else {
-                    if mb.deliver(Envelope { src, tag, bytes: 1, rendezvous: None }) {
+                    if mb.deliver(Envelope { src, tag }) {
                         matched += 1;
                     }
                     delivers += 1;

@@ -95,18 +95,10 @@ pub enum NetEvent {
         /// The locally-sent message.
         msg: MessageId,
     },
-    /// A scheduled fault window opens or closes on a link (only emitted
-    /// when a [`FaultPlan`](crate::FaultPlan) declares down windows and
-    /// [`Fabric::prime_fault_events`] was called).
-    LinkStateChange {
-        /// The affected link.
-        link: LinkId,
-        /// `true` when the link comes back up.
-        up: bool,
-    },
 }
 
-/// Upcalls from the fabric to the layer above.
+/// Upcalls from the fabric to the layer above. Each names only the
+/// message: the sender already knows everything else about it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Notice {
     /// The last packet of a message left the source NIC: an eager send
@@ -114,57 +106,24 @@ pub enum Notice {
     MessageInjected {
         /// The injected message.
         msg: MessageId,
-        /// The sending node.
-        src: NodeId,
     },
     /// Every packet of the message has arrived at the destination node.
     MessageDelivered {
         /// The completed message.
         msg: MessageId,
-        /// Originating node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Message payload size.
-        bytes: u64,
     },
-    /// A packet was lost to an injected fault while crossing `link`.
-    PacketDropped {
-        /// The lost packet.
-        packet: Packet,
-        /// The link that ate it.
-        link: LinkId,
-    },
-    /// At least one packet of the message was dropped, and all its other
-    /// packets have finished (delivered or dropped): the message will
-    /// never complete. A reliability layer above may retransmit.
+    /// At least one packet of the message was lost to an injected fault,
+    /// and all its other packets have finished (delivered or dropped): the
+    /// message will never complete. A reliability layer above may
+    /// retransmit.
     MessageDropped {
         /// The incomplete message.
         msg: MessageId,
-        /// Originating node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Message payload size.
-        bytes: u64,
-    },
-    /// A scheduled link-down window opened.
-    LinkDown {
-        /// The failed link.
-        link: LinkId,
-    },
-    /// A scheduled link-down window closed.
-    LinkUp {
-        /// The recovered link.
-        link: LinkId,
     },
 }
 
 #[derive(Debug)]
 struct MsgProgress {
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
     deliver_remaining: u32,
     /// Packets of this message lost to injected faults.
     dropped: u32,
@@ -603,11 +562,10 @@ impl Fabric {
     }
 
     /// Accounts a fault-dropped packet: per-message progress, fabric
-    /// counters, and the [`Notice::PacketDropped`] /
-    /// [`Notice::MessageDropped`] upcalls.
-    fn drop_packet(&mut self, pkt: Packet, link: LinkId, out: &mut Vec<Notice>) {
+    /// counters, and the [`Notice::MessageDropped`] upcall once the
+    /// message's last packet has finished.
+    fn drop_packet(&mut self, pkt: Packet, out: &mut Vec<Notice>) {
         self.stats.packets_dropped += 1;
-        out.push(Notice::PacketDropped { packet: pkt, link });
         let finished = {
             #[expect(
                 clippy::expect_used,
@@ -622,45 +580,9 @@ impl Fabric {
             prog.deliver_remaining == 0
         };
         if finished {
-            #[expect(
-                clippy::expect_used,
-                reason = "locally proven: guarded by the explicit check a few lines above"
-            )]
-            let prog = self
-                .inflight
-                .remove(&pkt.msg)
-                .expect("present: checked above");
+            self.inflight.remove(&pkt.msg);
             self.stats.messages_dropped += 1;
-            out.push(Notice::MessageDropped {
-                msg: pkt.msg,
-                src: prog.src,
-                dst: prog.dst,
-                bytes: prog.bytes,
-            });
-        }
-    }
-
-    /// Schedules [`NetEvent::LinkStateChange`] events for every declared
-    /// down window, so the composer receives [`Notice::LinkDown`] /
-    /// [`Notice::LinkUp`] at the window edges. Call once after creating
-    /// the event queue (`anp-simmpi`'s `World` does this automatically).
-    /// Without priming, drops still happen; only the notices are missed.
-    pub fn prime_fault_events<E: From<NetEvent>>(&self, q: &mut EventQueue<E>) {
-        let Some(f) = &self.faults else { return };
-        let nodes = self.cfg.nodes as usize;
-        let sc = self.routes.switch_count() as usize;
-        for (idx, state) in f.links.iter().enumerate() {
-            let link = link_from_index(nodes, sc, idx);
-            for w in &state.down {
-                q.schedule_at(
-                    w.from.max(q.now()),
-                    NetEvent::LinkStateChange { link, up: false }.into(),
-                );
-                q.schedule_at(
-                    w.until.max(q.now()),
-                    NetEvent::LinkStateChange { link, up: true }.into(),
-                );
-            }
+            out.push(Notice::MessageDropped { msg: pkt.msg });
         }
     }
 
@@ -743,9 +665,6 @@ impl Fabric {
         self.inflight.insert(
             id,
             MsgProgress {
-                src,
-                dst,
-                bytes,
                 deliver_remaining: n_pkts as u32,
                 dropped: 0,
             },
@@ -809,10 +728,7 @@ impl Fabric {
             NetEvent::NicTxDone { node } => {
                 let pkt = self.nics[node.index()].tx_done();
                 if pkt.last {
-                    out.push(Notice::MessageInjected {
-                        msg: pkt.msg,
-                        src: node,
-                    });
+                    out.push(Notice::MessageInjected { msg: pkt.msg });
                 }
                 let link = LinkId::NodeUp(node);
                 let leaf = self.routes.leaf_of(node);
@@ -823,7 +739,7 @@ impl Fabric {
                     // reach). Hand the credit back, or every drop shrinks the
                     // pool until all NICs on the leaf park forever.
                     self.release_credit(q, leaf, 0);
-                    self.drop_packet(pkt, link, out);
+                    self.drop_packet(pkt, out);
                 } else {
                     q.schedule_after(
                         self.wire_delay(link),
@@ -883,7 +799,7 @@ impl Fabric {
                     if let NextHop::Switch { sw: next, class } = hop {
                         self.release_credit(q, next, class);
                     }
-                    self.drop_packet(pkt, link, out);
+                    self.drop_packet(pkt, out);
                 } else {
                     match hop {
                         NextHop::Node(_) => {
@@ -933,36 +849,18 @@ impl Fabric {
                         .expect("present: checked above");
                     if prog.dropped == 0 {
                         self.stats.messages_delivered += 1;
-                        out.push(Notice::MessageDelivered {
-                            msg: packet.msg,
-                            src: prog.src,
-                            dst: prog.dst,
-                            bytes: prog.bytes,
-                        });
+                        out.push(Notice::MessageDelivered { msg: packet.msg });
                     } else {
                         // Some packets were lost: the message can never be
                         // reassembled, so it completes as a drop even though
                         // the surviving packets arrived.
                         self.stats.messages_dropped += 1;
-                        out.push(Notice::MessageDropped {
-                            msg: packet.msg,
-                            src: prog.src,
-                            dst: prog.dst,
-                            bytes: prog.bytes,
-                        });
+                        out.push(Notice::MessageDropped { msg: packet.msg });
                     }
                 }
             }
-            NetEvent::LinkStateChange { link, up } => {
-                out.push(if up {
-                    Notice::LinkUp { link }
-                } else {
-                    Notice::LinkDown { link }
-                });
-            }
             NetEvent::LocalInjectDone { msg } => {
-                let src = self.inflight.get(&msg).map(|p| p.src).unwrap_or(NodeId(0));
-                out.push(Notice::MessageInjected { msg, src });
+                out.push(Notice::MessageInjected { msg });
             }
         }
     }
@@ -1282,14 +1180,15 @@ mod tests {
         let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
             .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_micros(10)));
         let mut fab = Fabric::new(cfg.with_fault_plan(FaultPlan::none().with_link_fault(fault)));
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
+        let mut q: EventQueue<Ev> = EventQueue::new();
         fab.enable_audit();
-        fab.prime_fault_events(&mut q);
         fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 4096);
-        drain(&mut fab, &mut q, SimTime::from_micros(15));
+        q.schedule_at(SimTime::from_micros(15), Ev::Tick);
+        drain_ev(&mut fab, &mut q, SimTime::from_micros(15));
         fab.send_message(&mut q, 1, NodeId(0), NodeId(1), 4096);
-        drain(&mut fab, &mut q, SimTime::from_secs(1));
-        assert!(fab.stats().packets_dropped >= 4);
+        drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
+        assert_eq!(fab.stats().packets_dropped, 4);
+        assert_eq!(fab.stats().messages_delivered, 1);
         let report = fab.take_audit_report().expect("audit enabled");
         assert!(report.is_clean(), "unexpected violations: {report}");
     }
@@ -1496,10 +1395,35 @@ mod tests {
 
     use crate::fault::{FaultPlan, FaultWindow, LinkFault, LinkId, LinkSelector};
 
+    /// A composer's event type with one event of its own, a clock tick:
+    /// the fabric schedules nothing at a down window's edges, so the
+    /// window tests tick the clock past a window's end themselves.
+    #[derive(Debug)]
+    enum Ev {
+        Net(NetEvent),
+        Tick,
+    }
+
+    impl From<NetEvent> for Ev {
+        fn from(ev: NetEvent) -> Self {
+            Ev::Net(ev)
+        }
+    }
+
+    /// [`drain`] over an [`Ev`] queue; a tick only moves the clock.
+    fn drain_ev(fab: &mut Fabric, q: &mut EventQueue<Ev>, horizon: SimTime) -> Vec<Notice> {
+        let mut out = Vec::new();
+        while let Some((_, ev)) = q.pop_until(horizon) {
+            if let Ev::Net(ne) = ev {
+                fab.handle(q, ne, &mut out);
+            }
+        }
+        out
+    }
+
     fn run_notices(cfg: SwitchConfig) -> Vec<Notice> {
         let mut fab = Fabric::new(cfg);
         let mut q: EventQueue<NetEvent> = EventQueue::new();
-        fab.prime_fault_events(&mut q);
         for i in 0..12u64 {
             let src = NodeId((i % 4) as u32);
             let dst = NodeId(((i + 1) % 4) as u32);
@@ -1528,11 +1452,6 @@ mod tests {
         let a = run_notices(lossy());
         let b = run_notices(lossy());
         assert_eq!(a, b, "same seed + same plan must replay identically");
-        let drops = a
-            .iter()
-            .filter(|n| matches!(n, Notice::PacketDropped { .. }))
-            .count();
-        assert!(drops > 0, "30% loss over 12 messages must drop something");
 
         // Conservation: every created packet is either delivered or
         // dropped, and every message resolves one way or the other.
@@ -1545,6 +1464,10 @@ mod tests {
         }
         drain(&mut fab, &mut q, SimTime::from_secs(10));
         let s = fab.stats();
+        assert!(
+            s.packets_dropped > 0,
+            "30% loss over 12 messages must drop something"
+        );
         assert_eq!(s.packets_created, s.packets_delivered + s.packets_dropped);
         assert_eq!(s.messages_sent, s.messages_delivered + s.messages_dropped);
         assert!(fab.is_quiescent(), "no packet may be left in flight");
@@ -1572,19 +1495,18 @@ mod tests {
         let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
             .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_micros(10)));
         let mut fab = Fabric::new(cfg.with_fault_plan(FaultPlan::none().with_link_fault(fault)));
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        // Prime the window-edge events so the drain below advances the
-        // clock past the down window before the second send.
-        fab.prime_fault_events(&mut q);
+        let mut q: EventQueue<Ev> = EventQueue::new();
         // Eaten by the down window — four packets, four potential leaks.
+        // The tick moves the clock past the window before the second send.
         fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 4096);
-        drain(&mut fab, &mut q, SimTime::from_micros(15));
+        q.schedule_at(SimTime::from_micros(15), Ev::Tick);
+        drain_ev(&mut fab, &mut q, SimTime::from_micros(15));
         assert_eq!(fab.stats().packets_dropped, 4);
         assert_eq!(fab.credits_in_use(0, 0), 0, "drop must return the credit");
         // The window is over; the same node (and its leaf peers) must still
         // be able to push traffic through the single credit.
         let id = fab.send_message(&mut q, 1, NodeId(0), NodeId(1), 4096);
-        let notices = drain(&mut fab, &mut q, SimTime::from_secs(1));
+        let notices = drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
         assert_eq!(delivered(&notices), vec![id]);
     }
 
@@ -1616,20 +1538,20 @@ mod tests {
         let cfg = SwitchConfig::tiny_deterministic()
             .with_fault_plan(FaultPlan::none().with_link_fault(fault));
         let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        fab.prime_fault_events(&mut q);
-        // Drain past the window, then send: the link must carry traffic.
-        let notices = drain(&mut fab, &mut q, SimTime::from_micros(20));
-        assert!(notices
-            .iter()
-            .any(|n| matches!(n, Notice::LinkDown { link } if *link == LinkId::NodeUp(NodeId(0)))));
-        assert!(notices
-            .iter()
-            .any(|n| matches!(n, Notice::LinkUp { link } if *link == LinkId::NodeUp(NodeId(0)))));
+        let mut q: EventQueue<Ev> = EventQueue::new();
+        let link = LinkId::NodeUp(NodeId(0));
+        // Inside the window the link eats the packet.
+        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
+        q.schedule_at(SimTime::from_micros(20), Ev::Tick);
+        let notices = drain_ev(&mut fab, &mut q, SimTime::from_micros(20));
+        assert!(delivered(&notices).is_empty());
+        assert_eq!(fab.drops_on(link), 1);
+        // Past the window, the link must carry traffic again.
         let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        let notices = drain(&mut fab, &mut q, SimTime::from_secs(1));
+        let notices = drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
         assert_eq!(delivered(&notices), vec![id]);
-        assert_eq!(fab.stats().packets_dropped, 0);
+        assert_eq!(fab.drops_on(link), 1);
+        assert_eq!(fab.stats().packets_dropped, 1);
     }
 
     #[test]

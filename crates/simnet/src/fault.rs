@@ -23,9 +23,8 @@
 //! * **loss** — each packet crossing the link is dropped independently
 //!   with probability `loss`;
 //! * **down windows** — every packet crossing during `[from, until)` is
-//!   dropped (and the fabric emits
-//!   [`Notice::LinkDown`](crate::Notice::LinkDown) /
-//!   [`Notice::LinkUp`](crate::Notice::LinkUp) at the edges);
+//!   dropped (the window is checked as each packet enters the link; the
+//!   fabric schedules no events at its edges);
 //! * **extra latency** — a fixed addition to the link's propagation
 //!   delay;
 //! * **bandwidth derating** — the link serializes at

@@ -24,13 +24,18 @@
 //! ## Quick example
 //!
 //! ```
-//! use anp_simnet::{Fabric, SwitchConfig, NodeId, NetEvent, EventQueue, SimTime, drain};
+//! use anp_simnet::{drain, EventQueue, Fabric, NetEvent, NodeId, Notice, SimTime, SwitchConfig};
 //!
 //! let mut fabric = Fabric::new(SwitchConfig::tiny_deterministic());
 //! let mut queue: EventQueue<NetEvent> = EventQueue::new();
-//! fabric.send_message(&mut queue, 0, NodeId(0), NodeId(1), 4096);
+//! let msg = fabric.send_message(&mut queue, 0, NodeId(0), NodeId(1), 4096);
 //! let notices = drain(&mut fabric, &mut queue, SimTime::from_nanos(1_000_000));
-//! assert!(notices.iter().any(|n| matches!(n, anp_simnet::Notice::MessageDelivered { .. })));
+//! // The send completes locally when its last packet leaves the NIC, then
+//! // the message arrives whole. Notices name only the message.
+//! assert_eq!(
+//!     notices,
+//!     [Notice::MessageInjected { msg }, Notice::MessageDelivered { msg }]
+//! );
 //! ```
 
 #![deny(missing_docs)]

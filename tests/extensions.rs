@@ -1,6 +1,6 @@
 //! Integration tests of the extensions beyond the paper's scope: the
-//! fat-tree topology, the rendezvous protocol, the extra collectives, and
-//! phase tracing — exercised together through the whole stack.
+//! fat-tree topology, the extra collectives, and phase tracing —
+//! exercised together through the whole stack.
 
 use active_netprobe::core::{Calibration, MuPolicy, TimedSeries};
 use active_netprobe::simmpi::{Op, Program, Scripted, Src, World};
@@ -95,33 +95,24 @@ fn probes_calibrate_on_a_fat_tree_leaf() {
 }
 
 #[test]
-fn rendezvous_changes_compressionb_send_semantics_not_results() {
-    // CompressionB's 40 KB messages straddle real MPI eager/rendezvous
-    // thresholds. Under a 16 KB threshold the benchmark must still run and
-    // deliver everything; its traffic simply handshakes first.
+fn compressionb_delivers_what_it_sends_on_the_cab_switch() {
+    // CompressionB's 40 KB messages sit inside real MPI stacks' eager
+    // domain. On the Cab switch the benchmark must keep its traffic
+    // moving: nearly everything it sent within 30 ms has arrived by then
+    // (the rest is the in-flight tail at the horizon).
     use active_netprobe::workloads::{build_compressionb, CompressionConfig};
-    let run = |threshold: u64| {
-        let mut w = World::new(SwitchConfig::cab().with_seed(4));
-        let comp = CompressionConfig::new(4, 2_500_000, 1);
-        w.add_job("comp", build_compressionb(&comp, 18, 2, 2_600_000_000));
-        w.set_eager_threshold(threshold);
-        w.run_until(SimTime::from_millis(30));
-        (
-            w.fabric().stats().messages_sent,
-            w.fabric().stats().messages_delivered,
-        )
-    };
-    let (eager_sent, eager_delivered) = run(u64::MAX);
-    let (rdv_sent, rdv_delivered) = run(16 * 1024);
-    assert!(eager_sent > 0 && rdv_sent > 0);
-    // Rendezvous wires ~3 messages per payload (RTS + CTS + data).
+    let mut w = World::new(SwitchConfig::cab().with_seed(4));
+    let comp = CompressionConfig::new(4, 2_500_000, 1);
+    w.add_job("comp", build_compressionb(&comp, 18, 2, 2_600_000_000));
+    w.run_until(SimTime::from_millis(30));
+    let stats = w.fabric().stats();
+    assert!(stats.messages_sent > 0);
     assert!(
-        rdv_sent > eager_sent * 2,
-        "handshakes must appear on the wire: {rdv_sent} vs {eager_sent}"
+        stats.messages_delivered as f64 >= stats.messages_sent as f64 * 0.8,
+        "{} of {} messages delivered",
+        stats.messages_delivered,
+        stats.messages_sent
     );
-    // No messages stuck in either mode (allow in-flight tail at horizon).
-    assert!(eager_delivered as f64 >= eager_sent as f64 * 0.8);
-    assert!(rdv_delivered as f64 >= rdv_sent as f64 * 0.8);
 }
 
 #[test]
