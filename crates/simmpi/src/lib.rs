@@ -66,6 +66,6 @@ pub use op::{Op, Src};
 pub use program::{Ctx, Looping, Program, Scripted};
 pub use trace::{PhaseTotals, RankPhase, TraceLog};
 pub use world::{
-    BlockedOn, BlockedRank, FailedSend, JobId, ReliabilityConfig, ReliabilityStats, RunOutcome,
-    StallReport, World, WorldEvent,
+    BlockedOn, BlockedRank, EventKind, FailedSend, JobId, ReliabilityConfig, ReliabilityStats,
+    RunOutcome, StallReport, World, WorldEvent,
 };

@@ -62,6 +62,57 @@ impl From<NetEvent> for WorldEvent {
     }
 }
 
+impl WorldEvent {
+    fn kind(&self) -> EventKind {
+        match self {
+            WorldEvent::Net(NetEvent::NicTxDone { .. }) => EventKind::NicTxDone,
+            WorldEvent::Net(NetEvent::SwitchArrive { .. }) => EventKind::SwitchArrive,
+            WorldEvent::Net(NetEvent::ServiceDone { .. }) => EventKind::ServiceDone,
+            WorldEvent::Net(NetEvent::EgressTxDone { .. }) => EventKind::EgressTxDone,
+            WorldEvent::Net(NetEvent::Deliver { .. }) => EventKind::Deliver,
+            WorldEvent::Net(NetEvent::LocalInjectDone { .. }) => EventKind::LocalInjectDone,
+            WorldEvent::RankTimer { .. } => EventKind::RankTimer,
+            WorldEvent::RetransmitTimer { .. } => EventKind::RetransmitTimer,
+        }
+    }
+}
+
+/// The kinds of event a [`World`] pops: the six [`NetEvent`]s and its own
+/// two timers. [`World::events_of`] counts them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`NetEvent::NicTxDone`].
+    NicTxDone,
+    /// [`NetEvent::SwitchArrive`].
+    SwitchArrive,
+    /// [`NetEvent::ServiceDone`].
+    ServiceDone,
+    /// [`NetEvent::EgressTxDone`].
+    EgressTxDone,
+    /// [`NetEvent::Deliver`].
+    Deliver,
+    /// [`NetEvent::LocalInjectDone`].
+    LocalInjectDone,
+    /// [`WorldEvent::RankTimer`].
+    RankTimer,
+    /// [`WorldEvent::RetransmitTimer`].
+    RetransmitTimer,
+}
+
+impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [EventKind; 8] = [
+        EventKind::NicTxDone,
+        EventKind::SwitchArrive,
+        EventKind::ServiceDone,
+        EventKind::EgressTxDone,
+        EventKind::Deliver,
+        EventKind::LocalInjectDone,
+        EventKind::RankTimer,
+        EventKind::RetransmitTimer,
+    ];
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     Ready,
@@ -386,6 +437,9 @@ pub struct World {
     wall_deadline: Option<std::time::Instant>,
     /// Set once a run loop stopped because the budget was spent.
     budget_exhausted: bool,
+    /// Popped events per [`EventKind`], indexed by the kind. Telemetry
+    /// only: always counted, never read by the simulation.
+    event_counts: [u64; EventKind::ALL.len()],
     /// World-level invariant auditor (FIFO ordering, sequence windows,
     /// monotonic time). `None` until [`World::enable_audit`]; the field only
     /// exists when the `audit` feature is compiled in.
@@ -473,6 +527,7 @@ impl World {
             max_events: None,
             wall_deadline: None,
             budget_exhausted: false,
+            event_counts: [0; EventKind::ALL.len()],
             #[cfg(feature = "audit")]
             audit: None,
         })
@@ -678,6 +733,12 @@ impl World {
         self.q.events_processed()
     }
 
+    /// Events of `kind` processed so far; over [`EventKind::ALL`] these
+    /// sum to [`World::events_processed`].
+    pub fn events_of(&self, kind: EventKind) -> u64 {
+        self.event_counts[kind as usize]
+    }
+
     /// Number of ranks across all jobs.
     pub fn rank_count(&self) -> usize {
         self.ranks.len()
@@ -803,6 +864,7 @@ impl World {
         let Some((_, ev)) = self.q.pop_until(horizon) else {
             return false;
         };
+        self.event_counts[ev.kind() as usize] += 1;
         #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             let t = self.q.now();
@@ -2195,6 +2257,54 @@ mod tests {
             }
         );
         assert_eq!(w.reliability_stats(), ReliabilityStats::default());
+    }
+
+    #[test]
+    fn one_deliver_per_message_leaves_an_alltoall_unchanged() {
+        // 8 ranks, two per Cab node, send 10 KB (three 4 KB packets) to
+        // every peer: remote and intra-node traffic. The second run has a
+        // down window that opens after the horizon: nothing drops, but
+        // every packet gets its own `Deliver`.
+        let horizon = SimTime::from_secs(1);
+        let run = |plan: FaultPlan| {
+            let mut w = World::new(SwitchConfig::cab().with_fault_plan(plan));
+            let members = (0..8)
+                .map(|i| {
+                    let ops = vec![
+                        Op::Alltoall {
+                            bytes_per_pair: 10_000,
+                        },
+                        Op::Stop,
+                    ];
+                    (boxed(Scripted::new(ops)), NodeId(i / 2))
+                })
+                .collect();
+            let job = w.add_job("a2a", members);
+            assert!(w.run_until_job_done(job, horizon).completed());
+            (w, job)
+        };
+        let (once, job) = run(FaultPlan::none());
+        let later = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0)))).with_down(
+            FaultWindow::new(SimTime::from_secs(2), SimTime::from_secs(3)),
+        );
+        let (per_packet, _) = run(FaultPlan::none().with_link_fault(later));
+        assert_eq!(once.job_finish_time(job), per_packet.job_finish_time(job));
+        let messages = once.fabric().stats().messages_delivered;
+        assert_eq!(messages, 8 * 7);
+        assert_eq!(once.events_of(EventKind::Deliver), messages);
+        // Only the `Deliver`s of the first two packets of each message go.
+        for kind in EventKind::ALL {
+            if kind != EventKind::Deliver {
+                assert_eq!(once.events_of(kind), per_packet.events_of(kind), "{kind:?}");
+            }
+        }
+        assert_eq!(per_packet.events_of(EventKind::Deliver), 3 * messages);
+        assert_eq!(
+            per_packet.events_processed() - once.events_processed(),
+            2 * messages
+        );
+        let total: u64 = EventKind::ALL.iter().map(|&k| once.events_of(k)).sum();
+        assert_eq!(total, once.events_processed());
     }
 
     #[test]

@@ -158,6 +158,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `at` is before the current clock.
+    #[inline(always)] // see `pop_until`
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(
@@ -179,6 +180,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire `after` the current clock.
+    #[inline(always)] // see `pop_until`
     pub fn schedule_after(&mut self, after: SimDuration, event: E) {
         self.schedule_at(self.now + after, event);
     }
@@ -193,6 +195,13 @@ impl<E> EventQueue<E> {
     /// leaves the queue and its clock as they were. One call does what
     /// [`EventQueue::peek_time`] followed by [`EventQueue::pop`] does,
     /// with one scan of the near tier instead of two.
+    //
+    // Forced inline, like the scheduling calls: left out of line, the
+    // `Option<(SimTime, E)>` this returns goes back through the stack and
+    // the caller reloads it. A sampling profile of `impact-sweep` put 9.6 %
+    // of all samples on that reload in `World::step`, and 3.4 % on
+    // `push_near` reading its event argument; inlined, the event moves once.
+    #[inline(always)]
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if self.near_len == 0 {
             let first = self.far.peek()?.time;
@@ -238,6 +247,7 @@ impl<E> EventQueue<E> {
 
     /// Appends `event` to the FIFO of `at`'s slot; `at` must lie within
     /// `WINDOW` of the clock.
+    #[inline(always)] // see `pop_until`
     fn push_near(&mut self, at: SimTime, event: E) {
         let node = Node {
             event: Some(event),

@@ -22,6 +22,21 @@
 //!   → egress serialize → wire → … → Deliver
 //! ```
 //!
+//! Above the fabric only whole messages are seen, so on a fabric where no
+//! link can drop a packet (no [`FaultPlan`](crate::FaultPlan), or one
+//! whose every link has neither loss nor down windows) a message gets a
+//! single `Deliver`. Each packet is counted off the message's ledger as it
+//! leaves its final egress port, and only the packet that empties the
+//! ledger schedules `Deliver`; on the local channel only the last packet
+//! does. A message's packets leave that port in FIFO order onto one
+//! fixed-delay wire, so the kept `Deliver` is the event that completed the
+//! message under per-packet delivery, and the `(time, seq)` order of every
+//! other event is unchanged. The ledger entry lives until that `Deliver`
+//! fires, so [`Fabric::is_quiescent`] stays false while the last packet is
+//! on its wire. A fabric that can drop keeps one `Deliver` per packet: a
+//! sibling dropped later can leave an already-departed packet as the
+//! message's last resolution, which a departure count cannot see.
+//!
 //! Flow control is credit-based per switch, with *separate pools per
 //! admission class* — packets entering a leaf from its nodes draw from the
 //! up-pool, packets entering from a spine draw from the down-pool. Down
@@ -84,7 +99,8 @@ pub enum NetEvent {
         /// The egress port within the switch.
         port: u32,
     },
-    /// A packet arrived at its destination NIC.
+    /// A packet arrived at its destination NIC. On a lossless fabric only
+    /// the packet that completes its message is delivered (module docs).
     Deliver {
         /// The delivered packet.
         packet: Packet,
@@ -124,7 +140,10 @@ pub enum Notice {
 
 #[derive(Debug)]
 struct MsgProgress {
-    deliver_remaining: u32,
+    /// Packets not yet counted off: on a lossless fabric, those that have
+    /// not left their final egress port; otherwise those neither delivered
+    /// nor dropped.
+    pending: u32,
     /// Packets of this message lost to injected faults.
     dropped: u32,
 }
@@ -269,6 +288,9 @@ pub struct Fabric {
     inflight: IdHashMap<MessageId, MsgProgress>,
     stats: FabricStats,
     faults: Option<FaultLayer>,
+    /// No link can drop a packet: each message gets one `Deliver` (see the
+    /// module docs).
+    lossless: bool,
     /// Invariant auditor state. `None` until [`Fabric::enable_audit`]; the
     /// field itself only exists when the `audit` feature is compiled in, so
     /// unaudited builds carry no state and no branches.
@@ -398,6 +420,9 @@ impl Fabric {
                 rng: StdRng::seed_from_u64(cfg.fault_plan.seed),
             })
         };
+        let lossless = faults
+            .as_ref()
+            .is_none_or(|f| f.links.iter().all(LinkState::never_drops));
         Ok(Fabric {
             routes,
             nics: (0..cfg.nodes as usize).map(|_| Nic::default()).collect(),
@@ -408,6 +433,7 @@ impl Fabric {
             inflight: IdHashMap::default(),
             stats: FabricStats::default(),
             faults,
+            lossless,
             cfg,
             #[cfg(feature = "audit")]
             audit: None,
@@ -576,8 +602,8 @@ impl Fabric {
                 .get_mut(&pkt.msg)
                 .expect("drop for unknown message");
             prog.dropped += 1;
-            prog.deliver_remaining -= 1;
-            prog.deliver_remaining == 0
+            prog.pending -= 1;
+            prog.pending == 0
         };
         if finished {
             self.inflight.remove(&pkt.msg);
@@ -662,10 +688,14 @@ impl Fabric {
         let n_pkts = packet_count(bytes, self.cfg.mtu);
         // Packet `i` (1-based) with its size; the count is computed once.
         let packets = (1..=n_pkts).zip(segments(bytes, self.cfg.mtu, n_pkts));
+        // The local channel has no egress port, so on a lossless fabric
+        // its packets are all counted off here and only the last one is
+        // delivered.
+        let local_once = src == dst && self.lossless;
         self.inflight.insert(
             id,
             MsgProgress {
-                deliver_remaining: n_pkts as u32,
+                pending: if local_once { 0 } else { n_pkts as u32 },
                 dropped: 0,
             },
         );
@@ -678,6 +708,9 @@ impl Fabric {
             let mut busy = self.local_busy_until[src.index()].max(now);
             for (i, sz) in packets {
                 busy += crate::time::SimDuration::serialization(sz, self.cfg.local_bandwidth);
+                if local_once && i < n_pkts {
+                    continue;
+                }
                 let pkt = Packet {
                     msg: id,
                     last: i == n_pkts,
@@ -803,10 +836,12 @@ impl Fabric {
                 } else {
                     match hop {
                         NextHop::Node(_) => {
-                            q.schedule_after(
-                                self.wire_delay(link),
-                                NetEvent::Deliver { packet: pkt }.into(),
-                            );
+                            if self.deliver_needed(&pkt) {
+                                q.schedule_after(
+                                    self.wire_delay(link),
+                                    NetEvent::Deliver { packet: pkt }.into(),
+                                );
+                            }
                         }
                         NextHop::Switch { sw: next, .. } => {
                             q.schedule_after(
@@ -823,10 +858,10 @@ impl Fabric {
                 self.try_start_egress(q, sw, port);
             }
             NetEvent::Deliver { packet } => {
-                if packet.src != packet.dst {
-                    self.stats.packets_delivered += 1;
-                }
-                let done = {
+                if !self.lossless {
+                    if packet.src != packet.dst {
+                        self.stats.packets_delivered += 1;
+                    }
                     #[expect(
                         clippy::expect_used,
                         reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
@@ -835,34 +870,56 @@ impl Fabric {
                         .inflight
                         .get_mut(&packet.msg)
                         .expect("delivery for unknown message");
-                    prog.deliver_remaining -= 1;
-                    prog.deliver_remaining == 0
-                };
-                if done {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "locally proven: guarded by the explicit check a few lines above"
-                    )]
-                    let prog = self
-                        .inflight
-                        .remove(&packet.msg)
-                        .expect("present: checked above");
-                    if prog.dropped == 0 {
-                        self.stats.messages_delivered += 1;
-                        out.push(Notice::MessageDelivered { msg: packet.msg });
-                    } else {
-                        // Some packets were lost: the message can never be
-                        // reassembled, so it completes as a drop even though
-                        // the surviving packets arrived.
-                        self.stats.messages_dropped += 1;
-                        out.push(Notice::MessageDropped { msg: packet.msg });
+                    prog.pending -= 1;
+                    if prog.pending > 0 {
+                        return;
                     }
+                }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+                )]
+                let prog = self
+                    .inflight
+                    .remove(&packet.msg)
+                    .expect("delivery for unknown message");
+                debug_assert_eq!(prog.pending, 0, "message delivered before its last packet");
+                if prog.dropped == 0 {
+                    self.stats.messages_delivered += 1;
+                    out.push(Notice::MessageDelivered { msg: packet.msg });
+                } else {
+                    // Some packets were lost: the message can never be
+                    // reassembled, so it completes as a drop even though
+                    // the surviving packets arrived.
+                    self.stats.messages_dropped += 1;
+                    out.push(Notice::MessageDropped { msg: packet.msg });
                 }
             }
             NetEvent::LocalInjectDone { msg } => {
                 out.push(Notice::MessageInjected { msg });
             }
         }
+    }
+
+    /// Whether `pkt`, just sent down the wire from its final egress port,
+    /// needs a `Deliver` event. On a lossy fabric every packet does. On a
+    /// lossless one the packet is counted off (and as delivered) here, and
+    /// only the packet that empties its message's ledger does.
+    fn deliver_needed(&mut self, pkt: &Packet) -> bool {
+        if !self.lossless {
+            return true;
+        }
+        self.stats.packets_delivered += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
+        )]
+        let prog = self
+            .inflight
+            .get_mut(&pkt.msg)
+            .expect("departure of unknown message");
+        prog.pending -= 1;
+        prog.pending == 0
     }
 
     fn schedule_service<E: From<NetEvent>>(
@@ -1394,6 +1451,7 @@ mod tests {
     // Fault injection.
 
     use crate::fault::{FaultPlan, FaultWindow, LinkFault, LinkId, LinkSelector};
+    use crate::service::ServiceDistribution;
 
     /// A composer's event type with one event of its own, a clock tick:
     /// the fabric schedules nothing at a down window's edges, so the
@@ -1610,6 +1668,123 @@ mod tests {
         assert!(notices
             .iter()
             .any(|n| matches!(n, Notice::MessageDropped { msg, .. } if *msg == cross)));
+        assert!(fab.is_quiescent());
+    }
+
+    // ------------------------------------------------------------------
+    // Per-message delivery.
+
+    /// Drains like [`drain`], stamping each notice with the time of the
+    /// event that raised it, and shows `inspect` every event before the
+    /// fabric handles it.
+    fn timed_drain(
+        fab: &mut Fabric,
+        q: &mut EventQueue<NetEvent>,
+        horizon: SimTime,
+        mut inspect: impl FnMut(&Fabric, &NetEvent),
+    ) -> Vec<(SimTime, Notice)> {
+        let mut out = Vec::new();
+        let mut timed = Vec::new();
+        while let Some((t, ev)) = q.pop_until(horizon) {
+            inspect(fab, &ev);
+            fab.handle(q, ev, &mut out);
+            timed.extend(out.drain(..).map(|n| (t, n)));
+        }
+        timed
+    }
+
+    #[test]
+    fn one_deliver_per_message_matches_per_packet_delivery() {
+        // Four routing servers with widely spread service times reorder a
+        // message's packets; the mix adds an intra-node message and a
+        // zero-byte one.
+        let mut cfg = SwitchConfig::tiny_deterministic();
+        cfg.route_servers = 4;
+        cfg.service = ServiceDistribution::Uniform {
+            lo_ns: 100,
+            hi_ns: 3_000,
+        };
+        let mix: Vec<(u32, u32, u64)> = (0..12u32)
+            .map(|i| (i % 4, (i + 1 + i / 4) % 4, 3_000 + 1_000 * u64::from(i)))
+            .chain([(2, 2, 5_000), (0, 3, 0)])
+            .collect();
+        let horizon = SimTime::from_secs(1);
+        let run = |cfg: SwitchConfig| {
+            let mut fab = Fabric::new(cfg);
+            let mut q: EventQueue<NetEvent> = EventQueue::new();
+            for (i, &(src, dst, bytes)) in mix.iter().enumerate() {
+                fab.send_message(&mut q, i as u64, NodeId(src), NodeId(dst), bytes);
+            }
+            let mut reordered = 0;
+            let notices = timed_drain(&mut fab, &mut q, horizon, |fab, ev| {
+                if let NetEvent::Deliver { packet } = ev {
+                    // The last packet of the message is still on its wire.
+                    assert!(!fab.is_quiescent());
+                    if packet.last && fab.inflight[&packet.msg].pending > 1 {
+                        reordered += 1;
+                    }
+                }
+            });
+            assert!(fab.is_quiescent());
+            (notices, q.events_processed(), fab.lossless, reordered)
+        };
+        // The down window opens after the horizon: nothing drops, but the
+        // link could, so this fabric takes the per-packet path.
+        let after = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0)))).with_down(
+            FaultWindow::new(SimTime::from_secs(2), SimTime::from_secs(3)),
+        );
+        let (once, once_events, lossless, _) = run(cfg.clone());
+        let (per_packet, per_packet_events, per_packet_lossless, reordered) = run(cfg
+            .clone()
+            .with_fault_plan(FaultPlan::none().with_link_fault(after)));
+        assert!(lossless && !per_packet_lossless);
+        assert!(reordered > 0, "the routing stage must reorder some message");
+        assert_eq!(once, per_packet);
+        assert_eq!(
+            once.iter()
+                .filter(|(_, n)| matches!(n, Notice::MessageDelivered { .. }))
+                .count(),
+            mix.len()
+        );
+        let extra: u64 = mix
+            .iter()
+            .map(|&(_, _, bytes)| packet_count(bytes, cfg.mtu) - 1)
+            .sum();
+        assert!(extra > 0);
+        assert_eq!(per_packet_events - once_events, extra);
+    }
+
+    #[test]
+    fn lossy_message_completes_when_its_last_survivor_lands() {
+        // Two 1024 B packets 0 → 1. Packet A leaves the switch at 2348 ns
+        // (nic 1024 + wire 100 + svc 200 + egress 1024) onto a final wire
+        // 100 + 5000 ns long. Packet B follows 1024 ns behind and is
+        // dropped entering that wire at 3372 ns, inside its down window.
+        // A has already left its last port, yet the message resolves only
+        // when A lands at 7448 ns: the case per-message delivery would get
+        // wrong, and why lossy fabrics keep a `Deliver` per packet.
+        let down = LinkId::NodeDown(NodeId(1));
+        let fault = LinkFault::on(LinkSelector::Link(down))
+            .with_extra_latency(SimDuration::from_nanos(5_000))
+            .with_down(FaultWindow::new(
+                SimTime::from_nanos(3_000),
+                SimTime::from_nanos(4_000),
+            ));
+        let cfg = SwitchConfig::tiny_deterministic()
+            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
+        let mut fab = Fabric::new(cfg);
+        let mut q: EventQueue<NetEvent> = EventQueue::new();
+        let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 2048);
+        let notices = timed_drain(&mut fab, &mut q, SimTime::from_secs(1), |_, _| {});
+        assert_eq!(fab.drops_on(down), 1);
+        assert_eq!(fab.stats().packets_delivered, 1);
+        assert_eq!(
+            notices.last(),
+            Some(&(
+                SimTime::from_nanos(7_448),
+                Notice::MessageDropped { msg: id }
+            ))
+        );
         assert!(fab.is_quiescent());
     }
 

@@ -98,7 +98,11 @@ pub struct FabricStats {
     pub messages_delivered: u64,
     /// Packets created by segmentation (remote traffic only).
     pub packets_created: u64,
-    /// Packets delivered to destination NICs (remote traffic only).
+    /// Packets delivered to destination NICs (remote traffic only). On a
+    /// lossless fabric, where each message gets a single `Deliver`, a
+    /// packet counts when it leaves its final egress port, so at a horizon
+    /// cut this includes packets still on their last wire; on a fabric
+    /// that can drop packets it counts each `Deliver` as it fires.
     pub packets_delivered: u64,
     /// Intra-node messages short-circuited past the switch.
     pub local_messages: u64,
