@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use anp_simmpi::coll::{expand_allreduce, expand_alltoall};
+use anp_simmpi::coll::Lowering;
 use anp_simmpi::p2p::{Envelope, Mailbox};
 use anp_simmpi::{Op, Program, Scripted, Src, World};
 use anp_simnet::{NodeId, SimTime, SwitchConfig};
@@ -67,16 +67,19 @@ fn bench_collective_lowering(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for local in 0..144 {
-                total += expand_allreduce(local, 144, 1024, 0).len();
+                total += Lowering::new(Op::Allreduce { bytes: 1024 }, local, 144, 0).count();
             }
             total
         });
     });
+    let alltoall = Op::Alltoall {
+        bytes_per_pair: 1024,
+    };
     g.bench_function("alltoall_expansion_144", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for local in 0..144 {
-                total += expand_alltoall(local, 144, 1024, 0).len();
+                total += Lowering::new(alltoall, local, 144, 0).count();
             }
             total
         });

@@ -4,14 +4,11 @@
 //!
 //! The walk drives each rank's [`anp_simmpi::Program`] to completion at frozen
 //! simulated time, lowering collectives through the *same*
-//! [`anp_simmpi::coll`] expansions the discrete-event world uses, so the
+//! [`anp_simmpi::coll::Lowering`] the discrete-event world uses, so the
 //! extracted byte/packet/round counts are exactly the counts the DES
 //! would move — only the timing is left to the analytic model.
 
-use anp_simmpi::coll::{
-    expand_allgather, expand_allreduce, expand_alltoall, expand_barrier, expand_bcast,
-    expand_reduce,
-};
+use anp_simmpi::coll::Lowering;
 use anp_simmpi::{Ctx, Op};
 use anp_simnet::packet::packet_count;
 use anp_simnet::{NodeId, SimDuration, SimTime, SwitchConfig, Topology};
@@ -217,20 +214,11 @@ struct Tally {
 
 impl Tally {
     /// Lowers `coll` for rank `local` of `n` on node `src` through the
-    /// same [`anp_simmpi::coll`] expansions the DES uses and folds the
-    /// result. The first fold also marks the collective's peers in
-    /// `layout`; repeats would mark the same bits again.
+    /// same [`Lowering`] the DES uses and folds the result. The first
+    /// fold also marks the collective's peers in `layout`; repeats would
+    /// mark the same bits again.
     fn fold(layout: &mut Layout, src: usize, local: u32, n: u32, coll: Op) -> Tally {
-        let tag = Op::RESERVED_TAG_BASE;
-        let ops = match coll {
-            Op::Barrier => expand_barrier(local, n, tag),
-            Op::Allreduce { bytes } => expand_allreduce(local, n, bytes, tag),
-            Op::Alltoall { bytes_per_pair } => expand_alltoall(local, n, bytes_per_pair, tag),
-            Op::Bcast { root, bytes } => expand_bcast(local, root, n, bytes, tag),
-            Op::Reduce { root, bytes } => expand_reduce(local, root, n, bytes, tag),
-            Op::Allgather { bytes_per_rank } => expand_allgather(local, n, bytes_per_rank, tag),
-            other => unreachable!("{other:?} is not a collective"),
-        };
+        let mut expanded_ops = 0;
         let mut sends = Sends::default();
         let mut rx = vec![0u64; layout.leaf_of_node.len()];
         let mut sync = [
@@ -240,8 +228,9 @@ impl Tally {
                 pending: true,
             },
         ];
-        for op in &ops {
-            match *op {
+        for op in Lowering::new(coll, local, n, Op::RESERVED_TAG_BASE) {
+            expanded_ops += 1;
+            match op {
                 Op::Isend { dst, bytes, .. } => {
                     layout.send(src, dst, bytes, &mut sends, &mut rx);
                     sync.iter_mut().for_each(Sync::post);
@@ -252,7 +241,7 @@ impl Tally {
             }
         }
         Tally {
-            expanded_ops: ops.len() as u64,
+            expanded_ops,
             sends,
             rx: rx
                 .into_iter()
@@ -425,11 +414,11 @@ mod tests {
     use anp_simmpi::{Program, Scripted, Src};
     use anp_simnet::SwitchConfig;
     use proptest::prelude::*;
-    use std::collections::{BTreeSet, VecDeque};
+    use std::collections::BTreeSet;
 
-    /// The direct walk: every collective re-expanded through a queue at
-    /// every call, every total a running `f64` sum. The oracle the
-    /// memoized walk must match bit for bit.
+    /// The direct walk: every collective re-lowered at every call, every
+    /// total a running `f64` sum. The oracle the memoized walk must match
+    /// bit for bit.
     fn reference_walk(label: &str, mut members: Members, net: &SwitchConfig) -> TrafficDescriptor {
         let n = members.len() as u32;
         let nodes_of: Vec<NodeId> = members.iter().map(|(_, node)| *node).collect();
@@ -458,9 +447,9 @@ mod tests {
             let mut compute = 0.0f64;
             let mut rounds = 0u64;
             let mut pending = false;
-            let mut expanded: VecDeque<Op> = VecDeque::new();
+            let mut lowering = Lowering::default();
             loop {
-                let op = match expanded.pop_front() {
+                let op = match lowering.next() {
                     Some(op) => op,
                     None => prog.next_op(&ctx),
                 };
@@ -498,45 +487,13 @@ mod tests {
                             }
                         }
                     }
-                    Op::Barrier => {
-                        expanded.extend(expand_barrier(local_u, n, Op::RESERVED_TAG_BASE));
-                    }
-                    Op::Allreduce { bytes } => {
-                        expanded.extend(expand_allreduce(local_u, n, bytes, Op::RESERVED_TAG_BASE));
-                    }
-                    Op::Alltoall { bytes_per_pair } => {
-                        expanded.extend(expand_alltoall(
-                            local_u,
-                            n,
-                            bytes_per_pair,
-                            Op::RESERVED_TAG_BASE,
-                        ));
-                    }
-                    Op::Bcast { root, bytes } => {
-                        expanded.extend(expand_bcast(
-                            local_u,
-                            root,
-                            n,
-                            bytes,
-                            Op::RESERVED_TAG_BASE,
-                        ));
-                    }
-                    Op::Reduce { root, bytes } => {
-                        expanded.extend(expand_reduce(
-                            local_u,
-                            root,
-                            n,
-                            bytes,
-                            Op::RESERVED_TAG_BASE,
-                        ));
-                    }
-                    Op::Allgather { bytes_per_rank } => {
-                        expanded.extend(expand_allgather(
-                            local_u,
-                            n,
-                            bytes_per_rank,
-                            Op::RESERVED_TAG_BASE,
-                        ));
+                    coll @ (Op::Barrier
+                    | Op::Allreduce { .. }
+                    | Op::Alltoall { .. }
+                    | Op::Bcast { .. }
+                    | Op::Reduce { .. }
+                    | Op::Allgather { .. }) => {
+                        lowering = Lowering::new(coll, local_u, n, Op::RESERVED_TAG_BASE);
                     }
                 }
             }

@@ -24,10 +24,7 @@ use anp_simnet::{
     SimTime, SwitchConfig,
 };
 
-use crate::coll::{
-    expand_allgather, expand_allreduce, expand_alltoall, expand_barrier, expand_bcast,
-    expand_reduce,
-};
+use crate::coll::Lowering;
 use crate::op::{Op, Src};
 use crate::p2p::{Envelope, Mailbox};
 use crate::program::{Ctx, Program};
@@ -126,9 +123,9 @@ struct RankState {
     local: u32,
     node: NodeId,
     program: Box<dyn Program>,
-    /// Ops injected by collective lowering, drained before the program is
-    /// consulted again.
-    injected: VecDeque<Op>,
+    /// The collective being lowered: its ops are served before the
+    /// program is consulted again.
+    lowering: Lowering,
     /// Requests posted since the last completed wait.
     outstanding: u32,
     mailbox: Mailbox,
@@ -693,7 +690,7 @@ impl World {
                 local: local as u32,
                 node,
                 program,
-                injected: VecDeque::new(),
+                lowering: Lowering::default(),
                 outstanding: 0,
                 mailbox: Mailbox::default(),
                 status: Status::Ready,
@@ -737,6 +734,14 @@ impl World {
     /// sum to [`World::events_processed`].
     pub fn events_of(&self, kind: EventKind) -> u64 {
         self.event_counts[kind as usize]
+    }
+
+    /// The most events that have been pending at once in this world's
+    /// event queue. Like [`World::events_of`], a plain counter that never
+    /// feeds a result; with [`Fabric::nic_peak_backlog`] it sizes the
+    /// state the simulation holds.
+    pub fn queue_high_water(&self) -> usize {
+        self.q.high_water()
     }
 
     /// Number of ranks across all jobs.
@@ -1217,7 +1222,7 @@ impl World {
         loop {
             let op = {
                 let r = &mut self.ranks[rank as usize];
-                match r.injected.pop_front() {
+                match r.lowering.next() {
                     Some(op) => op,
                     None => {
                         let ctx = Ctx { now: self.q.now() };
@@ -1257,22 +1262,12 @@ impl World {
                         return;
                     }
                 }
-                Op::Barrier => self.inject_collective(rank, CollKind::Barrier),
-                Op::Allreduce { bytes } => {
-                    self.inject_collective(rank, CollKind::Allreduce { bytes })
-                }
-                Op::Alltoall { bytes_per_pair } => {
-                    self.inject_collective(rank, CollKind::Alltoall { bytes_per_pair })
-                }
-                Op::Bcast { root, bytes } => {
-                    self.inject_collective(rank, CollKind::Bcast { root, bytes })
-                }
-                Op::Reduce { root, bytes } => {
-                    self.inject_collective(rank, CollKind::Reduce { root, bytes })
-                }
-                Op::Allgather { bytes_per_rank } => {
-                    self.inject_collective(rank, CollKind::Allgather { bytes_per_rank })
-                }
+                coll @ (Op::Barrier
+                | Op::Allreduce { .. }
+                | Op::Alltoall { .. }
+                | Op::Bcast { .. }
+                | Op::Reduce { .. }
+                | Op::Allgather { .. }) => self.inject_collective(rank, coll),
                 Op::Stop => {
                     let r = &mut self.ranks[rank as usize];
                     assert_eq!(
@@ -1373,7 +1368,7 @@ impl World {
         self.ranks[rank as usize].outstanding += 1;
     }
 
-    fn inject_collective(&mut self, rank: u32, kind: CollKind) {
+    fn inject_collective(&mut self, rank: u32, coll: Op) {
         let (job, local, seq) = {
             let r = &mut self.ranks[rank as usize];
             assert_eq!(
@@ -1388,40 +1383,18 @@ impl World {
         let n = self.jobs[job.0 as usize].ranks.len() as u32;
         // Two tags per instance, cycling within the reserved tag space.
         let tag_base = Op::RESERVED_TAG_BASE + ((seq % (1 << 28)) << 1);
-        let ops = match kind {
-            CollKind::Barrier => expand_barrier(local, n, tag_base),
-            CollKind::Allreduce { bytes } => expand_allreduce(local, n, bytes, tag_base),
-            CollKind::Alltoall { bytes_per_pair } => {
-                expand_alltoall(local, n, bytes_per_pair, tag_base)
-            }
-            CollKind::Bcast { root, bytes } => expand_bcast(local, root, n, bytes, tag_base),
-            CollKind::Reduce { root, bytes } => expand_reduce(local, root, n, bytes, tag_base),
-            CollKind::Allgather { bytes_per_rank } => {
-                expand_allgather(local, n, bytes_per_rank, tag_base)
-            }
-        };
         let r = &mut self.ranks[rank as usize];
         debug_assert!(
-            r.injected.is_empty(),
+            r.lowering.is_done(),
             "collective issued from within a collective expansion"
         );
-        r.injected.extend(ops);
+        r.lowering = Lowering::new(coll, local, n, tag_base);
     }
 }
 
 /// Dense key for a (source, destination) global-rank pair.
 fn pair_key(src_global: u32, dst_global: u32) -> u64 {
     (u64::from(src_global) << 32) | u64::from(dst_global)
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CollKind {
-    Barrier,
-    Allreduce { bytes: u64 },
-    Alltoall { bytes_per_pair: u64 },
-    Bcast { root: u32, bytes: u64 },
-    Reduce { root: u32, bytes: u64 },
-    Allgather { bytes_per_rank: u64 },
 }
 
 #[cfg(test)]

@@ -102,6 +102,8 @@ pub struct EventQueue<E> {
     now: SimTime,
     seq: u64,
     popped: u64,
+    /// Most events ever pending at once.
+    high_water: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -130,6 +132,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
+            high_water: 0,
         }
     }
 
@@ -152,6 +155,12 @@ impl<E> EventQueue<E> {
     /// Total number of events popped so far (simulation-size telemetry).
     pub fn events_processed(&self) -> u64 {
         self.popped
+    }
+
+    /// The most events that have been pending at once (memory telemetry;
+    /// nothing reads it back).
+    pub fn high_water(&self) -> usize {
+        self.high_water
     }
 
     /// Schedules `event` to fire at the absolute instant `at`.
@@ -177,6 +186,7 @@ impl<E> EventQueue<E> {
                 event,
             });
         }
+        self.high_water = self.high_water.max(self.len());
     }
 
     /// Schedules `event` to fire `after` the current clock.
@@ -351,6 +361,21 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(50), ());
         q.pop();
         q.schedule_at(SimTime::from_nanos(10), ());
+    }
+
+    #[test]
+    fn high_water_counts_both_tiers_and_never_falls() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(1), ());
+        // Far enough ahead to wait in the far tier.
+        q.schedule_at(SimTime::ZERO + WINDOW + WINDOW, ());
+        assert_eq!(q.high_water(), 2);
+        q.pop();
+        q.schedule_at(SimTime::from_nanos(2), ());
+        assert_eq!((q.len(), q.high_water()), (2, 2));
+        q.schedule_at(SimTime::from_nanos(3), ());
+        while q.pop().is_some() {}
+        assert_eq!(q.high_water(), 3);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! Packet life cycle (remote traffic):
 //!
 //! ```text
-//! send_message → NIC per-flow queue → \[credit gate\] → NIC serialize → wire
+//! send_message → NIC per-flow message queue → \[credit gate\] → NIC cuts
+//!   and serializes the next packet → wire
 //!   → routing stage (parallel servers) → egress FIFO → [next-hop credit]
 //!   → egress serialize → wire → … → Deliver
 //! ```
@@ -60,8 +61,8 @@ use crate::audit::{AuditLog, InvariantKind};
 use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
 use crate::fault::{LinkId, LinkState, ServerFaultState};
-use crate::nic::Nic;
-use crate::packet::{packet_count, segments, MessageId, NodeId, Packet};
+use crate::nic::{Backlog, Nic};
+use crate::packet::{packet_count, segments, Message, MessageId, NodeId, Packet};
 use crate::stats::{FabricStats, SwitchStats};
 use crate::switch::{CentralStage, CreditPool, EgressPort};
 use crate::time::{SimDuration, SimTime};
@@ -425,7 +426,7 @@ impl Fabric {
             .is_none_or(|f| f.links.iter().all(LinkState::never_drops));
         Ok(Fabric {
             routes,
-            nics: (0..cfg.nodes as usize).map(|_| Nic::default()).collect(),
+            nics: (0..cfg.nodes as usize).map(|_| Nic::new(cfg.mtu)).collect(),
             switches,
             local_busy_until: vec![SimTime::ZERO; cfg.nodes as usize],
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -686,8 +687,6 @@ impl Fabric {
         self.stats.messages_sent += 1;
 
         let n_pkts = packet_count(bytes, self.cfg.mtu);
-        // Packet `i` (1-based) with its size; the count is computed once.
-        let packets = (1..=n_pkts).zip(segments(bytes, self.cfg.mtu, n_pkts));
         // The local channel has no egress port, so on a lossless fabric
         // its packets are all counted off here and only the last one is
         // delivered.
@@ -706,7 +705,8 @@ impl Fabric {
             self.stats.local_messages += 1;
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
-            for (i, sz) in packets {
+            // Packet `i` (1-based) with its size; the count is computed once.
+            for (i, sz) in (1..=n_pkts).zip(segments(bytes, self.cfg.mtu, n_pkts)) {
                 busy += crate::time::SimDuration::serialization(sz, self.cfg.local_bandwidth);
                 if local_once && i < n_pkts {
                     continue;
@@ -728,19 +728,18 @@ impl Fabric {
             return id;
         }
 
+        // Remote path: the NIC queues the whole message and cuts its
+        // packets as it transmits them.
         self.stats.packets_created += n_pkts;
-        for (i, sz) in packets {
-            self.nics[src.index()].enqueue(
-                flow,
-                Packet {
-                    msg: id,
-                    last: i == n_pkts,
-                    src,
-                    dst,
-                    bytes: sz,
-                },
-            );
-        }
+        self.nics[src.index()].enqueue(
+            flow,
+            Message {
+                id,
+                src,
+                dst,
+                bytes,
+            },
+        );
         self.try_start_nic(q, src);
         id
     }
@@ -1030,6 +1029,19 @@ impl Fabric {
                 .all(|n| n.backlog() == 0 && !n.is_transmitting())
     }
 
+    /// The largest backlog any one NIC has held, in messages and in
+    /// packets (the larger of each over the NICs, so the two may come from
+    /// different NICs and instants). Telemetry only: nothing reads it back.
+    pub fn nic_peak_backlog(&self) -> Backlog {
+        self.nics.iter().fold(Backlog::default(), |acc, nic| {
+            let peak = nic.peak_backlog();
+            Backlog {
+                messages: acc.messages.max(peak.messages),
+                packets: acc.packets.max(peak.packets),
+            }
+        })
+    }
+
     /// Credits outstanding in a switch's pool (test hook).
     pub fn credits_in_use(&self, sw: u32, class: usize) -> usize {
         self.switches[sw as usize].pools[class].in_use()
@@ -1094,6 +1106,31 @@ mod tests {
         assert_eq!(delivered(&notices), vec![id]);
         assert_eq!(fab.stats().packets_created, 3);
         assert_eq!(fab.stats().packets_delivered, 3);
+    }
+
+    #[test]
+    fn nic_peak_backlog_counts_messages_and_their_packets() {
+        let (mut fab, mut q) = setup();
+        // Node 0 starts cutting the first message at once, so its NIC
+        // holds both messages and 3 + 3 − 1 packets; node 1 holds one
+        // 1-packet message it also starts at once.
+        fab.send_message(&mut q, 0, NodeId(0), NodeId(2), 2500);
+        fab.send_message(&mut q, 1, NodeId(0), NodeId(3), 2500);
+        fab.send_message(&mut q, 2, NodeId(1), NodeId(3), 100);
+        assert_eq!(
+            fab.nic_peak_backlog(),
+            Backlog {
+                messages: 2,
+                packets: 5
+            }
+        );
+        drain(&mut fab, &mut q, SimTime::from_nanos(100_000));
+        assert!(fab.is_quiescent());
+        assert_eq!(
+            fab.nic_peak_backlog().packets,
+            5,
+            "a peak outlives its backlog"
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@ impl NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub u64);
 
-/// A message handed to the fabric by the upper layer.
+/// A message handed to the fabric by the upper layer: what a NIC send
+/// queue holds until it has cut the message's last packet.
 ///
 /// The fabric is deliberately payload-free: only sizes and identifiers move
 /// through the simulation, never data bytes.
@@ -72,15 +73,22 @@ pub fn packet_count(bytes: u64, mtu: u64) -> u64 {
     }
 }
 
+/// The size of packet `i` (0-based) of a message of `bytes` cut at `mtu`:
+/// every packet is `mtu` bytes except the last, which carries the
+/// remainder. `i` must be below [`packet_count`]`(bytes, mtu)`.
+#[inline]
+pub(crate) fn segment(bytes: u64, mtu: u64, i: u64) -> u64 {
+    // Packet `i` starts at byte `i * mtu`, which is below `bytes` for
+    // every packet but the empty one of a zero-byte message.
+    (bytes - i * mtu).min(mtu)
+}
+
 /// The sizes of the `count` packets a message of `bytes` is cut into at
-/// `mtu`, without allocating: every packet is `mtu` bytes except the
-/// last, which carries the remainder. `count` must be
+/// `mtu`, without allocating, each by [`segment`]. `count` must be
 /// [`packet_count`]`(bytes, mtu)`, which the caller has already computed.
 pub(crate) fn segments(bytes: u64, mtu: u64, count: u64) -> impl Iterator<Item = u64> {
     debug_assert_eq!(count, packet_count(bytes, mtu));
-    // Packet `i` starts at byte `i * mtu`, which is below `bytes` for
-    // every packet but the empty one of a zero-byte message.
-    (0..count).map(move |i| (bytes - i * mtu).min(mtu))
+    (0..count).map(move |i| segment(bytes, mtu, i))
 }
 
 #[cfg(test)]
