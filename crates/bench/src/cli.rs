@@ -289,16 +289,14 @@ pub struct RunCtx {
 
 impl RunCtx {
     /// Resolves the flags: builds the configuration, resolves the
-    /// backend and validates it against the configuration (an unknown
-    /// name or an unsupported option is an error, never a silent fallback
-    /// to another engine), and opens the journal.
+    /// backend (an unknown name is an error, never a silent fallback to
+    /// another engine), and opens the journal.
     pub fn new(flags: &Flags) -> Result<Self, ArtefactError> {
         let mut cfg = ExperimentConfig::cab().with_seed(flags.seed);
         if let Some(n) = flags.jobs {
             cfg = cfg.with_jobs(n);
         }
         let backend = anp_flowsim::backend_from_name(&flags.backend)?;
-        backend.validate(&cfg)?;
         Ok(RunCtx {
             quick: flags.quick,
             seed: flags.seed,
@@ -381,7 +379,7 @@ pub enum ArtefactError {
     Journal(JournalError),
     /// A measurement outside the supervised sweeps failed.
     Experiment(ExperimentError),
-    /// The backend cannot honour the configuration.
+    /// The `--backend` name is unknown.
     Backend(BackendError),
     /// The cross-validation grid failed.
     Xval(XvalError),

@@ -15,11 +15,11 @@
 //! functions directly (pinned by the `backend_dispatch` integration
 //! test).
 //!
-//! Backends advertise **capability flags** ([`Backend::supports_faults`],
-//! [`Backend::supports_timed_series`]). Callers that need an unsupported
-//! capability must fail loudly with a typed [`BackendError`] — never fall
-//! back silently to another engine (the CLI turns these into a stderr
-//! line and exit code 1).
+//! Backends advertise **capability flags**
+//! ([`Backend::supports_timed_series`]). Callers that need an unsupported
+//! capability must fail loudly with a typed error — never fall back
+//! silently to another engine (the CLI turns these into a stderr line and
+//! exit code 1).
 
 use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
@@ -52,22 +52,11 @@ impl std::fmt::Display for WorkloadSpec<'_> {
     }
 }
 
-/// A backend was asked for something it cannot honor.
+/// A backend could not be resolved.
 ///
-/// These are *configuration* errors, detected before any simulation runs:
-/// the fix is to change the requested backend or drop the offending
-/// option, so the message names both.
+/// A *configuration* error, detected before any simulation runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendError {
-    /// The experiment configuration carries an option outside the
-    /// backend's capabilities (e.g. a [`anp_simnet::FaultPlan`] handed to
-    /// the flow-level model, which has no notion of fault windows).
-    UnsupportedOption {
-        /// The backend that rejected the configuration.
-        backend: &'static str,
-        /// Human-readable description of the unsupported option.
-        option: String,
-    },
     /// The requested backend name does not exist.
     UnknownBackend(String),
 }
@@ -75,11 +64,6 @@ pub enum BackendError {
 impl std::fmt::Display for BackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendError::UnsupportedOption { backend, option } => write!(
-                f,
-                "backend '{backend}' cannot honor {option} \
-                 (use --backend des for full-fidelity simulation)"
-            ),
             BackendError::UnknownBackend(name) => {
                 write!(f, "unknown backend '{name}' (expected 'des' or 'flow')")
             }
@@ -93,30 +77,27 @@ impl std::error::Error for BackendError {}
 ///
 /// Object-safe by design: drivers hold `&dyn Backend` so a CLI flag can
 /// swap engines at run time. All methods take the same
-/// [`ExperimentConfig`] the DES path uses; a backend that cannot honor
-/// part of it must return [`ExperimentError::Backend`] rather than
-/// silently approximating.
+/// [`ExperimentConfig`] the DES path uses.
 pub trait Backend: Send + Sync {
     /// Short identifier recorded in sweep telemetry (`"des"`, `"flow"`).
     fn name(&self) -> &'static str;
 
-    /// Whether the backend honors [`anp_simnet::FaultPlan`]s (lossy or
-    /// degraded fabrics) and the reliability/retransmission layer.
-    fn supports_faults(&self) -> bool;
+    /// Whether the backend simulates an unreliable fabric. None does: like
+    /// Cab's, the simulated fabric never drops a packet. Kept so that
+    /// existing implementors still compile.
+    fn supports_faults(&self) -> bool {
+        false
+    }
 
     /// Whether the backend produces genuinely time-resolved probe series
     /// (as opposed to a steady-state distribution stretched over the
     /// window). The phase-aware model needs this.
     fn supports_timed_series(&self) -> bool;
 
-    /// Checks that `cfg` only uses options this backend supports.
-    fn validate(&self, cfg: &ExperimentConfig) -> Result<(), BackendError> {
-        if !self.supports_faults() && !cfg.switch.fault_plan.is_none() {
-            return Err(BackendError::UnsupportedOption {
-                backend: self.name(),
-                option: "an installed FaultPlan".to_owned(),
-            });
-        }
+    /// Checks that `cfg` only uses options this backend supports. Every
+    /// backend supports every [`ExperimentConfig`], so the default accepts
+    /// it; kept so that existing implementors still compile.
+    fn validate(&self, _cfg: &ExperimentConfig) -> Result<(), BackendError> {
         Ok(())
     }
 
@@ -176,10 +157,6 @@ impl Backend for DesBackend {
         "des"
     }
 
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
     fn supports_timed_series(&self) -> bool {
         true
     }
@@ -226,79 +203,15 @@ impl Backend for DesBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anp_simnet::FaultPlan;
 
     #[test]
     fn des_backend_advertises_full_capabilities() {
         let b = DesBackend;
         assert_eq!(b.name(), "des");
-        assert!(b.supports_faults());
         assert!(b.supports_timed_series());
-    }
-
-    #[test]
-    fn des_backend_validates_faulted_configs() {
-        let mut cfg = ExperimentConfig::cab();
-        cfg.switch = cfg.switch.with_fault_plan(FaultPlan::uniform_loss(0.01));
-        assert!(DesBackend.validate(&cfg).is_ok());
-    }
-
-    #[test]
-    fn capability_gate_rejects_faults_with_typed_error() {
-        /// A backend with no fault support, to exercise the default gate.
-        struct NoFaults;
-        impl Backend for NoFaults {
-            fn name(&self) -> &'static str {
-                "nofaults"
-            }
-            fn supports_faults(&self) -> bool {
-                false
-            }
-            fn supports_timed_series(&self) -> bool {
-                false
-            }
-            fn measure_impact_profile(
-                &self,
-                _: &ExperimentConfig,
-                _: WorkloadSpec<'_>,
-            ) -> Result<LatencyProfile, ExperimentError> {
-                unreachable!()
-            }
-            fn measure_compression_run(
-                &self,
-                _: &ExperimentConfig,
-                _: AppKind,
-                _: &CompressionConfig,
-            ) -> Result<SimDuration, ExperimentError> {
-                unreachable!()
-            }
-            fn measure_solo_runtime(
-                &self,
-                _: &ExperimentConfig,
-                _: AppKind,
-            ) -> Result<SimDuration, ExperimentError> {
-                unreachable!()
-            }
-            fn measure_corun_runtime(
-                &self,
-                _: &ExperimentConfig,
-                _: AppKind,
-                _: AppKind,
-            ) -> Result<SimDuration, ExperimentError> {
-                unreachable!()
-            }
-        }
-
-        let mut cfg = ExperimentConfig::cab();
-        assert!(NoFaults.validate(&cfg).is_ok());
-        cfg.switch = cfg.switch.with_fault_plan(FaultPlan::uniform_loss(0.01));
-        let err = NoFaults.validate(&cfg).unwrap_err();
-        let BackendError::UnsupportedOption { backend, option } = &err else {
-            panic!("expected UnsupportedOption, got {err:?}");
-        };
-        assert_eq!(*backend, "nofaults");
-        assert!(option.contains("FaultPlan"));
-        assert!(err.to_string().contains("--backend des"));
+        // The defaults kept for existing implementors.
+        assert!(!b.supports_faults());
+        assert_eq!(b.validate(&ExperimentConfig::cab()), Ok(()));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * **Calibration** — impact with no workload at all, yielding the idle
 //!   profile that parameterizes the queue model (§IV-B).
 
-use anp_simmpi::{JobId, Program, ReliabilityConfig, RunOutcome, StallReport, World};
-use anp_simnet::{AuditReport, FaultPlan, NodeId, SimDuration, SimTime, SwitchConfig};
+use anp_simmpi::{JobId, Program, RunOutcome, StallReport, World};
+use anp_simnet::{AuditReport, NodeId, SimDuration, SimTime, SwitchConfig};
 use anp_workloads::{
     build_compressionb, build_impactb, AppKind, CompressionConfig, ImpactConfig, RunMode,
 };
@@ -21,7 +21,7 @@ use anp_workloads::{
 use crate::queue::{Calibration, CalibrationError, MuPolicy};
 use crate::samples::LatencyProfile;
 use crate::series::TimedSeries;
-use crate::sweep::{self, Parallelism, SweepTelemetry};
+use crate::sweep::{self, Parallelism};
 
 /// Job members: one program per rank with its node placement.
 pub type Members = Vec<(Box<dyn Program>, NodeId)>;
@@ -47,15 +47,12 @@ pub enum ExperimentError {
     /// at the moment the watchdog tripped.
     Budget(StallReport),
     /// The measured job can never finish: the event queue drained with
-    /// ranks still blocked (deadlock, or messages lost for good).
+    /// ranks still blocked (a deadlock, such as a receive no send
+    /// matches).
     Stalled(StallReport),
-    /// The idle profile could not parameterize the queue model (e.g. a
-    /// degraded fabric reported a non-positive idle latency).
+    /// The idle profile could not parameterize the queue model (e.g. it
+    /// reported a non-positive idle latency).
     Calibration(CalibrationError),
-    /// The selected measurement backend cannot honor the experiment
-    /// configuration (capability mismatch — see
-    /// [`crate::backend::BackendError`]).
-    Backend(crate::backend::BackendError),
     /// The simulator's invariant auditor ([`ExperimentConfig::audit`])
     /// detected a broken conservation law during the run. The cell's
     /// artefacts cannot be trusted; the report names each violated
@@ -82,7 +79,6 @@ impl std::fmt::Display for ExperimentError {
             }
             ExperimentError::Stalled(report) => write!(f, "stalled: {report}"),
             ExperimentError::Calibration(err) => write!(f, "calibration failed: {err}"),
-            ExperimentError::Backend(err) => write!(f, "{err}"),
             ExperimentError::Invariant(report) => {
                 write!(f, "simulator invariant violated: {report}")
             }
@@ -96,12 +92,6 @@ impl std::fmt::Display for ExperimentError {
 impl From<CalibrationError> for ExperimentError {
     fn from(err: CalibrationError) -> Self {
         ExperimentError::Calibration(err)
-    }
-}
-
-impl From<crate::backend::BackendError> for ExperimentError {
-    fn from(err: crate::backend::BackendError) -> Self {
-        ExperimentError::Backend(err)
     }
 }
 
@@ -269,26 +259,15 @@ pub fn impact_profile_of_compression(
 }
 
 /// Runs `app_members` to completion next to an optional endless
-/// interferer. Returns the measured job's completion time.
+/// interferer. Returns the measured job's completion time; the other run
+/// outcomes map onto the error type.
 pub fn runtime_of(
     cfg: &ExperimentConfig,
     name: &str,
     app_members: Members,
     interferer: Option<Members>,
 ) -> Result<SimDuration, ExperimentError> {
-    let world = World::new(cfg.switch.clone());
-    runtime_in_world(world, cfg, name, app_members, interferer)
-}
-
-/// Shared tail of the runtime experiments: installs the jobs, runs to
-/// completion, and maps the three run outcomes onto the error type.
-fn runtime_in_world(
-    mut world: World,
-    cfg: &ExperimentConfig,
-    name: &str,
-    app_members: Members,
-    interferer: Option<Members>,
-) -> Result<SimDuration, ExperimentError> {
+    let mut world = World::new(cfg.switch.clone());
     if cfg.audit {
         world.enable_audit();
     }
@@ -344,70 +323,6 @@ pub fn runtime_under_corun(
     // do not run two phase-locked clones.
     let noise = other.build(RunMode::Endless, cfg.workload_seed(other as u64 + 101));
     runtime_of(cfg, victim.name(), members, Some(noise))
-}
-
-/// Runtime of `app` on a fabric losing packets uniformly at probability
-/// `loss`, with the message layer's retransmitting reliability protocol
-/// enabled.
-///
-/// This opens the slowdown-vs-loss-rate experiment family: the paper
-/// studies degradation from switch *congestion*; this driver measures the
-/// analogous curve for fabric *unreliability* — how much a given loss rate
-/// stretches an application, with recovery cost (timeouts, retransmits,
-/// resequencing stalls) included. `loss = 0` reduces to [`solo_runtime`]
-/// modulo the reliability layer's sequencing.
-pub fn runtime_under_loss(
-    cfg: &ExperimentConfig,
-    app: AppKind,
-    loss: f64,
-    reliability: ReliabilityConfig,
-) -> Result<SimDuration, ExperimentError> {
-    let switch = cfg
-        .switch
-        .clone()
-        .with_fault_plan(FaultPlan::uniform_loss(loss).with_seed(cfg.seed ^ 0xFA_17));
-    let mut world = World::new(switch);
-    world.set_reliability(reliability);
-    let members = app.build(RunMode::Iterations(0), cfg.workload_seed(app as u64 + 1));
-    runtime_in_world(world, cfg, app.name(), members, None)
-}
-
-/// A supervised loss curve: one `(loss rate, value-or-typed-hole)`
-/// point per requested rate, in request order.
-pub type SupervisedLossCurve = Vec<(f64, crate::supervise::CellResult<SimDuration>)>;
-
-/// [`runtime_under_loss`] over a list of loss rates: the degradation
-/// curve `(loss, runtime)` for one application. The loss points are
-/// independent simulations, so they fan out across
-/// [`ExperimentConfig::jobs`] workers; results come back in `losses`
-/// order regardless of scheduling.
-///
-/// Loss rates where the application could not finish (retry budget
-/// exhausted, horizon hit) or whose cell panicked yield a typed hole
-/// rather than aborting the sweep. Each loss point respects the
-/// supervisor's run budget and retry policy, and with a journal the
-/// sweep is resumable (completed points decode instead of re-simulating).
-pub fn loss_sweep_supervised(
-    cfg: &ExperimentConfig,
-    app: AppKind,
-    losses: &[f64],
-    reliability: ReliabilityConfig,
-    supervisor: &crate::supervise::Supervisor,
-    journal: Option<&crate::journal::RunJournal>,
-) -> Result<(SupervisedLossCurve, SweepTelemetry), crate::journal::JournalError> {
-    let tasks: Vec<(String, _)> = losses
-        .iter()
-        .map(|&loss| {
-            let label = format!("loss:{}:{loss}", app.name());
-            (label, move || {
-                runtime_under_loss(cfg, app, loss, reliability)
-            })
-        })
-        .collect();
-    let fp = crate::journal::config_fingerprint(cfg, "des");
-    let (results, telemetry) =
-        crate::supervise::sweep_supervised("loss-sweep", cfg.jobs, supervisor, journal, fp, tasks)?;
-    Ok((losses.iter().copied().zip(results).collect(), telemetry))
 }
 
 /// Drains a finished world's audit findings, turning a non-clean report
@@ -661,27 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_loss_sweep_matches_a_direct_run() {
-        let cfg = app_cfg();
-        let rel = ReliabilityConfig::default();
-        let losses = [0.0];
-        let (supervised, t) = loss_sweep_supervised(
-            &cfg,
-            AppKind::Fftw,
-            &losses,
-            rel,
-            &crate::supervise::Supervisor::none(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(supervised.len(), losses.len());
-        let direct = runtime_under_loss(&cfg, AppKind::Fftw, losses[0], rel).unwrap();
-        let sup_t = supervised[0].1.as_ref().unwrap();
-        assert_eq!(*sup_t, direct, "supervision must not change the physics");
-        assert_eq!(t.runs[0].outcome, "ok");
-    }
-
-    #[test]
     fn interference_slows_a_network_bound_job() {
         let cfg = tiny_cfg();
         let mk_job = || -> Members {
@@ -747,48 +641,6 @@ mod tests {
         };
         assert_eq!(report.blocked.len(), 1);
         assert!(report.to_string().contains("tag 3"));
-    }
-
-    #[test]
-    fn loss_sweep_degrades_runtime() {
-        // Packet loss must never make the app faster, and a 0.1% loss
-        // rate must visibly stretch it (every recovery costs a full
-        // timeout). Two regimes matter for the parameters: the timeout
-        // must sit well above the congested delivery latency of a 64-rank
-        // halo burst (or spurious retransmits snowball into congestion
-        // collapse — the clean run finishes in ~85ms, so 50ms is safe),
-        // and loss x packets-per-message must stay well below 1, because
-        // the ARQ is message-grained: a 24KB halo is 24 packets, and at
-        // 1% per-wire loss every attempt would die with ~50% probability.
-        // The apps need the paper's 18-node layout; keep the deterministic
-        // service so the comparison is noise-free.
-        let mut switch = SwitchConfig::tiny_deterministic();
-        switch.nodes = 18;
-        switch.route_servers = 18;
-        let cfg = ExperimentConfig {
-            switch,
-            run_cap: SimDuration::from_secs(60),
-            ..tiny_cfg()
-        };
-        let rel = ReliabilityConfig {
-            retransmit_timeout: SimDuration::from_millis(50),
-            max_retries: 10,
-        };
-        let (results, _) = loss_sweep_supervised(
-            &cfg,
-            AppKind::Lulesh,
-            &[0.0, 0.001],
-            rel,
-            &crate::supervise::Supervisor::none(),
-            None,
-        )
-        .unwrap();
-        let clean = results[0].1.clone().expect("lossless run completes");
-        let lossy = results[1].1.clone().expect("0.1% loss must still recover");
-        assert!(
-            lossy > clean,
-            "loss must cost time: clean {clean} vs lossy {lossy}"
-        );
     }
 
     #[test]

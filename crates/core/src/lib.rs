@@ -65,9 +65,9 @@ pub use anp_simnet::{AuditReport, AuditViolation, InvariantKind};
 pub use backend::{calibrate_with, Backend, BackendError, DesBackend, WorkloadSpec};
 pub use experiments::{
     calibrate, degradation_percent, idle_profile, impact_profile, impact_profile_of_app,
-    impact_profile_of_compression, impact_series, impact_series_of_app, loss_sweep_supervised,
-    runtime_of, runtime_under_compression, runtime_under_corun, runtime_under_loss, solo_runtime,
-    ExperimentConfig, ExperimentError, Members, SupervisedLossCurve,
+    impact_profile_of_compression, impact_series, impact_series_of_app, runtime_of,
+    runtime_under_compression, runtime_under_corun, solo_runtime, ExperimentConfig,
+    ExperimentError, Members,
 };
 pub use journal::{
     config_fingerprint, json_escape, CellStatus, JournalEntry, JournalError, Journaled, RunJournal,

@@ -445,10 +445,6 @@ pub(crate) mod test_support {
             "fake"
         }
 
-        fn supports_faults(&self) -> bool {
-            true
-        }
-
         fn supports_timed_series(&self) -> bool {
             false
         }

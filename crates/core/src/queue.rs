@@ -39,9 +39,9 @@ pub enum MuPolicy {
 
 /// Why an idle profile could not parameterize the queue model.
 ///
-/// A healthy switch always shows a positive idle latency, but a degraded
-/// or faulted fabric (or an empty/degenerate probe window) can produce a
-/// profile whose extracted service time is zero or negative. That must
+/// A healthy switch always shows a positive idle latency, but an
+/// empty/degenerate probe window can produce a profile whose extracted
+/// service time is zero or negative. That must
 /// abort the one sweep cell that hit it — not the whole process — so the
 /// constructor reports it as a typed error instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn non_positive_idle_latency_is_a_typed_error() {
-        // A faulted fabric can report zero-latency probes; calibration
+        // A degenerate window can report zero-latency probes; calibration
         // must fail cleanly instead of panicking the whole process.
         let p = crate::samples::LatencyProfile::from_samples(&[0.0, 0.0, 0.0]);
         let err = Calibration::from_idle_profile(&p, MuPolicy::MinLatency).unwrap_err();

@@ -605,7 +605,6 @@ mod tests {
             job_name: "test".to_owned(),
             at: SimTime::ZERO,
             blocked: Vec::new(),
-            failed_sends: Vec::new(),
         }
     }
 

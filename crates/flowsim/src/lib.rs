@@ -23,14 +23,10 @@
 //! ## Blind spots (by construction)
 //!
 //! The model reasons in steady-state rates. It cannot see transient
-//! bursts inside an iteration, timed fault windows ([`FaultPlan`]
-//! schedules are rejected at validation), packet loss and ARQ
-//! retransmission, or head-of-line transients shorter than a fixed-point
-//! time constant. Use the DES backend when those matter; use this one
-//! for wide sweeps where its error envelope (see `backend_xval`) is
-//! acceptable.
-//!
-//! [`FaultPlan`]: anp_simnet::FaultPlan
+//! bursts inside an iteration, or head-of-line transients shorter than a
+//! fixed-point time constant. Use the DES backend when those matter; use
+//! this one for wide sweeps where its error envelope (see `backend_xval`)
+//! is acceptable.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -213,10 +209,6 @@ impl Backend for FlowBackend {
         "flow"
     }
 
-    fn supports_faults(&self) -> bool {
-        false
-    }
-
     fn supports_timed_series(&self) -> bool {
         false
     }
@@ -226,7 +218,6 @@ impl Backend for FlowBackend {
         cfg: &ExperimentConfig,
         workload: WorkloadSpec<'_>,
     ) -> Result<LatencyProfile, ExperimentError> {
-        self.validate(cfg)?;
         let eq = Self::equilibrium(cfg, workload);
         Ok(Self::synthesize_profile(cfg, &eq.loads))
     }
@@ -237,7 +228,6 @@ impl Backend for FlowBackend {
         app: AppKind,
         comp: &CompressionConfig,
     ) -> Result<SimDuration, ExperimentError> {
-        self.validate(cfg)?;
         let net = NetModel::new(&cfg.switch);
         let victim = Self::app_descriptor(cfg, app, app as u64 + 1);
         let noise = extract::describe_compression(comp, &cfg.switch);
@@ -250,7 +240,6 @@ impl Backend for FlowBackend {
         cfg: &ExperimentConfig,
         app: AppKind,
     ) -> Result<SimDuration, ExperimentError> {
-        self.validate(cfg)?;
         let net = NetModel::new(&cfg.switch);
         let d = Self::app_descriptor(cfg, app, app as u64 + 1);
         let eq = solve(&net, &[&d]);
@@ -263,7 +252,6 @@ impl Backend for FlowBackend {
         victim: AppKind,
         other: AppKind,
     ) -> Result<SimDuration, ExperimentError> {
-        self.validate(cfg)?;
         let net = NetModel::new(&cfg.switch);
         let v = Self::app_descriptor(cfg, victim, victim as u64 + 1);
         let o = Self::app_descriptor(cfg, other, other as u64 + 101);
@@ -367,16 +355,8 @@ impl Backend for BatchEvaluator {
         self.inner.name()
     }
 
-    fn supports_faults(&self) -> bool {
-        self.inner.supports_faults()
-    }
-
     fn supports_timed_series(&self) -> bool {
         self.inner.supports_timed_series()
-    }
-
-    fn validate(&self, cfg: &ExperimentConfig) -> Result<(), BackendError> {
-        self.inner.validate(cfg)
     }
 
     fn measure_impact_profile(
@@ -443,8 +423,7 @@ impl std::fmt::Debug for BatchEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anp_core::BackendError;
-    use anp_simnet::{FaultPlan, SwitchConfig};
+    use anp_simnet::SwitchConfig;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::cab();
@@ -531,21 +510,6 @@ mod tests {
             .measure_corun_runtime(&cfg, AppKind::Milc, AppKind::Fftw)
             .unwrap();
         assert!(loaded >= solo);
-    }
-
-    #[test]
-    fn fault_plans_are_rejected_with_a_typed_error() {
-        let mut cfg = ExperimentConfig::cab();
-        cfg.switch.fault_plan = FaultPlan::uniform_loss(1e-3);
-        let err = FlowBackend
-            .measure_impact_profile(&cfg, WorkloadSpec::Idle)
-            .unwrap_err();
-        match err {
-            ExperimentError::Backend(BackendError::UnsupportedOption { backend, .. }) => {
-                assert_eq!(backend, "flow");
-            }
-            other => panic!("expected a capability error, got {other:?}"),
-        }
     }
 
     #[test]

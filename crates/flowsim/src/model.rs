@@ -126,11 +126,6 @@ impl NetModel {
         SimDuration::serialization(bytes.round().max(0.0) as u64, self.link_bps).as_nanos() as f64
     }
 
-    /// Aggregate central-stage capacity, packet-traversals per nanosecond.
-    pub fn central_capacity(&self) -> f64 {
-        self.switches * self.servers as f64 / self.svc_mean
-    }
-
     /// Deterministic part of a one-way packet latency over `traversals`
     /// switches: NIC serialization, then per switch the (separately
     /// sampled) routing service, egress serialization, and a wire hop.

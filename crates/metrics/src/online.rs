@@ -414,16 +414,6 @@ impl Cusum {
         self.s_lo = 0.0;
     }
 
-    /// The current reference mean.
-    pub fn reference_mean(&self) -> f64 {
-        self.ref_mean
-    }
-
-    /// The current pair of cumulative sums `(s⁺, s⁻)`.
-    pub fn scores(&self) -> (f64, f64) {
-        (self.s_hi, self.s_lo)
-    }
-
     /// Feeds one observation; returns the direction if this observation
     /// pushed a cumulative sum over the threshold.
     pub fn push(&mut self, x: f64) -> Option<Shift> {

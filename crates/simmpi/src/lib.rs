@@ -21,6 +21,11 @@
 //! * **Collectives may not overlap p2p.** A rank entering a collective must
 //!   have no outstanding requests (asserted). The paper's six proxy
 //!   applications and both micro-benchmarks respect this by construction.
+//! * **No loss, but reordering.** The fabric never drops a packet, so
+//!   there is no retransmission. Its parallel routing servers can still
+//!   reorder whole messages, so every eager send carries a per-pair
+//!   sequence number and the receiver hands messages to matching in send
+//!   order (MPI's non-overtaking rule).
 //!
 //! ## Quick example
 //!
@@ -47,10 +52,8 @@
 //! ```
 //!
 //! `run_until_job_done` returns a [`RunOutcome`]: completion, deadline
-//! expiry, or a stall — the two failure cases carrying a [`StallReport`]
-//! naming each blocked rank and what it waits on. On a lossy fabric (see
-//! `anp_simnet::FaultPlan`), enable the retransmitting reliability layer
-//! with [`World::set_reliability`].
+//! expiry, a stall, or a spent run budget — the failure cases carrying a
+//! [`StallReport`] naming each blocked rank and what it waits on.
 
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -66,6 +69,5 @@ pub use op::{Op, Src};
 pub use program::{Ctx, Looping, Program, Scripted};
 pub use trace::{PhaseTotals, RankPhase, TraceLog};
 pub use world::{
-    BlockedOn, BlockedRank, EventKind, FailedSend, JobId, ReliabilityConfig, ReliabilityStats,
-    RunOutcome, StallReport, World, WorldEvent,
+    BlockedOn, BlockedRank, EventKind, JobId, RunOutcome, StallReport, World, WorldEvent,
 };

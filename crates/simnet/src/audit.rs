@@ -1,8 +1,8 @@
 //! Simulator invariant auditor: typed violation reports instead of panics.
 //!
 //! The simulator maintains several conservation laws that no legal event
-//! sequence may break — admission credits must balance across drops and
-//! retransmits, every byte accepted by an egress port must eventually leave
+//! sequence may break — every admission credit acquired must be released
+//! exactly once, every byte accepted by an egress port must eventually leave
 //! it, simulated time never runs backwards, and FIFO channels never let a
 //! later message overtake an earlier one. Historically these were spot-checked
 //! by `debug_assert!`s, which abort the process and take every sibling sweep
@@ -43,9 +43,8 @@ pub enum InvariantKind {
     /// A later eager message on a (source, destination, tag) channel was
     /// delivered before an earlier one (FIFO non-overtaking).
     FifoOrdering,
-    /// The reliability layer's per-pair sequence window regressed: the
-    /// delivery cursor moved backwards or a buffered sequence number fell
-    /// below it.
+    /// A per-pair resequencing window regressed: the delivery cursor moved
+    /// backwards or a buffered sequence number fell below it.
     SeqWindow,
 }
 
@@ -203,11 +202,6 @@ impl AuditLog {
         } else {
             self.suppressed += 1;
         }
-    }
-
-    /// `true` if any violation has been recorded so far.
-    pub fn has_violations(&self) -> bool {
-        !self.violations.is_empty() || self.suppressed > 0
     }
 
     /// Drains the recorder into a report, resetting it for further use.

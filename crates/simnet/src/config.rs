@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use crate::fault::FaultPlan;
 use crate::service::ServiceDistribution;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
-/// Why a [`SwitchConfig`] (or its [`FaultPlan`]) is unusable.
+/// Why a [`SwitchConfig`] is unusable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// Fewer than two nodes: there is nothing to switch between.
@@ -42,42 +41,6 @@ pub enum ConfigError {
         /// The configured leaf count.
         leaves: u32,
     },
-    /// A link-fault loss probability is outside `[0, 1]`.
-    InvalidLossProbability {
-        /// The offending probability.
-        loss: f64,
-    },
-    /// A link-fault bandwidth factor is outside `(0, 1]`.
-    InvalidBandwidthFactor {
-        /// The offending factor.
-        factor: f64,
-    },
-    /// A server-fault slowdown factor is not a positive finite number.
-    InvalidSlowdownFactor {
-        /// The offending factor.
-        factor: f64,
-    },
-    /// A fault window is empty (`until <= from`).
-    EmptyFaultWindow {
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        until: SimTime,
-    },
-    /// A fault references a node the fabric does not have.
-    FaultNodeOutOfRange {
-        /// The referenced node index.
-        node: u32,
-        /// The fabric's node count.
-        nodes: u32,
-    },
-    /// A fault references a switch the fabric does not have.
-    FaultSwitchOutOfRange {
-        /// The referenced switch index.
-        sw: u32,
-        /// The fabric's switch count.
-        switches: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -103,38 +66,6 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "nodes must divide evenly over leaves ({nodes} nodes on {leaves} leaves)"
-                )
-            }
-            ConfigError::InvalidLossProbability { loss } => {
-                write!(f, "loss probability must be within [0, 1] (got {loss})")
-            }
-            ConfigError::InvalidBandwidthFactor { factor } => {
-                write!(f, "bandwidth factor must be within (0, 1] (got {factor})")
-            }
-            ConfigError::InvalidSlowdownFactor { factor } => {
-                write!(
-                    f,
-                    "slowdown factor must be positive and finite (got {factor})"
-                )
-            }
-            ConfigError::EmptyFaultWindow { from, until } => {
-                write!(
-                    f,
-                    "fault window is empty: from {} ns, until {} ns",
-                    from.as_nanos(),
-                    until.as_nanos()
-                )
-            }
-            ConfigError::FaultNodeOutOfRange { node, nodes } => {
-                write!(
-                    f,
-                    "fault references node {node}, but the fabric has {nodes} nodes"
-                )
-            }
-            ConfigError::FaultSwitchOutOfRange { sw, switches } => {
-                write!(
-                    f,
-                    "fault references switch {sw}, but the fabric has {switches} switches"
                 )
             }
         }
@@ -198,10 +129,6 @@ pub struct SwitchConfig {
     pub cpu_hz: u64,
     /// Seed for the fabric's random number generator (service-time draws).
     pub seed: u64,
-    /// Fault-injection schedule. [`FaultPlan::none`] (the default)
-    /// disables the fault layer entirely: no extra events, no extra RNG
-    /// draws, byte-identical behaviour to a fault-free build.
-    pub fault_plan: FaultPlan,
 }
 
 impl SwitchConfig {
@@ -250,7 +177,6 @@ impl SwitchConfig {
             local_bandwidth: 10_000_000_000,
             cpu_hz: 2_600_000_000,
             seed: 0xCAB_5EED,
-            fault_plan: FaultPlan::none(),
         }
     }
 
@@ -271,7 +197,6 @@ impl SwitchConfig {
             local_bandwidth: 4_000_000_000,
             cpu_hz: 1_000_000_000,
             seed: 1,
-            fault_plan: FaultPlan::none(),
         }
     }
 
@@ -298,18 +223,6 @@ impl SwitchConfig {
         self
     }
 
-    /// Replaces the service distribution (builder style).
-    pub fn with_service(mut self, service: ServiceDistribution) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// Replaces the fault plan (builder style).
-    pub fn with_fault_plan(mut self, fault_plan: FaultPlan) -> Self {
-        self.fault_plan = fault_plan;
-        self
-    }
-
     /// Number of switches the topology implies.
     pub fn switch_count(&self) -> u32 {
         match self.topology {
@@ -318,8 +231,8 @@ impl SwitchConfig {
         }
     }
 
-    /// Validates internal consistency, including the fault plan; called
-    /// by the fabric constructor and the CLI before building anything.
+    /// Validates internal consistency; called by the fabric constructor and
+    /// the CLI before building anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes < 2 {
             return Err(ConfigError::TooFewNodes { nodes: self.nodes });
@@ -359,7 +272,7 @@ impl SwitchConfig {
                 });
             }
         }
-        self.fault_plan.validate(self.nodes, self.switch_count())
+        Ok(())
     }
 }
 
@@ -431,17 +344,6 @@ mod tests {
         assert!(ConfigError::TooFewNodes { nodes: 1 }
             .to_string()
             .contains("got 1"));
-    }
-
-    #[test]
-    fn validation_covers_the_fault_plan() {
-        let bad = SwitchConfig::cab().with_fault_plan(crate::fault::FaultPlan::uniform_loss(1.5));
-        assert!(matches!(
-            bad.validate(),
-            Err(ConfigError::InvalidLossProbability { .. })
-        ));
-        let ok = SwitchConfig::cab().with_fault_plan(crate::fault::FaultPlan::uniform_loss(0.01));
-        ok.validate().unwrap();
     }
 
     #[test]

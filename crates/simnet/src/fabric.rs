@@ -23,20 +23,17 @@
 //!   → egress serialize → wire → … → Deliver
 //! ```
 //!
-//! Above the fabric only whole messages are seen, so on a fabric where no
-//! link can drop a packet (no [`FaultPlan`](crate::FaultPlan), or one
-//! whose every link has neither loss nor down windows) a message gets a
+//! Above the fabric only whole messages are seen, so a message gets a
 //! single `Deliver`. Each packet is counted off the message's ledger as it
 //! leaves its final egress port, and only the packet that empties the
 //! ledger schedules `Deliver`; on the local channel only the last packet
 //! does. A message's packets leave that port in FIFO order onto one
-//! fixed-delay wire, so the kept `Deliver` is the event that completed the
-//! message under per-packet delivery, and the `(time, seq)` order of every
-//! other event is unchanged. The ledger entry lives until that `Deliver`
-//! fires, so [`Fabric::is_quiescent`] stays false while the last packet is
-//! on its wire. A fabric that can drop keeps one `Deliver` per packet: a
-//! sibling dropped later can leave an already-departed packet as the
-//! message's last resolution, which a departure count cannot see.
+//! fixed-delay wire, so the packet that empties the ledger is the last to
+//! land, and its `Deliver` fires when the message is whole. The ledger
+//! entry lives until that `Deliver` fires, so [`Fabric::is_quiescent`]
+//! stays false while the last packet is on its wire. Like Cab's
+//! credit-flow-controlled InfiniBand, the fabric never drops a packet:
+//! every packet admitted is delivered.
 //!
 //! Flow control is credit-based per switch, with *separate pools per
 //! admission class* — packets entering a leaf from its nodes draw from the
@@ -53,14 +50,11 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rand::Rng;
-
 use crate::audit::AuditReport;
 #[cfg(feature = "audit")]
 use crate::audit::{AuditLog, InvariantKind};
 use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
-use crate::fault::{LinkId, LinkState, ServerFaultState};
 use crate::nic::{Backlog, Nic};
 use crate::packet::{packet_count, segments, Message, MessageId, NodeId, Packet};
 use crate::stats::{FabricStats, SwitchStats};
@@ -100,11 +94,11 @@ pub enum NetEvent {
         /// The egress port within the switch.
         port: u32,
     },
-    /// A packet arrived at its destination NIC. On a lossless fabric only
-    /// the packet that completes its message is delivered (module docs).
+    /// The last packet of a message arrived at its destination NIC: one
+    /// per message (module docs).
     Deliver {
-        /// The delivered packet.
-        packet: Packet,
+        /// The completed message.
+        msg: MessageId,
     },
     /// All packets of an intra-node message finished local serialization
     /// (send-side completion for local traffic).
@@ -129,39 +123,13 @@ pub enum Notice {
         /// The completed message.
         msg: MessageId,
     },
-    /// At least one packet of the message was lost to an injected fault,
-    /// and all its other packets have finished (delivered or dropped): the
-    /// message will never complete. A reliability layer above may
-    /// retransmit.
-    MessageDropped {
-        /// The incomplete message.
-        msg: MessageId,
-    },
-}
-
-#[derive(Debug)]
-struct MsgProgress {
-    /// Packets not yet counted off: on a lossless fabric, those that have
-    /// not left their final egress port; otherwise those neither delivered
-    /// nor dropped.
-    pending: u32,
-    /// Packets of this message lost to injected faults.
-    dropped: u32,
-}
-
-/// Resolved per-link fault state plus the dedicated loss RNG. Present
-/// only when the configured [`FaultPlan`](crate::FaultPlan) is non-empty,
-/// so fault-free fabrics pay nothing and draw nothing.
-struct FaultLayer {
-    links: Vec<LinkState>,
-    rng: StdRng,
 }
 
 /// Where a switch egress port's wire leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NextHop {
     /// Down to a compute node.
-    Node(NodeId),
+    Node,
     /// To another switch, drawing from the given admission class there.
     Switch {
         /// Destination switch index.
@@ -255,7 +223,7 @@ impl Routes {
             // Down into a leaf: drawn from the leaf's down class.
             NextHop::Switch { sw: port, class: 1 }
         } else if port < self.nodes_per_leaf {
-            NextHop::Node(NodeId(sw * self.nodes_per_leaf + port))
+            NextHop::Node
         } else {
             // Up into a spine.
             NextHop::Switch {
@@ -286,12 +254,10 @@ pub struct Fabric {
     local_busy_until: Vec<SimTime>,
     rng: StdRng,
     next_msg: u64,
-    inflight: IdHashMap<MessageId, MsgProgress>,
+    /// Per message in flight, its packets that have not yet left their
+    /// final egress port (0 for a local message).
+    inflight: IdHashMap<MessageId, u32>,
     stats: FabricStats,
-    faults: Option<FaultLayer>,
-    /// No link can drop a packet: each message gets one `Deliver` (see the
-    /// module docs).
-    lossless: bool,
     /// Invariant auditor state. `None` until [`Fabric::enable_audit`]; the
     /// field itself only exists when the `audit` feature is compiled in, so
     /// unaudited builds carry no state and no branches.
@@ -344,22 +310,6 @@ impl FabricAudit {
     }
 }
 
-/// Maps a dense link index back to its [`LinkId`] (inverse of
-/// [`Fabric::link_index`]).
-fn link_from_index(nodes: usize, switch_count: usize, idx: usize) -> LinkId {
-    if idx < nodes {
-        LinkId::NodeUp(NodeId(idx as u32))
-    } else if idx < 2 * nodes {
-        LinkId::NodeDown(NodeId((idx - nodes) as u32))
-    } else {
-        let t = idx - 2 * nodes;
-        LinkId::Trunk {
-            from: (t / switch_count) as u32,
-            to: (t % switch_count) as u32,
-        }
-    }
-}
-
 impl Fabric {
     /// Builds a fabric from a validated configuration.
     ///
@@ -378,7 +328,7 @@ impl Fabric {
     pub fn try_new(cfg: SwitchConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let routes = Routes::from_config(&cfg);
-        let mut switches: Vec<SwitchUnit> = (0..routes.switch_count())
+        let switches: Vec<SwitchUnit> = (0..routes.switch_count())
             .map(|sw| {
                 let classes = if routes.is_spine(sw) || routes.spines == 0 {
                     1
@@ -397,33 +347,6 @@ impl Fabric {
                 }
             })
             .collect();
-        let faults = if cfg.fault_plan.is_none() {
-            None
-        } else {
-            let nodes = cfg.nodes as usize;
-            let sc = routes.switch_count() as usize;
-            let mut links = vec![LinkState::nominal(); 2 * nodes + sc * sc];
-            for (idx, state) in links.iter_mut().enumerate() {
-                let link = link_from_index(nodes, sc, idx);
-                for lf in &cfg.fault_plan.link_faults {
-                    if lf.links.matches(link) {
-                        state.apply(lf);
-                    }
-                }
-            }
-            for sf in &cfg.fault_plan.server_faults {
-                switches[sf.sw as usize]
-                    .central
-                    .set_fault(ServerFaultState::from_fault(sf));
-            }
-            Some(FaultLayer {
-                links,
-                rng: StdRng::seed_from_u64(cfg.fault_plan.seed),
-            })
-        };
-        let lossless = faults
-            .as_ref()
-            .is_none_or(|f| f.links.iter().all(LinkState::never_drops));
         Ok(Fabric {
             routes,
             nics: (0..cfg.nodes as usize).map(|_| Nic::new(cfg.mtu)).collect(),
@@ -433,8 +356,6 @@ impl Fabric {
             next_msg: 0,
             inflight: IdHashMap::default(),
             stats: FabricStats::default(),
-            faults,
-            lossless,
             cfg,
             #[cfg(feature = "audit")]
             audit: None,
@@ -534,93 +455,6 @@ impl Fabric {
         }
     }
 
-    /// Dense index of `link` into the fault-state table.
-    fn link_index(&self, link: LinkId) -> usize {
-        let nodes = self.cfg.nodes as usize;
-        match link {
-            LinkId::NodeUp(node) => node.index(),
-            LinkId::NodeDown(node) => nodes + node.index(),
-            LinkId::Trunk { from, to } => {
-                2 * nodes + from as usize * self.routes.switch_count() as usize + to as usize
-            }
-        }
-    }
-
-    /// Serialization bandwidth of `link` after any fault derating.
-    fn link_bandwidth_of(&self, link: LinkId) -> u64 {
-        match &self.faults {
-            Some(f) => {
-                let factor = f.links[self.link_index(link)].bandwidth_factor;
-                if factor < 1.0 {
-                    ((self.cfg.link_bandwidth as f64 * factor) as u64).max(1)
-                } else {
-                    self.cfg.link_bandwidth
-                }
-            }
-            None => self.cfg.link_bandwidth,
-        }
-    }
-
-    /// Propagation delay of `link` including any fault-added latency.
-    fn wire_delay(&self, link: LinkId) -> SimDuration {
-        match &self.faults {
-            Some(f) => self.cfg.wire_latency + f.links[self.link_index(link)].extra_latency,
-            None => self.cfg.wire_latency,
-        }
-    }
-
-    /// Decides whether a packet entering `link` at `now` is lost to an
-    /// injected fault, counting the drop if so. Fault-free fabrics always
-    /// return `false` without touching any RNG.
-    fn link_drops(&mut self, link: LinkId, now: SimTime) -> bool {
-        let idx = self.link_index(link);
-        let Some(f) = &mut self.faults else {
-            return false;
-        };
-        let state = &mut f.links[idx];
-        if state.never_drops() {
-            return false;
-        }
-        let dropped = state.down_at(now) || (state.loss > 0.0 && f.rng.gen::<f64>() < state.loss);
-        if dropped {
-            state.drops += 1;
-        }
-        dropped
-    }
-
-    /// Accounts a fault-dropped packet: per-message progress, fabric
-    /// counters, and the [`Notice::MessageDropped`] upcall once the
-    /// message's last packet has finished.
-    fn drop_packet(&mut self, pkt: Packet, out: &mut Vec<Notice>) {
-        self.stats.packets_dropped += 1;
-        let finished = {
-            #[expect(
-                clippy::expect_used,
-                reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-            )]
-            let prog = self
-                .inflight
-                .get_mut(&pkt.msg)
-                .expect("drop for unknown message");
-            prog.dropped += 1;
-            prog.pending -= 1;
-            prog.pending == 0
-        };
-        if finished {
-            self.inflight.remove(&pkt.msg);
-            self.stats.messages_dropped += 1;
-            out.push(Notice::MessageDropped { msg: pkt.msg });
-        }
-    }
-
-    /// Packets dropped on `link` so far (0 for fault-free fabrics).
-    pub fn drops_on(&self, link: LinkId) -> u64 {
-        match &self.faults {
-            Some(f) => f.links[self.link_index(link)].drops,
-            None => 0,
-        }
-    }
-
     /// The configuration this fabric was built from.
     pub fn config(&self) -> &SwitchConfig {
         &self.cfg
@@ -653,13 +487,6 @@ impl Fabric {
         &self.stats
     }
 
-    /// Opens a fresh telemetry window on every switch at `now`.
-    pub fn reset_switch_stats(&mut self, now: SimTime) {
-        for unit in &mut self.switches {
-            unit.central.reset_stats(now);
-        }
-    }
-
     /// Submits a message for transmission. Returns its id; completion is
     /// signalled via [`Notice::MessageInjected`] / [`Notice::MessageDelivered`]
     /// from subsequent [`Fabric::handle`] calls.
@@ -687,42 +514,23 @@ impl Fabric {
         self.stats.messages_sent += 1;
 
         let n_pkts = packet_count(bytes, self.cfg.mtu);
-        // The local channel has no egress port, so on a lossless fabric
-        // its packets are all counted off here and only the last one is
-        // delivered.
-        let local_once = src == dst && self.lossless;
-        self.inflight.insert(
-            id,
-            MsgProgress {
-                pending: if local_once { 0 } else { n_pkts as u32 },
-                dropped: 0,
-            },
-        );
 
         if src == dst {
             // Local path: sequential serialization on the node's local
-            // channel, then a fixed hop latency. No switch involvement.
+            // channel, then a fixed hop latency. No switch involvement. The
+            // channel has no egress port, so the message's packets are all
+            // counted off here and only the last one is delivered.
             self.stats.local_messages += 1;
+            self.inflight.insert(id, 0);
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
-            // Packet `i` (1-based) with its size; the count is computed once.
-            for (i, sz) in (1..=n_pkts).zip(segments(bytes, self.cfg.mtu, n_pkts)) {
-                busy += crate::time::SimDuration::serialization(sz, self.cfg.local_bandwidth);
-                if local_once && i < n_pkts {
-                    continue;
-                }
-                let pkt = Packet {
-                    msg: id,
-                    last: i == n_pkts,
-                    src,
-                    dst,
-                    bytes: sz,
-                };
-                q.schedule_at(
-                    busy + self.cfg.local_latency,
-                    NetEvent::Deliver { packet: pkt }.into(),
-                );
+            for sz in segments(bytes, self.cfg.mtu, n_pkts) {
+                busy += SimDuration::serialization(sz, self.cfg.local_bandwidth);
             }
+            q.schedule_at(
+                busy + self.cfg.local_latency,
+                NetEvent::Deliver { msg: id }.into(),
+            );
             self.local_busy_until[src.index()] = busy;
             q.schedule_at(busy, NetEvent::LocalInjectDone { msg: id }.into());
             return id;
@@ -730,6 +538,7 @@ impl Fabric {
 
         // Remote path: the NIC queues the whole message and cuts its
         // packets as it transmits them.
+        self.inflight.insert(id, n_pkts as u32);
         self.stats.packets_created += n_pkts;
         self.nics[src.index()].enqueue(
             flow,
@@ -739,6 +548,7 @@ impl Fabric {
                 dst,
                 bytes,
             },
+            n_pkts,
         );
         self.try_start_nic(q, src);
         id
@@ -762,26 +572,14 @@ impl Fabric {
                 if pkt.last {
                     out.push(Notice::MessageInjected { msg: pkt.msg });
                 }
-                let link = LinkId::NodeUp(node);
-                let leaf = self.routes.leaf_of(node);
-                if self.link_drops(link, q.now()) {
-                    // The packet dies on the wire still holding the leaf's
-                    // admission credit (acquired in `try_start_nic`, released
-                    // at the leaf's `EgressTxDone` — which it will never
-                    // reach). Hand the credit back, or every drop shrinks the
-                    // pool until all NICs on the leaf park forever.
-                    self.release_credit(q, leaf, 0);
-                    self.drop_packet(pkt, out);
-                } else {
-                    q.schedule_after(
-                        self.wire_delay(link),
-                        NetEvent::SwitchArrive {
-                            sw: leaf,
-                            packet: pkt,
-                        }
-                        .into(),
-                    );
-                }
+                q.schedule_after(
+                    self.cfg.wire_latency,
+                    NetEvent::SwitchArrive {
+                        sw: self.routes.leaf_of(node),
+                        packet: pkt,
+                    }
+                    .into(),
+                );
                 self.try_start_nic(q, node);
             }
             NetEvent::SwitchArrive { sw, packet } => {
@@ -817,82 +615,43 @@ impl Fabric {
                 // credit and wake exactly one waiter of that class.
                 let class = self.routes.class_at(sw, &pkt);
                 self.release_credit(q, sw, class);
-                // Forward onto the wire. This switch's credit is released
-                // above, but a packet bound for another switch already holds
-                // that next switch's credit (acquired in `try_start_egress`):
-                // if the trunk wire eats the packet, the credit must come
-                // back with it or the downstream pool leaks dry.
-                let hop = self.routes.next_hop(sw, port);
-                let link = match hop {
-                    NextHop::Node(dst) => LinkId::NodeDown(dst),
-                    NextHop::Switch { sw: next, .. } => LinkId::Trunk { from: sw, to: next },
-                };
-                if self.link_drops(link, q.now()) {
-                    if let NextHop::Switch { sw: next, class } = hop {
-                        self.release_credit(q, next, class);
-                    }
-                    self.drop_packet(pkt, out);
-                } else {
-                    match hop {
-                        NextHop::Node(_) => {
-                            if self.deliver_needed(&pkt) {
-                                q.schedule_after(
-                                    self.wire_delay(link),
-                                    NetEvent::Deliver { packet: pkt }.into(),
-                                );
-                            }
-                        }
-                        NextHop::Switch { sw: next, .. } => {
+                // Forward onto the wire. A packet bound for another switch
+                // already holds that switch's credit (acquired in
+                // `try_start_egress`).
+                match self.routes.next_hop(sw, port) {
+                    NextHop::Node => {
+                        if self.departs_last(pkt.msg) {
                             q.schedule_after(
-                                self.wire_delay(link),
-                                NetEvent::SwitchArrive {
-                                    sw: next,
-                                    packet: pkt,
-                                }
-                                .into(),
+                                self.cfg.wire_latency,
+                                NetEvent::Deliver { msg: pkt.msg }.into(),
                             );
                         }
+                    }
+                    NextHop::Switch { sw: next, .. } => {
+                        q.schedule_after(
+                            self.cfg.wire_latency,
+                            NetEvent::SwitchArrive {
+                                sw: next,
+                                packet: pkt,
+                            }
+                            .into(),
+                        );
                     }
                 }
                 self.try_start_egress(q, sw, port);
             }
-            NetEvent::Deliver { packet } => {
-                if !self.lossless {
-                    if packet.src != packet.dst {
-                        self.stats.packets_delivered += 1;
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-                    )]
-                    let prog = self
-                        .inflight
-                        .get_mut(&packet.msg)
-                        .expect("delivery for unknown message");
-                    prog.pending -= 1;
-                    if prog.pending > 0 {
-                        return;
-                    }
-                }
+            NetEvent::Deliver { msg } => {
                 #[expect(
                     clippy::expect_used,
                     reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
                 )]
-                let prog = self
+                let pending = self
                     .inflight
-                    .remove(&packet.msg)
+                    .remove(&msg)
                     .expect("delivery for unknown message");
-                debug_assert_eq!(prog.pending, 0, "message delivered before its last packet");
-                if prog.dropped == 0 {
-                    self.stats.messages_delivered += 1;
-                    out.push(Notice::MessageDelivered { msg: packet.msg });
-                } else {
-                    // Some packets were lost: the message can never be
-                    // reassembled, so it completes as a drop even though
-                    // the surviving packets arrived.
-                    self.stats.messages_dropped += 1;
-                    out.push(Notice::MessageDropped { msg: packet.msg });
-                }
+                debug_assert_eq!(pending, 0, "message delivered before its last packet");
+                self.stats.messages_delivered += 1;
+                out.push(Notice::MessageDelivered { msg });
             }
             NetEvent::LocalInjectDone { msg } => {
                 out.push(Notice::MessageInjected { msg });
@@ -900,25 +659,22 @@ impl Fabric {
         }
     }
 
-    /// Whether `pkt`, just sent down the wire from its final egress port,
-    /// needs a `Deliver` event. On a lossy fabric every packet does. On a
-    /// lossless one the packet is counted off (and as delivered) here, and
-    /// only the packet that empties its message's ledger does.
-    fn deliver_needed(&mut self, pkt: &Packet) -> bool {
-        if !self.lossless {
-            return true;
-        }
+    /// Counts off (and as delivered) a packet of `msg` just sent down the
+    /// wire from its final egress port. True when it empties the message's
+    /// ledger: that packet's arrival completes the message, so it alone
+    /// gets a `Deliver`.
+    fn departs_last(&mut self, msg: MessageId) -> bool {
         self.stats.packets_delivered += 1;
         #[expect(
             clippy::expect_used,
             reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
         )]
-        let prog = self
+        let pending = self
             .inflight
-            .get_mut(&pkt.msg)
+            .get_mut(&msg)
             .expect("departure of unknown message");
-        prog.pending -= 1;
-        prog.pending == 0
+        *pending -= 1;
+        *pending == 0
     }
 
     fn schedule_service<E: From<NetEvent>>(
@@ -945,8 +701,7 @@ impl Fabric {
         }
         let leaf = self.routes.leaf_of(node);
         if self.switches[leaf as usize].pools[0].try_acquire() {
-            let bw = self.link_bandwidth_of(LinkId::NodeUp(node));
-            let d = self.nics[node.index()].start_tx(bw);
+            let d = self.nics[node.index()].start_tx(self.cfg.link_bandwidth);
             q.schedule_after(d, NetEvent::NicTxDone { node }.into());
         } else {
             self.nics[node.index()].waiting_for_credit = true;
@@ -961,8 +716,7 @@ impl Fabric {
         if !self.switches[sw as usize].egress[port as usize].can_start() {
             return;
         }
-        let hop = self.routes.next_hop(sw, port);
-        if let NextHop::Switch { sw: next, class } = hop {
+        if let NextHop::Switch { sw: next, class } = self.routes.next_hop(sw, port) {
             if !self.switches[next as usize].pools[class].try_acquire() {
                 self.switches[sw as usize].egress[port as usize].waiting_for_credit = true;
                 self.switches[next as usize].waiters[class].push_back(Waiter::Egress { sw, port });
@@ -970,12 +724,7 @@ impl Fabric {
                 return;
             }
         }
-        let link = match hop {
-            NextHop::Node(dst) => LinkId::NodeDown(dst),
-            NextHop::Switch { sw: next, .. } => LinkId::Trunk { from: sw, to: next },
-        };
-        let bw = self.link_bandwidth_of(link);
-        let d = self.switches[sw as usize].egress[port as usize].start_tx(bw);
+        let d = self.switches[sw as usize].egress[port as usize].start_tx(self.cfg.link_bandwidth);
         q.schedule_after(d, NetEvent::EgressTxDone { sw, port }.into());
     }
 
@@ -1266,29 +1015,6 @@ mod tests {
 
     #[cfg(feature = "audit")]
     #[test]
-    fn audited_lossy_run_stays_clean() {
-        // Drops exercise the credit-return paths the auditor guards; a
-        // correct fabric must stay violation-free even when packets die.
-        let mut cfg = SwitchConfig::tiny_deterministic();
-        cfg.switch_capacity = 1;
-        let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
-            .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_micros(10)));
-        let mut fab = Fabric::new(cfg.with_fault_plan(FaultPlan::none().with_link_fault(fault)));
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        fab.enable_audit();
-        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 4096);
-        q.schedule_at(SimTime::from_micros(15), Ev::Tick);
-        drain_ev(&mut fab, &mut q, SimTime::from_micros(15));
-        fab.send_message(&mut q, 1, NodeId(0), NodeId(1), 4096);
-        drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
-        assert_eq!(fab.stats().packets_dropped, 4);
-        assert_eq!(fab.stats().messages_delivered, 1);
-        let report = fab.take_audit_report().expect("audit enabled");
-        assert!(report.is_clean(), "unexpected violations: {report}");
-    }
-
-    #[cfg(feature = "audit")]
-    #[test]
     fn double_release_is_reported_not_panicked() {
         let (mut fab, mut q) = setup();
         fab.enable_audit();
@@ -1485,256 +1211,14 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Fault injection.
-
-    use crate::fault::{FaultPlan, FaultWindow, LinkFault, LinkId, LinkSelector};
-    use crate::service::ServiceDistribution;
-
-    /// A composer's event type with one event of its own, a clock tick:
-    /// the fabric schedules nothing at a down window's edges, so the
-    /// window tests tick the clock past a window's end themselves.
-    #[derive(Debug)]
-    enum Ev {
-        Net(NetEvent),
-        Tick,
-    }
-
-    impl From<NetEvent> for Ev {
-        fn from(ev: NetEvent) -> Self {
-            Ev::Net(ev)
-        }
-    }
-
-    /// [`drain`] over an [`Ev`] queue; a tick only moves the clock.
-    fn drain_ev(fab: &mut Fabric, q: &mut EventQueue<Ev>, horizon: SimTime) -> Vec<Notice> {
-        let mut out = Vec::new();
-        while let Some((_, ev)) = q.pop_until(horizon) {
-            if let Ev::Net(ne) = ev {
-                fab.handle(q, ne, &mut out);
-            }
-        }
-        out
-    }
-
-    fn run_notices(cfg: SwitchConfig) -> Vec<Notice> {
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        for i in 0..12u64 {
-            let src = NodeId((i % 4) as u32);
-            let dst = NodeId(((i + 1) % 4) as u32);
-            fab.send_message(&mut q, i, src, dst, 700 + 512 * i);
-        }
-        drain(&mut fab, &mut q, SimTime::from_secs(10))
-    }
-
-    #[test]
-    fn zero_loss_fault_plan_matches_fault_free_run() {
-        // An *installed* fault layer whose faults are all no-ops must not
-        // perturb the schedule: the opt-in guarantee is byte-identical
-        // traces, not merely similar ones.
-        let baseline = run_notices(SwitchConfig::tiny_deterministic());
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(LinkFault::on(LinkSelector::All)));
-        assert_eq!(run_notices(cfg), baseline);
-    }
-
-    #[test]
-    fn lossy_fabric_is_deterministic_and_conserves_packets() {
-        let lossy = || {
-            SwitchConfig::tiny_deterministic()
-                .with_fault_plan(FaultPlan::uniform_loss(0.3).with_seed(7))
-        };
-        let a = run_notices(lossy());
-        let b = run_notices(lossy());
-        assert_eq!(a, b, "same seed + same plan must replay identically");
-
-        // Conservation: every created packet is either delivered or
-        // dropped, and every message resolves one way or the other.
-        let mut fab = Fabric::new(lossy());
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        for i in 0..12u64 {
-            let src = NodeId((i % 4) as u32);
-            let dst = NodeId(((i + 1) % 4) as u32);
-            fab.send_message(&mut q, i, src, dst, 700 + 512 * i);
-        }
-        drain(&mut fab, &mut q, SimTime::from_secs(10));
-        let s = fab.stats();
-        assert!(
-            s.packets_dropped > 0,
-            "30% loss over 12 messages must drop something"
-        );
-        assert_eq!(s.packets_created, s.packets_delivered + s.packets_dropped);
-        assert_eq!(s.messages_sent, s.messages_delivered + s.messages_dropped);
-        assert!(fab.is_quiescent(), "no packet may be left in flight");
-        // Dropped packets die on the wire *after* acquiring the downstream
-        // switch's admission credit; each one must hand it back.
-        for sw in 0..fab.routes.switch_count() {
-            for class in 0..fab.switches[sw as usize].pools.len() {
-                assert_eq!(
-                    fab.credits_in_use(sw, class),
-                    0,
-                    "drops leaked credits at switch {sw} class {class}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn drops_do_not_exhaust_a_tight_credit_pool() {
-        // Regression: a packet dropped between the NIC and the switch (or
-        // on a trunk) still holds the downstream admission credit. With a
-        // single-credit pool, one leaked credit wedges the whole leaf: no
-        // NIC on it could ever transmit again.
-        let mut cfg = SwitchConfig::tiny_deterministic();
-        cfg.switch_capacity = 1;
-        let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
-            .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_micros(10)));
-        let mut fab = Fabric::new(cfg.with_fault_plan(FaultPlan::none().with_link_fault(fault)));
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        // Eaten by the down window — four packets, four potential leaks.
-        // The tick moves the clock past the window before the second send.
-        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 4096);
-        q.schedule_at(SimTime::from_micros(15), Ev::Tick);
-        drain_ev(&mut fab, &mut q, SimTime::from_micros(15));
-        assert_eq!(fab.stats().packets_dropped, 4);
-        assert_eq!(fab.credits_in_use(0, 0), 0, "drop must return the credit");
-        // The window is over; the same node (and its leaf peers) must still
-        // be able to push traffic through the single credit.
-        let id = fab.send_message(&mut q, 1, NodeId(0), NodeId(1), 4096);
-        let notices = drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
-        assert_eq!(delivered(&notices), vec![id]);
-    }
-
-    #[test]
-    fn down_window_drops_every_packet_on_the_link() {
-        let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
-            .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_secs(1)));
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let dead = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 4096);
-        let alive = fab.send_message(&mut q, 1, NodeId(2), NodeId(3), 4096);
-        let notices = drain(&mut fab, &mut q, SimTime::from_secs(2));
-        assert_eq!(delivered(&notices), vec![alive]);
-        assert!(notices
-            .iter()
-            .any(|n| matches!(n, Notice::MessageDropped { msg, .. } if *msg == dead)));
-        // 4096 B over a 1024 B MTU: four packets, all eaten by the link.
-        assert_eq!(fab.drops_on(LinkId::NodeUp(NodeId(0))), 4);
-        assert_eq!(fab.stats().packets_dropped, 4);
-        assert_eq!(fab.stats().messages_dropped, 1);
-    }
-
-    #[test]
-    fn link_recovers_after_down_window_closes() {
-        let fault = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0))))
-            .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_micros(10)));
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let link = LinkId::NodeUp(NodeId(0));
-        // Inside the window the link eats the packet.
-        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        q.schedule_at(SimTime::from_micros(20), Ev::Tick);
-        let notices = drain_ev(&mut fab, &mut q, SimTime::from_micros(20));
-        assert!(delivered(&notices).is_empty());
-        assert_eq!(fab.drops_on(link), 1);
-        // Past the window, the link must carry traffic again.
-        let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        let notices = drain_ev(&mut fab, &mut q, SimTime::from_secs(1));
-        assert_eq!(delivered(&notices), vec![id]);
-        assert_eq!(fab.drops_on(link), 1);
-        assert_eq!(fab.stats().packets_dropped, 1);
-    }
-
-    #[test]
-    fn bandwidth_derating_stretches_serialization() {
-        // Halving the node→switch bandwidth doubles NIC serialization:
-        // nic 1024 + wire 100 + svc 200 + egress 512 + wire 100 = 1936 ns
-        // (vs 1424 ns nominal for 512 B).
-        let fault =
-            LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0)))).with_bandwidth_factor(0.5);
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        let notices = drain(&mut fab, &mut q, SimTime::from_nanos(10_000));
-        assert_eq!(delivered(&notices), vec![id]);
-        assert_eq!(q.now(), SimTime::from_nanos(1936));
-    }
-
-    #[test]
-    fn extra_latency_adds_per_wire_crossing() {
-        // +50 ns on every link: the 512 B single-switch path crosses two
-        // wires (node→switch, switch→node) → 1424 + 100 = 1524 ns.
-        let fault =
-            LinkFault::on(LinkSelector::All).with_extra_latency(SimDuration::from_nanos(50));
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        let notices = drain(&mut fab, &mut q, SimTime::from_nanos(10_000));
-        assert_eq!(delivered(&notices), vec![id]);
-        assert_eq!(q.now(), SimTime::from_nanos(1524));
-    }
-
-    #[test]
-    fn trunk_faults_hit_only_cross_leaf_traffic() {
-        // Kill every trunk out of leaf 0 (to spines 2 and 3): intra-leaf
-        // traffic is untouched, cross-leaf traffic dies.
-        let plan = FaultPlan::none()
-            .with_link_fault(
-                LinkFault::on(LinkSelector::Link(LinkId::Trunk { from: 0, to: 2 }))
-                    .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_secs(5))),
-            )
-            .with_link_fault(
-                LinkFault::on(LinkSelector::Link(LinkId::Trunk { from: 0, to: 3 }))
-                    .with_down(FaultWindow::new(SimTime::ZERO, SimTime::from_secs(5))),
-            );
-        let cfg = tiny_fat_tree().with_fault_plan(plan);
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let intra = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
-        let cross = fab.send_message(&mut q, 1, NodeId(0), NodeId(2), 512);
-        let notices = drain(&mut fab, &mut q, SimTime::from_secs(1));
-        assert_eq!(delivered(&notices), vec![intra]);
-        assert!(notices
-            .iter()
-            .any(|n| matches!(n, Notice::MessageDropped { msg, .. } if *msg == cross)));
-        assert!(fab.is_quiescent());
-    }
-
-    // ------------------------------------------------------------------
     // Per-message delivery.
 
-    /// Drains like [`drain`], stamping each notice with the time of the
-    /// event that raised it, and shows `inspect` every event before the
-    /// fabric handles it.
-    fn timed_drain(
-        fab: &mut Fabric,
-        q: &mut EventQueue<NetEvent>,
-        horizon: SimTime,
-        mut inspect: impl FnMut(&Fabric, &NetEvent),
-    ) -> Vec<(SimTime, Notice)> {
-        let mut out = Vec::new();
-        let mut timed = Vec::new();
-        while let Some((t, ev)) = q.pop_until(horizon) {
-            inspect(fab, &ev);
-            fab.handle(q, ev, &mut out);
-            timed.extend(out.drain(..).map(|n| (t, n)));
-        }
-        timed
-    }
-
     #[test]
-    fn one_deliver_per_message_matches_per_packet_delivery() {
+    fn one_deliver_per_message_across_reordering_servers() {
         // Four routing servers with widely spread service times reorder a
         // message's packets; the mix adds an intra-node message and a
         // zero-byte one.
+        use crate::service::ServiceDistribution;
         let mut cfg = SwitchConfig::tiny_deterministic();
         cfg.route_servers = 4;
         cfg.service = ServiceDistribution::Uniform {
@@ -1745,89 +1229,66 @@ mod tests {
             .map(|i| (i % 4, (i + 1 + i / 4) % 4, 3_000 + 1_000 * u64::from(i)))
             .chain([(2, 2, 5_000), (0, 3, 0)])
             .collect();
-        let horizon = SimTime::from_secs(1);
-        let run = |cfg: SwitchConfig| {
-            let mut fab = Fabric::new(cfg);
-            let mut q: EventQueue<NetEvent> = EventQueue::new();
-            for (i, &(src, dst, bytes)) in mix.iter().enumerate() {
-                fab.send_message(&mut q, i as u64, NodeId(src), NodeId(dst), bytes);
-            }
-            let mut reordered = 0;
-            let notices = timed_drain(&mut fab, &mut q, horizon, |fab, ev| {
-                if let NetEvent::Deliver { packet } = ev {
-                    // The last packet of the message is still on its wire.
-                    assert!(!fab.is_quiescent());
-                    if packet.last && fab.inflight[&packet.msg].pending > 1 {
+        let mut fab = Fabric::new(cfg.clone());
+        let mut q: EventQueue<NetEvent> = EventQueue::new();
+        let packets: IdHashMap<MessageId, u64> = mix
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst, bytes))| {
+                let id = fab.send_message(&mut q, i as u64, NodeId(src), NodeId(dst), bytes);
+                (id, packet_count(bytes, cfg.mtu))
+            })
+            .collect();
+        let mut routed: IdHashMap<MessageId, u64> = IdHashMap::default();
+        let (mut reordered, mut delivers) = (0, 0);
+        let mut out = Vec::new();
+        let mut delivered = Vec::new();
+        while let Some((t, ev)) = q.pop_until(SimTime::from_secs(1)) {
+            match &ev {
+                NetEvent::ServiceDone { packet, .. } => {
+                    let n = routed.entry(packet.msg).or_default();
+                    *n += 1;
+                    if packet.last && *n < packets[&packet.msg] {
                         reordered += 1;
                     }
                 }
-            });
-            assert!(fab.is_quiescent());
-            (notices, q.events_processed(), fab.lossless, reordered)
-        };
-        // The down window opens after the horizon: nothing drops, but the
-        // link could, so this fabric takes the per-packet path.
-        let after = LinkFault::on(LinkSelector::Link(LinkId::NodeUp(NodeId(0)))).with_down(
-            FaultWindow::new(SimTime::from_secs(2), SimTime::from_secs(3)),
-        );
-        let (once, once_events, lossless, _) = run(cfg.clone());
-        let (per_packet, per_packet_events, per_packet_lossless, reordered) = run(cfg
-            .clone()
-            .with_fault_plan(FaultPlan::none().with_link_fault(after)));
-        assert!(lossless && !per_packet_lossless);
-        assert!(reordered > 0, "the routing stage must reorder some message");
-        assert_eq!(once, per_packet);
-        assert_eq!(
-            once.iter()
-                .filter(|(_, n)| matches!(n, Notice::MessageDelivered { .. }))
-                .count(),
-            mix.len()
-        );
-        let extra: u64 = mix
-            .iter()
-            .map(|&(_, _, bytes)| packet_count(bytes, cfg.mtu) - 1)
-            .sum();
-        assert!(extra > 0);
-        assert_eq!(per_packet_events - once_events, extra);
-    }
-
-    #[test]
-    fn lossy_message_completes_when_its_last_survivor_lands() {
-        // Two 1024 B packets 0 → 1. Packet A leaves the switch at 2348 ns
-        // (nic 1024 + wire 100 + svc 200 + egress 1024) onto a final wire
-        // 100 + 5000 ns long. Packet B follows 1024 ns behind and is
-        // dropped entering that wire at 3372 ns, inside its down window.
-        // A has already left its last port, yet the message resolves only
-        // when A lands at 7448 ns: the case per-message delivery would get
-        // wrong, and why lossy fabrics keep a `Deliver` per packet.
-        let down = LinkId::NodeDown(NodeId(1));
-        let fault = LinkFault::on(LinkSelector::Link(down))
-            .with_extra_latency(SimDuration::from_nanos(5_000))
-            .with_down(FaultWindow::new(
-                SimTime::from_nanos(3_000),
-                SimTime::from_nanos(4_000),
-            ));
-        let cfg = SwitchConfig::tiny_deterministic()
-            .with_fault_plan(FaultPlan::none().with_link_fault(fault));
-        let mut fab = Fabric::new(cfg);
-        let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 2048);
-        let notices = timed_drain(&mut fab, &mut q, SimTime::from_secs(1), |_, _| {});
-        assert_eq!(fab.drops_on(down), 1);
-        assert_eq!(fab.stats().packets_delivered, 1);
-        assert_eq!(
-            notices.last(),
-            Some(&(
-                SimTime::from_nanos(7_448),
-                Notice::MessageDropped { msg: id }
-            ))
-        );
+                NetEvent::Deliver { .. } => {
+                    // The last packet of the message is still on its wire.
+                    assert!(!fab.is_quiescent());
+                    delivers += 1;
+                }
+                _ => {}
+            }
+            fab.handle(&mut q, ev, &mut out);
+            for n in out.drain(..) {
+                if let Notice::MessageDelivered { msg } = n {
+                    delivered.push((msg.0, t.as_nanos()));
+                }
+            }
+        }
         assert!(fab.is_quiescent());
-    }
-
-    #[test]
-    fn invalid_fault_plan_is_rejected_at_construction() {
-        let cfg = SwitchConfig::tiny_deterministic().with_fault_plan(FaultPlan::uniform_loss(1.5));
-        assert!(Fabric::try_new(cfg).is_err());
+        assert!(reordered > 0, "the routing stage must reorder some message");
+        assert_eq!(delivers, mix.len());
+        // Each message once, at the time a `Deliver` per packet gave it.
+        assert_eq!(
+            delivered,
+            [
+                (12, 1_300),
+                (13, 8_166),
+                (0, 9_086),
+                (1, 14_404),
+                (2, 20_730),
+                (3, 23_608),
+                (4, 25_750),
+                (5, 30_777),
+                (8, 34_172),
+                (6, 35_021),
+                (9, 37_805),
+                (7, 40_111),
+                (10, 41_847),
+                (11, 42_481),
+            ]
+        );
+        assert_eq!(q.events_processed(), 427);
     }
 }

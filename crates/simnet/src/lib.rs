@@ -45,7 +45,6 @@ pub mod audit;
 pub mod config;
 pub mod event;
 pub mod fabric;
-pub mod fault;
 pub mod nic;
 pub mod packet;
 pub mod service;
@@ -58,7 +57,6 @@ pub use audit::{audit_compiled, AuditReport, AuditViolation, InvariantKind};
 pub use config::{ConfigError, SwitchConfig, Topology};
 pub use event::EventQueue;
 pub use fabric::{drain, Fabric, NetEvent, Notice};
-pub use fault::{FaultPlan, FaultWindow, LinkFault, LinkId, LinkSelector, ServerFault};
 pub use packet::{Message, MessageId, NodeId, Packet};
 pub use service::ServiceDistribution;
 pub use stats::{FabricStats, SwitchStats};

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use crate::packet::{packet_count, segment, Message, Packet};
+use crate::packet::{segment, Message, Packet};
 use crate::time::SimDuration;
 use crate::util::IdHashMap;
 
@@ -32,7 +32,7 @@ struct Queued {
     msg: Message,
     /// Packets already cut.
     cut: u32,
-    /// Packets the message is cut into, [`packet_count`] at the NIC's MTU.
+    /// Packets the message is cut into at the NIC's MTU.
     count: u32,
 }
 
@@ -86,17 +86,19 @@ impl Nic {
     }
 
     /// Queues `msg` on `flow`'s send queue, behind the flow's earlier
-    /// messages.
+    /// messages. `packets` is the message's
+    /// [`packet_count`](crate::packet::packet_count) at the NIC's MTU,
+    /// which the sender has already computed.
     ///
     /// # Panics
     /// Panics if the message would take more than `u32::MAX` packets.
-    pub fn enqueue(&mut self, flow: FlowId, msg: Message) {
-        let count = packet_count(msg.bytes, self.mtu);
+    pub fn enqueue(&mut self, flow: FlowId, msg: Message, packets: u64) {
+        debug_assert_eq!(packets, crate::packet::packet_count(msg.bytes, self.mtu));
         #[expect(
             clippy::expect_used,
             reason = "documented `# Panics` precondition on caller input: a message of 2^32 packets is a caller bug"
         )]
-        let count = u32::try_from(count).expect("message exceeds 2^32 packets");
+        let count = u32::try_from(packets).expect("message exceeds 2^32 packets");
         let q = self.flows.entry(flow).or_default();
         if q.is_empty() {
             self.rr.push_back(flow);
@@ -201,6 +203,10 @@ mod tests {
 
     const MTU: u64 = 4096;
 
+    fn enqueue(nic: &mut Nic, flow: FlowId, msg: Message) {
+        nic.enqueue(flow, msg, crate::packet::packet_count(msg.bytes, MTU));
+    }
+
     fn msg(id: u64, bytes: u64) -> Message {
         Message {
             id: MessageId(id),
@@ -214,8 +220,8 @@ mod tests {
     fn nic_lifecycle() {
         let mut nic = Nic::new(MTU);
         assert!(!nic.can_start());
-        nic.enqueue(1, msg(1, 1000));
-        nic.enqueue(1, msg(2, 500));
+        enqueue(&mut nic, 1, msg(1, 1000));
+        enqueue(&mut nic, 1, msg(2, 500));
         assert!(nic.can_start());
         assert_eq!(nic.backlog(), 2);
         assert_eq!(nic.active_flows(), 1);
@@ -235,7 +241,7 @@ mod tests {
     fn single_flow_is_fifo() {
         let mut nic = Nic::new(MTU);
         for i in 0..5 {
-            nic.enqueue(7, msg(i, 100));
+            enqueue(&mut nic, 7, msg(i, 100));
         }
         for i in 0..5 {
             nic.start_tx(1_000_000_000);
@@ -250,9 +256,9 @@ mod tests {
         // enqueued later. Round-robin must send the probe second, not
         // fifth.
         for i in 0..4 {
-            nic.enqueue(1, msg(i, 100));
+            enqueue(&mut nic, 1, msg(i, 100));
         }
-        nic.enqueue(2, msg(99, 100));
+        enqueue(&mut nic, 2, msg(99, 100));
         let order: Vec<u64> = (0..5)
             .map(|_| {
                 nic.start_tx(1_000_000_000);
@@ -267,7 +273,7 @@ mod tests {
         let mut nic = Nic::new(MTU);
         for f in 0..3u64 {
             for i in 0..2 {
-                nic.enqueue(f, msg(f * 10 + i, 100));
+                enqueue(&mut nic, f, msg(f * 10 + i, 100));
             }
         }
         let order: Vec<u64> = (0..6)
@@ -285,8 +291,8 @@ mod tests {
         // Three packets for flow 1, then a probe on flow 2: the probe
         // goes between the first and second cut, and the message's
         // packets keep their sizes and only the third is last.
-        nic.enqueue(1, msg(1, 2 * MTU + 1));
-        nic.enqueue(2, msg(2, 64));
+        enqueue(&mut nic, 1, msg(1, 2 * MTU + 1));
+        enqueue(&mut nic, 2, msg(2, 64));
         assert_eq!(nic.backlog(), 4);
         assert_eq!(
             nic.peak_backlog(),
@@ -319,7 +325,7 @@ mod tests {
     #[test]
     fn zero_byte_message_is_one_empty_last_packet() {
         let mut nic = Nic::new(MTU);
-        nic.enqueue(0, msg(5, 0));
+        enqueue(&mut nic, 0, msg(5, 0));
         assert_eq!(nic.backlog(), 1);
         nic.start_tx(1_000_000_000);
         let p = nic.tx_done();
@@ -330,7 +336,7 @@ mod tests {
     #[test]
     fn parked_nic_cannot_start() {
         let mut nic = Nic::new(MTU);
-        nic.enqueue(0, msg(1, 100));
+        enqueue(&mut nic, 0, msg(1, 100));
         nic.waiting_for_credit = true;
         assert!(!nic.can_start());
         nic.waiting_for_credit = false;

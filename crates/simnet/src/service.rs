@@ -152,11 +152,6 @@ impl ServiceDistribution {
         }
     }
 
-    /// Mean service *rate* `µ` in packets per nanosecond.
-    pub fn mu_per_ns(&self) -> f64 {
-        1.0 / self.mean_ns()
-    }
-
     /// Squared coefficient of variation `Var(S)/E[S]²` — the term that
     /// scales queueing delay in the P-K formula.
     pub fn scv(&self) -> f64 {

@@ -98,22 +98,15 @@ pub struct FabricStats {
     pub messages_delivered: u64,
     /// Packets created by segmentation (remote traffic only).
     pub packets_created: u64,
-    /// Packets delivered to destination NICs (remote traffic only). On a
-    /// lossless fabric, where each message gets a single `Deliver`, a
-    /// packet counts when it leaves its final egress port, so at a horizon
-    /// cut this includes packets still on their last wire; on a fabric
-    /// that can drop packets it counts each `Deliver` as it fires.
+    /// Packets delivered to destination NICs (remote traffic only). Each
+    /// message gets a single `Deliver`, so a packet counts when it leaves
+    /// its final egress port, and at a horizon cut this includes packets
+    /// still on their last wire.
     pub packets_delivered: u64,
     /// Intra-node messages short-circuited past the switch.
     pub local_messages: u64,
     /// Times a NIC was stalled by switch back-pressure (no credit).
     pub backpressure_stalls: u64,
-    /// Packets lost to injected link faults (zero unless a
-    /// [`crate::fault::FaultPlan`] is active).
-    pub packets_dropped: u64,
-    /// Messages that lost at least one packet to an injected fault and can
-    /// therefore never be delivered.
-    pub messages_dropped: u64,
 }
 
 #[cfg(test)]

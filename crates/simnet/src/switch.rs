@@ -27,7 +27,6 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 
-use crate::fault::ServerFaultState;
 use crate::packet::Packet;
 use crate::service::ServiceDistribution;
 use crate::stats::SwitchStats;
@@ -95,7 +94,6 @@ pub struct CentralStage {
     busy: usize,
     servers: usize,
     service: ServiceDistribution,
-    fault: Option<ServerFaultState>,
     pub(crate) stats: SwitchStats,
 }
 
@@ -109,18 +107,11 @@ impl CentralStage {
             busy: 0,
             servers,
             service,
-            fault: None,
             stats: SwitchStats {
                 servers,
                 ..SwitchStats::default()
             },
         }
-    }
-
-    /// Installs an injected routing-server fault (slowdown / blackout
-    /// windows). Only the fabric's fault layer calls this.
-    pub(crate) fn set_fault(&mut self, fault: ServerFaultState) {
-        self.fault = Some(fault);
     }
 
     /// Handles a packet arriving at the routing stage (credit already
@@ -146,12 +137,7 @@ impl CentralStage {
         now: SimTime,
         rng: &mut StdRng,
     ) -> ServiceStart {
-        let mut service = self.service.sample(rng);
-        if let Some(f) = &self.fault {
-            // Faulted servers really are busy for the stretched duration,
-            // so utilization accounting uses the adjusted value.
-            service = f.adjust(now, service);
-        }
+        let service = self.service.sample(rng);
         self.stats.total_wait_ns += now.since(arrived).as_nanos() as u128;
         self.stats.busy_ns += service.as_nanos() as u128;
         self.busy += 1;
@@ -191,11 +177,6 @@ impl CentralStage {
     /// Ground-truth telemetry.
     pub fn stats(&self) -> &SwitchStats {
         &self.stats
-    }
-
-    /// Resets telemetry counters, opening a new observation window.
-    pub fn reset_stats(&mut self, now: SimTime) {
-        self.stats.reset_window(now);
     }
 }
 

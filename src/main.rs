@@ -4,7 +4,6 @@
 //! anp calibrate                 # idle-switch calibration
 //! anp probe <APP>               # impact experiment: APP's switch footprint
 //! anp sweep <APP>               # degradation ladder for APP (mini Fig. 7)
-//! anp losses <APP>              # degradation vs packet-loss rate for APP
 //! anp predict <APP> <APP>       # predict mutual slowdown of a pairing
 //! anp apps                      # list the built-in application proxies
 //! anp run <ARTEFACT> [--quick]  # regenerate a paper artefact or study
@@ -25,11 +24,9 @@ use anp_bench::cli::{parse_run, report_holes, Flags, RunCtx, UsageError, GLOBAL_
 use anp_bench::ARTEFACTS;
 use anp_core::{
     all_models, calibrate_with, completed_count, config_fingerprint, degradation_percent,
-    loss_sweep_supervised, measure_campaign, partial_exit_code, sweep_supervised_for, BackendError,
-    CampaignStage, MuPolicy, WorkloadSpec,
+    measure_campaign, partial_exit_code, sweep_supervised_for, CampaignStage, MuPolicy,
+    WorkloadSpec,
 };
-use anp_simmpi::ReliabilityConfig;
-use anp_simnet::SimDuration;
 use anp_workloads::{AppKind, CompressionConfig};
 
 fn usage() {
@@ -42,7 +39,6 @@ fn usage() {
          \x20 apps                 list application proxies\n\
          \x20 probe <APP>          measure APP's switch utilization\n\
          \x20 sweep <APP>          degradation vs utilization ladder for APP\n\
-         \x20 losses <APP>         degradation vs packet-loss rate for APP\n\
          \x20 predict <A> <B>      predict A and B's mutual slowdown\n\
          \x20 run <ARTEFACT> [--quick] [--bench-json PATH] [--no-bench-json]\n\
          \x20     [global flags]\n\
@@ -61,8 +57,8 @@ fn usage() {
          flow-level model; see DESIGN.md for its error envelope)\n\
          --max-retries N retries failed or panicked sweep cells (budget\n\
          trips are never retried); --run-budget / --event-budget cap each\n\
-         cell attempt; --resume JOURNAL makes 'sweep', 'losses',\n\
-         'predict' and 'run' crash-safe: completed cells are journaled\n\
+         cell attempt; --resume JOURNAL makes 'sweep', 'predict' and\n\
+         'run' crash-safe: completed cells are journaled\n\
          and re-invocation re-runs only the missing ones. Sweeping\n\
          commands exit 0 when every cell completed, 3 on a partial\n\
          result, 1 when nothing did."
@@ -161,7 +157,6 @@ fn dispatch() -> Result<ExitCode, Failure> {
         }
         "probe" => probe(&ctx, parse_app(args.next())?),
         "sweep" => sweep(&ctx, &flags, parse_app(args.next())?),
-        "losses" => losses(&ctx, &flags, parse_app(args.next())?),
         "predict" => {
             let a = parse_app(args.next())?;
             predict(&ctx, &flags, a, parse_app(args.next())?)
@@ -278,76 +273,6 @@ fn sweep(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure>
         resume_hint(flags);
     }
     Ok(campaign_exit(partial_exit_code(completed, rungs.len())))
-}
-
-fn losses(ctx: &RunCtx, flags: &Flags, app: AppKind) -> Result<ExitCode, Failure> {
-    let (backend, cfg) = (ctx.backend.as_ref(), &ctx.cfg);
-    // The loss sweep installs a FaultPlan per loss point, so it needs a
-    // fault-capable engine; reject others before any simulation runs
-    // rather than falling back silently.
-    if !backend.supports_faults() {
-        return Err(fail(BackendError::UnsupportedOption {
-            backend: backend.name(),
-            option: "packet-loss fault injection (the losses sweep)".to_owned(),
-        }));
-    }
-    // Timeout well above congested delivery latency (spurious retransmits
-    // snowball), loss rates low enough that a 24KB / 24-packet message
-    // still survives most attempts: the ARQ is message-grained, so loss x
-    // packets-per-message must stay well below 1.
-    let rel = ReliabilityConfig {
-        retransmit_timeout: SimDuration::from_millis(50),
-        max_retries: 10,
-    };
-    let solo = backend.measure_solo_runtime(cfg, app).map_err(fail)?;
-    println!("{} lossless: {}", app.name(), solo);
-    println!("{:<10} {:>12} {:>12}", "loss", "runtime", "degradation");
-    // Each loss point runs under the supervision envelope; with `--resume`
-    // completed points are journaled, so a crashed or partial sweep
-    // re-runs only the missing rows.
-    let (points, _telemetry) = loss_sweep_supervised(
-        cfg,
-        app,
-        &[0.0, 1e-4, 5e-4, 1e-3],
-        rel,
-        &ctx.supervisor,
-        ctx.journal.as_ref(),
-    )
-    .map_err(fail)?;
-    let total = points.len();
-    let mut completed = 0usize;
-    for (loss, res) in &points {
-        match res {
-            Ok(t) => {
-                completed += 1;
-                println!(
-                    "{:<10} {:>12} {:>+11.1}%",
-                    format!("{:.2}%", loss * 100.0),
-                    format!("{t}"),
-                    degradation_percent(solo, *t)
-                );
-            }
-            Err(e) => {
-                // The table row stays on stdout; the error detail goes to
-                // stderr, and the command exits nonzero (3: partial
-                // table, 1: nothing completed).
-                println!(
-                    "{:<10} {:>12} (failed)",
-                    format!("{:.2}%", loss * 100.0),
-                    "-"
-                );
-                eprintln!("error: loss {:.2}%: {e}", loss * 100.0);
-            }
-        }
-    }
-    if completed < total {
-        eprintln!(
-            "error: {} loss point(s) did not complete",
-            total - completed
-        );
-        resume_hint(flags);
-    }
-    Ok(campaign_exit(partial_exit_code(completed, total)))
 }
 
 fn predict(ctx: &RunCtx, flags: &Flags, a: AppKind, b: AppKind) -> Result<ExitCode, Failure> {

@@ -10,21 +10,19 @@
 //! plain `cargo test` the flag is inert; CI also runs
 //! `cargo test --release --features audit --test golden`, where the
 //! simulator's conservation auditor is live on every pinned DES run (the
-//! tiny study, the loss sweep, `backend_xval`, the Cab table and impact
-//! profile, and the monitor study). That run must reproduce the same
+//! tiny study, `backend_xval`, the Cab table and impact profile, and the
+//! monitor study). That run must reproduce the same
 //! committed digests with zero violations: a tripped invariant fails the
 //! surface as `ExperimentError::Invariant`.
 
 use anp_bench::xval::run_xval_supervised;
 use anp_core::journal::{fnv1a, Journaled};
 use anp_core::{
-    all_models, calibrate_with, degradation_percent, impact_profile_of_compression,
-    loss_sweep_supervised, runtime_of, Backend, DesBackend, ExperimentConfig, LookupTable,
-    MuPolicy, Parallelism, Study, Supervisor,
+    all_models, calibrate_with, degradation_percent, impact_profile_of_compression, runtime_of,
+    Backend, DesBackend, ExperimentConfig, LookupTable, MuPolicy, Parallelism, Study, Supervisor,
 };
 use anp_flowsim::{describe_members, FlowBackend, TrafficDescriptor};
 use anp_monitor::{monitor_records, run_monitor_study, MonitorOpts, MonitorRecord};
-use anp_simmpi::ReliabilityConfig;
 use anp_simnet::{SimDuration, SwitchConfig};
 use anp_workloads::{AppKind, CompressionConfig, ImpactConfig, RunMode};
 
@@ -269,28 +267,6 @@ fn des_on_cab_matches_its_pinned_digests() {
         [0x0b803b76068b9d3c, 0x35c760ffeca17c63],
         "table, impact profile"
     );
-}
-
-#[test]
-fn loss_sweep_on_the_tiny_fabric_matches_its_pinned_digest() {
-    let rel = ReliabilityConfig {
-        retransmit_timeout: SimDuration::from_millis(50),
-        max_retries: 10,
-    };
-    let (points, _) = loss_sweep_supervised(
-        &tiny_cfg(),
-        AppKind::Lulesh,
-        &[0.0, 1e-4, 1e-3],
-        rel,
-        &Supervisor::none(),
-        None,
-    )
-    .unwrap();
-    let lines: Vec<String> = points
-        .iter()
-        .map(|(loss, t)| format!("{}={}", bits(*loss), t.as_ref().unwrap().as_nanos()))
-        .collect();
-    assert_eq!(digest(&lines), 0xb42e97cbf0fdbc2d);
 }
 
 #[test]

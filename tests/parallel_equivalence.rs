@@ -2,16 +2,15 @@
 //!
 //! Every sweep collects results by index, and every cell is an
 //! independent, self-seeded simulation — so running the look-up table,
-//! the app profiles, the pairing grid, or a loss sweep on `jobs = 1`
+//! the app profiles, or the pairing grid on `jobs = 1`
 //! versus `jobs ≥ 4` must produce *bit-identical* numbers, not merely
 //! statistically similar ones. These tests pin that guarantee with exact
 //! `f64::to_bits` / integer comparisons on a small deterministic fabric.
 
 use anp_core::{
-    calibrate, loss_sweep_supervised, sweep_supervised, Calibration, DesBackend, ExperimentConfig,
-    LatencyProfile, LookupTable, MuPolicy, Parallelism, Study, Supervisor, SweepTelemetry,
+    calibrate, sweep_supervised, Calibration, DesBackend, ExperimentConfig, LatencyProfile,
+    LookupTable, MuPolicy, Parallelism, Study, Supervisor, SweepTelemetry,
 };
-use anp_simmpi::ReliabilityConfig;
 use anp_simnet::{SimDuration, SwitchConfig};
 use anp_workloads::{AppKind, CompressionConfig, ImpactConfig};
 
@@ -181,27 +180,6 @@ fn app_profiles_and_pairings_are_bit_identical() {
             s.other.name()
         );
         assert_eq!(s.predicted, p.predicted);
-    }
-}
-
-#[test]
-fn loss_sweep_is_bit_identical_across_worker_counts() {
-    let rel = ReliabilityConfig {
-        retransmit_timeout: SimDuration::from_millis(50),
-        max_retries: 10,
-    };
-    let losses = [0.0, 1e-4, 1e-3];
-    let sweep = |jobs| {
-        let sup = Supervisor::none();
-        loss_sweep_supervised(&tiny_cfg(jobs), AppKind::Lulesh, &losses, rel, &sup, None)
-            .unwrap()
-            .0
-    };
-    let (serial, parallel) = (sweep(1), sweep(6));
-    assert_eq!(serial.len(), parallel.len());
-    for ((ls, rs), (lp, rp)) in serial.iter().zip(&parallel) {
-        assert_eq!(ls.to_bits(), lp.to_bits());
-        assert_eq!(rs, rp, "loss point {ls} differs");
     }
 }
 

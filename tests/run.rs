@@ -135,15 +135,7 @@ fn documented_run_commands_parse() {
         .collect();
     assert_eq!(
         commands,
-        [
-            "calibrate",
-            "apps",
-            "probe",
-            "sweep",
-            "losses",
-            "predict",
-            "run"
-        ],
+        ["calibrate", "apps", "probe", "sweep", "predict", "run"],
         "usage lists:\n{usage}"
     );
 

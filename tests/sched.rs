@@ -4,7 +4,8 @@
 //! artifact), and a fault injected into one ground-truth cell through
 //! the sweep engine's chaos hook must skip scheduling and exit with the
 //! partial-result code instead of printing a regret table biased by the
-//! hole. `anp sched`, `anp monitor` and `--model` are usage errors.
+//! hole. `anp sched`, `anp monitor`, `anp audit`, `anp losses` and
+//! `--model` are usage errors.
 
 use std::process::{Command, Output};
 
@@ -121,11 +122,12 @@ fn faulted_truth_cell_skips_scheduling_and_exits_partial() {
 
 #[test]
 fn retired_sched_monitor_and_audit_commands_are_usage_errors() {
-    let retired: [&[&str]; 4] = [
+    let retired: [&[&str]; 5] = [
         &["sched", "--quick"],
         &["monitor", "--quick"],
         &["audit"],
         &["audit", "--quick"],
+        &["losses", "Lulesh"],
     ];
     for args in retired {
         let cmd = args.join(" ");

@@ -217,31 +217,3 @@ fn sigkilled_sweep_resumes_to_completion() {
     );
     let _ = std::fs::remove_file(&journal);
 }
-
-#[test]
-fn resume_journal_makes_loss_sweep_replayable() {
-    let journal = scratch_journal("losses");
-    let jpath = journal.to_str().unwrap();
-    let first = run(&["--resume", jpath, "losses", "Lulesh"], &[]);
-    assert_eq!(
-        first.status.code(),
-        Some(0),
-        "loss sweep must complete:\n{}",
-        stderr_of(&first)
-    );
-    // Re-invoking replays every point from the journal: identical table,
-    // all four points resumed rather than re-simulated.
-    let replay = run(&["--resume", jpath, "losses", "Lulesh"], &[]);
-    assert_eq!(replay.status.code(), Some(0));
-    assert_eq!(
-        stdout_of(&replay),
-        stdout_of(&first),
-        "replayed loss table must be byte-identical"
-    );
-    assert!(
-        stderr_of(&replay).contains("(resuming: 4 completed cells"),
-        "replay must decode all four journaled points:\n{}",
-        stderr_of(&replay)
-    );
-    let _ = std::fs::remove_file(&journal);
-}

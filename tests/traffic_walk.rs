@@ -256,7 +256,7 @@ proptest! {
                     dst: NodeId(1 + flow as u32),
                     bytes: message_bytes(what - 4, mtu, k, raw),
                 };
-                nic.enqueue(flow, msg);
+                nic.enqueue(flow, msg, packet_count(msg.bytes, mtu));
                 reference.enqueue(flow, msg, mtu);
             }
             prop_assert_eq!(nic.backlog(), reference.queued.packets);
