@@ -1,12 +1,15 @@
 //! Criterion benchmarks of the discrete-event core: event-queue
 //! scheduling/popping (bulk, and the simulator's steady hold pattern), the
-//! full packet path through the fabric, and the flow backend's traffic
-//! walk over an application's generators.
+//! full packet path through the fabric (one message, a contended burst,
+//! and a chain that recycles message slots), and the flow backend's
+//! traffic walk over an application's generators.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use anp_flowsim::describe_members;
-use anp_simnet::{drain, EventQueue, Fabric, NetEvent, NodeId, SimDuration, SimTime, SwitchConfig};
+use anp_simnet::{
+    drain, EventQueue, Fabric, NetEvent, NodeId, Notice, SimDuration, SimTime, SwitchConfig,
+};
 use anp_workloads::{AppKind, RunMode};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -103,13 +106,52 @@ fn bench_fabric_path(c: &mut Criterion) {
                 for i in 0..msgs {
                     fab.send_message(
                         &mut q,
-                        i % 36,
+                        (i % 36) as u32,
                         NodeId((i % 18) as u32),
                         NodeId(((i + 7) % 18) as u32),
                         4096 * 3,
                     );
                 }
                 drain(&mut fab, &mut q, SimTime::from_secs(10)).len()
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    // FFTW's pattern at its smallest: one-packet messages, each sent when
+    // the previous one is delivered, so every send reuses the slot the
+    // last delivery freed.
+    let chain = 2_000u32;
+    g.throughput(Throughput::Elements(u64::from(chain)));
+    g.bench_function("chained_2000_msgs", |b| {
+        b.iter_batched(
+            || {
+                (
+                    Fabric::new(SwitchConfig::cab().with_seed(1)),
+                    EventQueue::<NetEvent>::new(),
+                )
+            },
+            |(mut fab, mut q)| {
+                let mut out = Vec::new();
+                let mut sent = 1;
+                fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 1_024);
+                while let Some((_, ev)) = q.pop() {
+                    fab.handle(&mut q, ev, &mut out);
+                    for n in out.drain(..) {
+                        if matches!(n, Notice::MessageDelivered { .. }) && sent < chain {
+                            let src = sent % 18;
+                            fab.send_message(
+                                &mut q,
+                                src,
+                                NodeId(src),
+                                NodeId((src + 7) % 18),
+                                1_024,
+                            );
+                            sent += 1;
+                        }
+                    }
+                }
+                q.now()
             },
             BatchSize::SmallInput,
         );

@@ -20,8 +20,8 @@ use anp_simnet::audit::{AuditLog, InvariantKind};
 
 use anp_simnet::util::IdHashMap;
 use anp_simnet::{
-    AuditReport, ConfigError, EventQueue, Fabric, MessageId, NetEvent, NodeId, Notice, SimDuration,
-    SimTime, SwitchConfig,
+    AuditReport, ConfigError, EventQueue, Fabric, NetEvent, NodeId, Notice, SimDuration, SimTime,
+    SwitchConfig,
 };
 
 use crate::coll::Lowering;
@@ -52,22 +52,9 @@ impl From<NetEvent> for WorldEvent {
     }
 }
 
-impl WorldEvent {
-    fn kind(&self) -> EventKind {
-        match self {
-            WorldEvent::Net(NetEvent::NicTxDone { .. }) => EventKind::NicTxDone,
-            WorldEvent::Net(NetEvent::SwitchArrive { .. }) => EventKind::SwitchArrive,
-            WorldEvent::Net(NetEvent::ServiceDone { .. }) => EventKind::ServiceDone,
-            WorldEvent::Net(NetEvent::EgressTxDone { .. }) => EventKind::EgressTxDone,
-            WorldEvent::Net(NetEvent::Deliver { .. }) => EventKind::Deliver,
-            WorldEvent::Net(NetEvent::LocalInjectDone { .. }) => EventKind::LocalInjectDone,
-            WorldEvent::RankTimer { .. } => EventKind::RankTimer,
-        }
-    }
-}
-
-/// The kinds of event a [`World`] pops: the six [`NetEvent`]s and its own
-/// rank timer. [`World::events_of`] counts them.
+/// The kinds of event a [`World`] pops: the six [`NetEvent`]s, in that
+/// enum's declaration order, and its own rank timer. [`World::events_of`]
+/// counts them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// [`NetEvent::NicTxDone`].
@@ -111,6 +98,9 @@ struct RankState {
     job: JobId,
     local: u32,
     node: NodeId,
+    /// The rank's NIC flow: its index among the ranks on its node, so each
+    /// NIC's per-flow table holds exactly the ranks it serves.
+    flow: u32,
     program: Box<dyn Program>,
     /// The collective being lowered: its ops are served before the
     /// program is consulted again.
@@ -141,11 +131,16 @@ struct JobInfo {
     unstopped: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// What a message in flight carries above the fabric, kept in
+/// [`World::meta`] at the message's fabric id.
+#[derive(Debug, Clone, Copy, Default)]
 struct WireMeta {
-    job: JobId,
+    /// Sending global rank: its send request completes on injection.
+    src_global: u32,
+    /// Receiving global rank.
+    dst_global: u32,
+    /// Sending job-local rank, as the receiver's envelope names it.
     src_local: u32,
-    dst_local: u32,
     tag: u32,
     /// Per-(source, destination) sequence number. The fabric's k-server
     /// routing stage can reorder whole messages, so the receiver always
@@ -293,9 +288,11 @@ pub struct World {
     q: EventQueue<WorldEvent>,
     ranks: Vec<RankState>,
     jobs: Vec<JobInfo>,
-    meta: IdHashMap<MessageId, WireMeta>,
-    /// Global rank whose send request completes when the message injects.
-    send_owner: IdHashMap<MessageId, u32>,
+    /// Per message in flight, indexed by its
+    /// [`MessageId`](anp_simnet::MessageId). The fabric reuses an id only
+    /// after both of its message's notices, so an entry is overwritten
+    /// only once nothing reads it again.
+    meta: Vec<WireMeta>,
     ready: VecDeque<u32>,
     in_ready: Vec<bool>,
     started: bool,
@@ -316,9 +313,10 @@ pub struct World {
     wall_deadline: Option<std::time::Instant>,
     /// Set once a run loop stopped because the budget was spent.
     budget_exhausted: bool,
-    /// Popped events per [`EventKind`], indexed by the kind. Telemetry
-    /// only: always counted, never read by the simulation.
-    event_counts: [u64; EventKind::ALL.len()],
+    /// Popped [`WorldEvent::RankTimer`]s; the fabric counts the network
+    /// kinds as it handles them. Telemetry only: never read by the
+    /// simulation.
+    rank_timers: u64,
     /// World-level invariant auditor (FIFO ordering, sequence windows,
     /// monotonic time). `None` until [`World::enable_audit`]; the field only
     /// exists when the `audit` feature is compiled in.
@@ -387,8 +385,7 @@ impl World {
             q: EventQueue::new(),
             ranks: Vec::new(),
             jobs: Vec::new(),
-            meta: IdHashMap::default(),
-            send_owner: IdHashMap::default(),
+            meta: Vec::new(),
             ready: VecDeque::new(),
             in_ready: Vec::new(),
             started: false,
@@ -398,7 +395,7 @@ impl World {
             max_events: None,
             wall_deadline: None,
             budget_exhausted: false,
-            event_counts: [0; EventKind::ALL.len()],
+            rank_timers: 0,
             #[cfg(feature = "audit")]
             audit: None,
         })
@@ -539,10 +536,12 @@ impl World {
             );
             let global = self.ranks.len() as u32;
             ranks.push(global);
+            let flow = self.ranks.iter().filter(|r| r.node == node).count() as u32;
             self.ranks.push(RankState {
                 job,
                 local: local as u32,
                 node,
+                flow,
                 program,
                 lowering: Lowering::default(),
                 outstanding: 0,
@@ -582,7 +581,10 @@ impl World {
     /// Events of `kind` processed so far; over [`EventKind::ALL`] these
     /// sum to [`World::events_processed`].
     pub fn events_of(&self, kind: EventKind) -> u64 {
-        self.event_counts[kind as usize]
+        match kind {
+            EventKind::RankTimer => self.rank_timers,
+            net => self.fabric.events_handled()[net as usize],
+        }
     }
 
     /// The most events that have been pending at once in this world's
@@ -707,7 +709,6 @@ impl World {
         let Some((_, ev)) = self.q.pop_until(horizon) else {
             return false;
         };
-        self.event_counts[ev.kind() as usize] += 1;
         #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             let t = self.q.now();
@@ -729,6 +730,7 @@ impl World {
                 self.notice_scratch = notices;
             }
             WorldEvent::RankTimer { rank } => {
+                self.rank_timers += 1;
                 debug_assert_eq!(self.ranks[rank as usize].status, Status::Computing);
                 self.make_ready(rank);
             }
@@ -740,30 +742,19 @@ impl World {
     fn apply_notice(&mut self, n: Notice) {
         match n {
             Notice::MessageInjected { msg } => {
-                if let Some(owner) = self.send_owner.remove(&msg) {
-                    let r = &mut self.ranks[owner as usize];
-                    debug_assert!(r.outstanding > 0);
-                    r.outstanding -= 1;
-                    self.maybe_unblock(owner);
-                }
+                let owner = self.meta[msg.0 as usize].src_global;
+                let r = &mut self.ranks[owner as usize];
+                debug_assert!(r.outstanding > 0);
+                r.outstanding -= 1;
+                self.maybe_unblock(owner);
             }
             Notice::MessageDelivered { msg } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-                )]
-                let meta = self
-                    .meta
-                    .remove(&msg)
-                    .expect("delivered message without metadata");
-                let ranks = &self.jobs[meta.job.0 as usize].ranks;
-                let src_global = ranks[meta.src_local as usize];
-                let dst_global = ranks[meta.dst_local as usize];
+                let meta = self.meta[msg.0 as usize];
                 let env = Envelope {
                     src: meta.src_local,
                     tag: meta.tag,
                 };
-                self.accept_sequenced(src_global, dst_global, meta.seq, env);
+                self.accept_sequenced(meta.src_global, meta.dst_global, meta.seq, env);
             }
         }
     }
@@ -1014,9 +1005,9 @@ impl World {
     }
 
     fn do_isend(&mut self, rank: u32, dst_local: u32, bytes: u64, tag: u32) {
-        let (job, src_local, src_node) = {
+        let (job, src_local, src_node, flow) = {
             let r = &self.ranks[rank as usize];
-            (r.job, r.local, r.node)
+            (r.job, r.local, r.node, r.flow)
         };
         let job_info = &self.jobs[job.0 as usize];
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
@@ -1030,7 +1021,7 @@ impl World {
         let dst_node = self.ranks[dst_global as usize].node;
         let msg = self
             .fabric
-            .send_message(&mut self.q, u64::from(rank), src_node, dst_node, bytes);
+            .send_message(&mut self.q, flow, src_node, dst_node, bytes);
         // Every eager payload is sequenced per (src, dst) pair: the
         // switch's k-server routing stage
         // legitimately reorders packet completions, so a later, shorter
@@ -1046,15 +1037,17 @@ impl World {
             counters[dst_global as usize] += 1;
             seq
         };
-        let meta = WireMeta {
-            job,
+        let i = msg.0 as usize;
+        if i >= self.meta.len() {
+            self.meta.resize(i + 1, WireMeta::default());
+        }
+        self.meta[i] = WireMeta {
+            src_global: rank,
+            dst_global,
             src_local,
-            dst_local,
             tag,
             seq,
         };
-        self.meta.insert(msg, meta);
-        self.send_owner.insert(msg, rank);
         #[cfg(feature = "audit")]
         {
             // Stamp the send with the channel's next issue index so
@@ -1436,6 +1429,60 @@ mod tests {
         assert!(w.run_until_job_done(job, SimTime::from_secs(1)).completed());
         assert_eq!(w.fabric().switch_stats().arrivals, 0);
         assert_eq!(w.fabric().stats().local_messages, 1);
+    }
+
+    #[test]
+    fn reply_on_delivery_does_not_reuse_an_uninjected_message_id() {
+        // With no local-channel latency a message's `Deliver` and
+        // `LocalInjectDone` fall on the same instant and `Deliver` pops
+        // first. Rank 1's reply is sent in between; were the request's
+        // slot freed at `Deliver`, the reply would take its id and the
+        // request's injection would be charged to rank 1.
+        let mut cfg = SwitchConfig::tiny_deterministic();
+        cfg.local_latency = SimDuration::ZERO;
+        let mut w = World::new(cfg);
+        let job = w.add_job(
+            "reply",
+            vec![
+                (
+                    boxed(Scripted::new(vec![
+                        Op::Isend {
+                            dst: 1,
+                            bytes: 512,
+                            tag: 0,
+                        },
+                        Op::WaitAll,
+                        Op::Irecv {
+                            src: Src::Rank(1),
+                            tag: 1,
+                        },
+                        Op::WaitAll,
+                        Op::Stop,
+                    ])),
+                    NodeId(0),
+                ),
+                (
+                    boxed(Scripted::new(vec![
+                        Op::Irecv {
+                            src: Src::Rank(0),
+                            tag: 0,
+                        },
+                        Op::WaitAll,
+                        Op::Isend {
+                            dst: 0,
+                            bytes: 512,
+                            tag: 1,
+                        },
+                        Op::WaitAll,
+                        Op::Stop,
+                    ])),
+                    NodeId(0),
+                ),
+            ],
+        );
+        assert!(w.run_until_job_done(job, SimTime::from_secs(1)).completed());
+        assert_eq!(w.fabric().stats().messages_delivered, 2);
+        assert!(w.fabric().is_quiescent());
     }
 
     #[test]

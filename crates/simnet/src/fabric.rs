@@ -29,11 +29,20 @@
 //! ledger schedules `Deliver`; on the local channel only the last packet
 //! does. A message's packets leave that port in FIFO order onto one
 //! fixed-delay wire, so the packet that empties the ledger is the last to
-//! land, and its `Deliver` fires when the message is whole. The ledger
-//! entry lives until that `Deliver` fires, so [`Fabric::is_quiescent`]
-//! stays false while the last packet is on its wire. Like Cab's
-//! credit-flow-controlled InfiniBand, the fabric never drops a packet:
-//! every packet admitted is delivered.
+//! land, and its `Deliver` fires when the message is whole.
+//!
+//! The ledger is a slot table, not a map: a message's [`MessageId`] is the
+//! index of its slot, handed out from a free list, and the slot holds the
+//! packets still to be counted off and the notices still to be handed up.
+//! A slot is freed only once both of its message's notices (injection and
+//! delivery) have gone up, so an id is unique among messages in flight and
+//! is reused afterwards. On the local channel the two fall on the same
+//! instant when the channel latency is zero, and `Deliver` pops first: a
+//! slot freed at `Deliver` could be reused by a reply sent in response
+//! before the injection notice names it. [`Fabric::is_quiescent`] stays
+//! false while any slot is live, so also while a last packet is on its
+//! wire. Like Cab's credit-flow-controlled InfiniBand, the fabric never
+//! drops a packet: every packet admitted is delivered.
 //!
 //! Flow control is credit-based per switch, with *separate pools per
 //! admission class* — packets entering a leaf from its nodes draw from the
@@ -55,12 +64,11 @@ use crate::audit::AuditReport;
 use crate::audit::{AuditLog, InvariantKind};
 use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
-use crate::nic::{Backlog, Nic};
+use crate::nic::{Backlog, FlowId, Nic};
 use crate::packet::{packet_count, segments, Message, MessageId, NodeId, Packet};
 use crate::stats::{FabricStats, SwitchStats};
 use crate::switch::{CentralStage, CreditPool, EgressPort};
 use crate::time::{SimDuration, SimTime};
-use crate::util::IdHashMap;
 
 /// Events internal to the network. Compose into a larger event type via
 /// `From<NetEvent>`.
@@ -108,6 +116,11 @@ pub enum NetEvent {
     },
 }
 
+impl NetEvent {
+    /// Number of variants; [`Fabric::events_handled`] counts each.
+    pub const KINDS: usize = 6;
+}
+
 /// Upcalls from the fabric to the layer above. Each names only the
 /// message: the sender already knows everything else about it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,6 +166,71 @@ struct SwitchUnit {
     egress: Vec<EgressPort>,
     pools: Vec<CreditPool>,
     waiters: Vec<VecDeque<Waiter>>,
+}
+
+/// The ledger entry of one message in flight.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Packets that have not yet left their final egress port (0 for a
+    /// local message).
+    pending: u32,
+    /// Notices (injection, delivery) not yet handed up; the slot is free
+    /// once both have gone.
+    notices: u8,
+}
+
+/// The messages in flight, one slot each: a message's id is its slot's
+/// index, and freed slots are reused last-freed first.
+#[derive(Debug, Default)]
+struct Slots {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl Slots {
+    /// Takes a slot for a message of `pending` packets still to be counted
+    /// off, and returns the message's id.
+    fn open(&mut self, pending: u32) -> MessageId {
+        let slot = Slot {
+            pending,
+            notices: 2,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        MessageId(u64::from(i))
+    }
+
+    /// Counts off a packet of `msg`; true when it was the last one.
+    fn depart(&mut self, msg: MessageId) -> bool {
+        let slot = &mut self.slots[msg.0 as usize];
+        debug_assert!(slot.notices > 0, "departure of a message not in flight");
+        slot.pending -= 1;
+        slot.pending == 0
+    }
+
+    /// Records that one of `msg`'s notices went up, freeing its slot after
+    /// the second.
+    fn hand_up(&mut self, msg: MessageId) {
+        let slot = &mut self.slots[msg.0 as usize];
+        debug_assert!(slot.notices > 0, "notice for a message not in flight");
+        slot.notices -= 1;
+        if slot.notices == 0 {
+            self.free.push(msg.0 as u32);
+        }
+    }
+
+    /// Messages in flight.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Static description of the switch arrangement.
@@ -253,10 +331,10 @@ pub struct Fabric {
     /// Per-node time at which the local (shared-memory) channel frees up.
     local_busy_until: Vec<SimTime>,
     rng: StdRng,
-    next_msg: u64,
-    /// Per message in flight, its packets that have not yet left their
-    /// final egress port (0 for a local message).
-    inflight: IdHashMap<MessageId, u32>,
+    /// One slot per message in flight, indexed by its id (module docs).
+    slots: Slots,
+    /// Events handled per [`NetEvent`] kind, in declaration order.
+    handled: [u64; NetEvent::KINDS],
     stats: FabricStats,
     /// Invariant auditor state. `None` until [`Fabric::enable_audit`]; the
     /// field itself only exists when the `audit` feature is compiled in, so
@@ -353,8 +431,8 @@ impl Fabric {
             switches,
             local_busy_until: vec![SimTime::ZERO; cfg.nodes as usize],
             rng: StdRng::seed_from_u64(cfg.seed),
-            next_msg: 0,
-            inflight: IdHashMap::default(),
+            slots: Slots::default(),
+            handled: [0; NetEvent::KINDS],
             stats: FabricStats::default(),
             cfg,
             #[cfg(feature = "audit")]
@@ -491,13 +569,19 @@ impl Fabric {
     /// signalled via [`Notice::MessageInjected`] / [`Notice::MessageDelivered`]
     /// from subsequent [`Fabric::handle`] calls.
     ///
-    /// `flow` identifies the sending context (a rank / queue pair): the
-    /// source NIC arbitrates round-robin between flows so one sender's
-    /// backlog cannot head-of-line-block another's traffic.
+    /// The id is unique among messages in flight, not over the run: it
+    /// indexes the message's slot, which a later message reuses once both
+    /// of this one's notices have been handed up. A layer above may keep
+    /// its own per-message state in a table indexed by the id.
+    ///
+    /// `flow` identifies the sending context (a rank / queue pair) as a
+    /// dense index: the source NIC keeps a queue per flow up to the largest
+    /// it has seen, and arbitrates round-robin between flows so one
+    /// sender's backlog cannot head-of-line-block another's traffic.
     pub fn send_message<E: From<NetEvent>>(
         &mut self,
         q: &mut EventQueue<E>,
-        flow: u64,
+        flow: FlowId,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
@@ -509,10 +593,7 @@ impl Fabric {
             dst.index() < self.nics.len(),
             "destination node out of range"
         );
-        let id = MessageId(self.next_msg);
-        self.next_msg += 1;
         self.stats.messages_sent += 1;
-
         let n_pkts = packet_count(bytes, self.cfg.mtu);
 
         if src == dst {
@@ -521,7 +602,7 @@ impl Fabric {
             // channel has no egress port, so the message's packets are all
             // counted off here and only the last one is delivered.
             self.stats.local_messages += 1;
-            self.inflight.insert(id, 0);
+            let id = self.slots.open(0);
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
             for sz in segments(bytes, self.cfg.mtu, n_pkts) {
@@ -538,7 +619,7 @@ impl Fabric {
 
         // Remote path: the NIC queues the whole message and cuts its
         // packets as it transmits them.
-        self.inflight.insert(id, n_pkts as u32);
+        let id = self.slots.open(n_pkts as u32);
         self.stats.packets_created += n_pkts;
         self.nics[src.index()].enqueue(
             flow,
@@ -566,10 +647,13 @@ impl Fabric {
             a.last_now = q.now();
             a.log.count_event();
         }
+        // Each arm counts its own kind, in `NetEvent` declaration order.
         match ev {
             NetEvent::NicTxDone { node } => {
+                self.handled[0] += 1;
                 let pkt = self.nics[node.index()].tx_done();
                 if pkt.last {
+                    self.slots.hand_up(pkt.msg);
                     out.push(Notice::MessageInjected { msg: pkt.msg });
                 }
                 q.schedule_after(
@@ -583,6 +667,7 @@ impl Fabric {
                 self.try_start_nic(q, node);
             }
             NetEvent::SwitchArrive { sw, packet } => {
+                self.handled[1] += 1;
                 let unit = &mut self.switches[sw as usize];
                 if let Some(start) = unit.central.arrive(packet, q.now(), &mut self.rng) {
                     Self::schedule_service(q, sw, start);
@@ -593,6 +678,7 @@ impl Fabric {
                 packet,
                 arrived,
             } => {
+                self.handled[2] += 1;
                 let unit = &mut self.switches[sw as usize];
                 if let Some(start) = unit.central.service_done(arrived, q.now(), &mut self.rng) {
                     Self::schedule_service(q, sw, start);
@@ -606,6 +692,7 @@ impl Fabric {
                 self.try_start_egress(q, sw, port);
             }
             NetEvent::EgressTxDone { sw, port } => {
+                self.handled[3] += 1;
                 let pkt = self.switches[sw as usize].egress[port as usize].tx_done();
                 #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
@@ -620,7 +707,8 @@ impl Fabric {
                 // `try_start_egress`).
                 match self.routes.next_hop(sw, port) {
                     NextHop::Node => {
-                        if self.departs_last(pkt.msg) {
+                        self.stats.packets_delivered += 1;
+                        if self.slots.depart(pkt.msg) {
                             q.schedule_after(
                                 self.cfg.wire_latency,
                                 NetEvent::Deliver { msg: pkt.msg }.into(),
@@ -641,40 +729,21 @@ impl Fabric {
                 self.try_start_egress(q, sw, port);
             }
             NetEvent::Deliver { msg } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-                )]
-                let pending = self
-                    .inflight
-                    .remove(&msg)
-                    .expect("delivery for unknown message");
-                debug_assert_eq!(pending, 0, "message delivered before its last packet");
+                self.handled[4] += 1;
+                debug_assert_eq!(
+                    self.slots.slots[msg.0 as usize].pending, 0,
+                    "message delivered before its last packet"
+                );
+                self.slots.hand_up(msg);
                 self.stats.messages_delivered += 1;
                 out.push(Notice::MessageDelivered { msg });
             }
             NetEvent::LocalInjectDone { msg } => {
+                self.handled[5] += 1;
+                self.slots.hand_up(msg);
                 out.push(Notice::MessageInjected { msg });
             }
         }
-    }
-
-    /// Counts off (and as delivered) a packet of `msg` just sent down the
-    /// wire from its final egress port. True when it empties the message's
-    /// ledger: that packet's arrival completes the message, so it alone
-    /// gets a `Deliver`.
-    fn departs_last(&mut self, msg: MessageId) -> bool {
-        self.stats.packets_delivered += 1;
-        #[expect(
-            clippy::expect_used,
-            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-        )]
-        let pending = self
-            .inflight
-            .get_mut(&msg)
-            .expect("departure of unknown message");
-        *pending -= 1;
-        *pending == 0
     }
 
     fn schedule_service<E: From<NetEvent>>(
@@ -767,7 +836,7 @@ impl Fabric {
 
     /// True when no packet is anywhere in the fabric (testing aid).
     pub fn is_quiescent(&self) -> bool {
-        self.inflight.is_empty()
+        self.slots.live() == 0
             && self
                 .switches
                 .iter()
@@ -789,6 +858,12 @@ impl Fabric {
                 packets: acc.packets.max(peak.packets),
             }
         })
+    }
+
+    /// Events handled so far per [`NetEvent`] kind, indexed in the enum's
+    /// declaration order. Telemetry only: nothing reads it back.
+    pub fn events_handled(&self) -> [u64; NetEvent::KINDS] {
+        self.handled
     }
 
     /// Credits outstanding in a switch's pool (test hook).
@@ -947,7 +1022,7 @@ mod tests {
         for i in 0..50u64 {
             let src = NodeId((i % 4) as u32);
             let dst = NodeId(((i + 1) % 4) as u32);
-            ids.push(fab.send_message(&mut q, i, src, dst, 300 + i * 37));
+            ids.push(fab.send_message(&mut q, i as u32, src, dst, 300 + i * 37));
         }
         let notices = drain(&mut fab, &mut q, SimTime::from_nanos(1_000_000_000));
         let mut got = delivered(&notices);
@@ -968,14 +1043,8 @@ mod tests {
     #[test]
     fn credits_fully_release_after_drain() {
         let (mut fab, mut q) = setup();
-        for i in 0..30u64 {
-            fab.send_message(
-                &mut q,
-                i,
-                NodeId((i % 4) as u32),
-                NodeId(((i + 1) % 4) as u32),
-                2048,
-            );
+        for i in 0..30u32 {
+            fab.send_message(&mut q, i, NodeId(i % 4), NodeId((i + 1) % 4), 2048);
         }
         drain(&mut fab, &mut q, SimTime::from_secs(10));
         assert!(fab.is_quiescent());
@@ -997,14 +1066,8 @@ mod tests {
         let (mut fab, mut q) = setup();
         fab.enable_audit();
         assert!(fab.audit_enabled());
-        for i in 0..30u64 {
-            fab.send_message(
-                &mut q,
-                i,
-                NodeId((i % 4) as u32),
-                NodeId(((i + 1) % 4) as u32),
-                2048,
-            );
+        for i in 0..30u32 {
+            fab.send_message(&mut q, i, NodeId(i % 4), NodeId((i + 1) % 4), 2048);
         }
         drain(&mut fab, &mut q, SimTime::from_secs(10));
         assert!(fab.is_quiescent());
@@ -1098,7 +1161,7 @@ mod tests {
         for s in 0..9u32 {
             for d in 0..9u32 {
                 if s != d {
-                    expect.push(fab.send_message(&mut q, u64::from(s), NodeId(s), NodeId(d), 700));
+                    expect.push(fab.send_message(&mut q, s, NodeId(s), NodeId(d), 700));
                 }
             }
         }
@@ -1134,7 +1197,7 @@ mod tests {
         for i in 0..120u64 {
             let src = NodeId((i % 4) as u32);
             let dst = NodeId(((i % 4 + 2) % 4) as u32); // always cross-leaf
-            expect.push(fab.send_message(&mut q, i % 8, src, dst, 3_000));
+            expect.push(fab.send_message(&mut q, (i % 8) as u32, src, dst, 3_000));
         }
         let notices = drain(&mut fab, &mut q, SimTime::from_secs(60));
         assert_eq!(delivered(&notices).len(), expect.len());
@@ -1153,7 +1216,7 @@ mod tests {
             let mut fab = Fabric::new(SwitchConfig::tiny_deterministic());
             let mut q: EventQueue<NetEvent> = EventQueue::new();
             for (i, (src, dst, bytes)) in msgs.iter().enumerate() {
-                fab.send_message(&mut q, i as u64, NodeId(*src), NodeId(*dst), *bytes);
+                fab.send_message(&mut q, i as u32, NodeId(*src), NodeId(*dst), *bytes);
             }
             let notices = drain(&mut fab, &mut q, SimTime::from_secs(100));
             let delivered = notices
@@ -1181,7 +1244,7 @@ mod tests {
             let mut fab = Fabric::new(cfg);
             let mut q: EventQueue<NetEvent> = EventQueue::new();
             for (i, (src, dst, bytes)) in msgs.iter().enumerate() {
-                fab.send_message(&mut q, i as u64, NodeId(*src), NodeId(*dst), *bytes);
+                fab.send_message(&mut q, i as u32, NodeId(*src), NodeId(*dst), *bytes);
             }
             let notices = drain(&mut fab, &mut q, SimTime::from_secs(100));
             let delivered = notices
@@ -1203,7 +1266,7 @@ mod tests {
             for (i, (src, bytes)) in msgs.iter().enumerate() {
                 // Destination always differs from source: remote traffic.
                 let dst = (*src + 1) % 4;
-                fab.send_message(&mut q, i as u64, NodeId(*src), NodeId(dst), *bytes);
+                fab.send_message(&mut q, i as u32, NodeId(*src), NodeId(dst), *bytes);
             }
             drain(&mut fab, &mut q, SimTime::from_secs(100));
             prop_assert_eq!(fab.switch_stats().served, fab.stats().packets_created);
@@ -1231,24 +1294,26 @@ mod tests {
             .collect();
         let mut fab = Fabric::new(cfg.clone());
         let mut q: EventQueue<NetEvent> = EventQueue::new();
-        let packets: IdHashMap<MessageId, u64> = mix
+        // All in flight at once: the ids are the slots 0, 1, … in order.
+        let packets: Vec<u64> = mix
             .iter()
             .enumerate()
             .map(|(i, &(src, dst, bytes))| {
-                let id = fab.send_message(&mut q, i as u64, NodeId(src), NodeId(dst), bytes);
-                (id, packet_count(bytes, cfg.mtu))
+                let id = fab.send_message(&mut q, i as u32, NodeId(src), NodeId(dst), bytes);
+                assert_eq!(id, MessageId(i as u64));
+                packet_count(bytes, cfg.mtu)
             })
             .collect();
-        let mut routed: IdHashMap<MessageId, u64> = IdHashMap::default();
+        let mut routed = vec![0u64; mix.len()];
         let (mut reordered, mut delivers) = (0, 0);
         let mut out = Vec::new();
         let mut delivered = Vec::new();
         while let Some((t, ev)) = q.pop_until(SimTime::from_secs(1)) {
             match &ev {
                 NetEvent::ServiceDone { packet, .. } => {
-                    let n = routed.entry(packet.msg).or_default();
+                    let n = &mut routed[packet.msg.0 as usize];
                     *n += 1;
-                    if packet.last && *n < packets[&packet.msg] {
+                    if packet.last && *n < packets[packet.msg.0 as usize] {
                         reordered += 1;
                     }
                 }
@@ -1290,5 +1355,62 @@ mod tests {
             ]
         );
         assert_eq!(q.events_processed(), 427);
+    }
+
+    // ------------------------------------------------------------------
+    // The slot table.
+
+    /// Sends `n` one-packet messages over `cfg`'s fabric, each as soon as
+    /// the previous one is delivered (every tenth to its own node), and
+    /// checks after every event that the fabric is quiescent exactly when
+    /// no slot is live. Returns the most messages in flight at once.
+    fn chain_messages(cfg: SwitchConfig, n: u32) -> usize {
+        let nodes = cfg.nodes;
+        let mut fab = Fabric::new(cfg);
+        let mut q: EventQueue<NetEvent> = EventQueue::new();
+        let send = |fab: &mut Fabric, q: &mut EventQueue<NetEvent>, i: u32| {
+            let src = i % nodes;
+            let dst = if i % 10 == 9 { src } else { (i + 1) % nodes };
+            fab.send_message(q, src, NodeId(src), NodeId(dst), 512);
+        };
+        send(&mut fab, &mut q, 0);
+        let (mut sent, mut delivered, mut most_live) = (1, 0, 0);
+        let mut out = Vec::new();
+        while let Some((_, ev)) = q.pop_until(SimTime::from_secs(1)) {
+            most_live = most_live.max(fab.slots.live());
+            fab.handle(&mut q, ev, &mut out);
+            assert_eq!(fab.is_quiescent(), fab.slots.live() == 0);
+            for notice in out.drain(..) {
+                if let Notice::MessageDelivered { .. } = notice {
+                    delivered += 1;
+                    if sent < n {
+                        send(&mut fab, &mut q, sent);
+                        sent += 1;
+                        assert!(!fab.is_quiescent());
+                        most_live = most_live.max(fab.slots.live());
+                    }
+                }
+            }
+        }
+        assert_eq!(delivered, n);
+        assert!(fab.is_quiescent());
+        assert!(
+            fab.slots.slots.len() <= most_live,
+            "{} slots for at most {most_live} messages in flight",
+            fab.slots.slots.len()
+        );
+        most_live
+    }
+
+    #[test]
+    fn chained_messages_recycle_their_slots() {
+        assert_eq!(chain_messages(SwitchConfig::tiny_deterministic(), 1_000), 1);
+        assert_eq!(chain_messages(tiny_fat_tree(), 1_000), 1);
+        // With no local latency a local message's `Deliver` pops before
+        // its `LocalInjectDone` at the same instant: a message sent in
+        // between must take a second slot.
+        let mut cfg = SwitchConfig::tiny_deterministic();
+        cfg.local_latency = SimDuration::ZERO;
+        assert_eq!(chain_messages(cfg, 1_000), 2);
     }
 }

@@ -20,11 +20,11 @@ use std::collections::VecDeque;
 
 use crate::packet::{segment, Message, Packet};
 use crate::time::SimDuration;
-use crate::util::IdHashMap;
 
 /// Identifies a sending context (one rank / queue pair) for NIC
-/// arbitration.
-pub type FlowId = u64;
+/// arbitration. Flows are dense indices: a NIC keeps one queue per flow up
+/// to the largest it has been handed.
+pub type FlowId = u32;
 
 /// A queued message and how far the NIC has cut it.
 #[derive(Debug, Clone, Copy)]
@@ -54,9 +54,9 @@ pub struct Backlog {
 pub struct Nic {
     /// Packet size limit the queued messages are cut at.
     mtu: u64,
-    /// Per-flow FIFO queues of messages. A drained flow keeps its queue,
-    /// so its next burst does not allocate again.
-    flows: IdHashMap<FlowId, VecDeque<Queued>>,
+    /// Per-flow FIFO queues of messages, indexed by flow. A drained flow
+    /// keeps its queue, so its next burst does not allocate again.
+    flows: Vec<VecDeque<Queued>>,
     /// Round-robin order of flows with queued messages.
     rr: VecDeque<FlowId>,
     /// What is queued across all flows.
@@ -76,7 +76,7 @@ impl Nic {
     pub fn new(mtu: u64) -> Self {
         Nic {
             mtu,
-            flows: IdHashMap::default(),
+            flows: Vec::new(),
             rr: VecDeque::new(),
             queued: Backlog::default(),
             peak: Backlog::default(),
@@ -99,7 +99,11 @@ impl Nic {
             reason = "documented `# Panics` precondition on caller input: a message of 2^32 packets is a caller bug"
         )]
         let count = u32::try_from(packets).expect("message exceeds 2^32 packets");
-        let q = self.flows.entry(flow).or_default();
+        let i = flow as usize;
+        if i >= self.flows.len() {
+            self.flows.resize_with(i + 1, VecDeque::new);
+        }
+        let q = &mut self.flows[i];
         if q.is_empty() {
             self.rr.push_back(flow);
         }
@@ -127,11 +131,7 @@ impl Nic {
             reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
         )]
         let flow = self.rr.pop_front().expect("start_tx on empty NIC queue");
-        #[expect(
-            clippy::expect_used,
-            reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
-        )]
-        let q = self.flows.get_mut(&flow).expect("flow in rr has a queue");
+        let q = &mut self.flows[flow as usize];
         #[expect(
             clippy::expect_used,
             reason = "internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results"
@@ -271,9 +271,9 @@ mod tests {
     #[test]
     fn three_flows_share_fairly() {
         let mut nic = Nic::new(MTU);
-        for f in 0..3u64 {
+        for f in 0..3u32 {
             for i in 0..2 {
-                enqueue(&mut nic, f, msg(f * 10 + i, 100));
+                enqueue(&mut nic, f, msg(u64::from(f) * 10 + i, 100));
             }
         }
         let order: Vec<u64> = (0..6)

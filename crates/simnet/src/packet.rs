@@ -17,7 +17,10 @@ impl NodeId {
     }
 }
 
-/// Unique identifier of a message within one simulation run.
+/// Identifies a message among those in flight: the index of the fabric's
+/// slot for it. A message's slot, and so its id, is reused by a later
+/// message once both of its notices (injection and delivery) have been
+/// handed up, so an id is unique only while its message is in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(pub u64);
 
@@ -28,7 +31,9 @@ pub struct MessageId(pub u64);
 /// through the simulation, never data bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
-    /// Fabric-assigned identifier, returned by `Fabric::send_message`.
+    /// Fabric-assigned identifier, returned by `Fabric::send_message`:
+    /// unique among messages in flight, and reused after both of this
+    /// message's notices have been handed up.
     pub id: MessageId,
     /// Source node.
     pub src: NodeId,

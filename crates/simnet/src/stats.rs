@@ -32,7 +32,8 @@ pub struct SwitchStats {
     /// Sum of queue lengths sampled at each arrival (for mean queue length
     /// by arrival averaging).
     pub queue_len_sum: u128,
-    /// Start of the current observation window.
+    /// Start of the observation window: [`SimTime::ZERO`], as the
+    /// counters cover the switch's whole life.
     pub window_start: SimTime,
 }
 
@@ -72,20 +73,6 @@ impl SwitchStats {
             return 0.0;
         }
         self.queue_len_sum as f64 / self.arrivals as f64
-    }
-
-    /// Resets all counters and opens a new observation window at `now`.
-    ///
-    /// Note: packets already inside the switch keep their original arrival
-    /// stamps, so the first few completions after a reset can carry wait
-    /// time accrued before the window. With windows much longer than a
-    /// sojourn this bias is negligible.
-    pub fn reset_window(&mut self, now: SimTime) {
-        *self = SwitchStats {
-            window_start: now,
-            servers: self.servers,
-            ..SwitchStats::default()
-        };
     }
 }
 
@@ -143,25 +130,6 @@ mod tests {
         // 4 servers busy 400 ns each over a 1000 ns window: ρ = 0.4.
         s.busy_ns = 1_600;
         assert!((s.utilization(SimTime::from_nanos(1_000)) - 0.4).abs() < 1e-12);
-        // Window reset keeps the server count.
-        s.reset_window(SimTime::from_nanos(2_000));
-        assert_eq!(s.servers, 4);
-        assert_eq!(s.busy_ns, 0);
-    }
-
-    #[test]
-    fn window_reset_rebases_horizon() {
-        let mut s = SwitchStats {
-            busy_ns: 500,
-            served: 10,
-            ..SwitchStats::default()
-        };
-        s.reset_window(SimTime::from_nanos(2_000));
-        assert_eq!(s.served, 0);
-        assert_eq!(s.busy_ns, 0);
-        // 300 busy ns over the 1000 ns window after reset.
-        s.busy_ns = 300;
-        assert!((s.utilization(SimTime::from_nanos(3_000)) - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Small utilities: a fast identity hasher for dense integer keys.
+//! Small utilities: a fast hasher for integer keys.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A trivial hasher for keys that are already well-distributed integers
-/// (sequential message ids). SipHash's HashDoS resistance buys nothing in a
-/// closed simulation, and message-id lookups sit on the hot path of every
-/// packet delivery.
+/// A trivial hasher for integer keys, such as the `World`'s per-pair
+/// resequencing buffers keyed by (source, destination) rank. SipHash's
+/// HashDoS resistance buys nothing in a closed simulation. Per-message and
+/// per-packet state is not hashed at all: it lives in tables indexed by
+/// the message id or the sending rank.
 #[derive(Default)]
 pub struct IdHasher(u64);
 
@@ -35,7 +36,7 @@ impl Hasher for IdHasher {
 /// `BuildHasher` for [`IdHasher`].
 pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
 
-/// A `HashMap` keyed by dense integer ids.
+/// A `HashMap` keyed by integers, hashed with [`IdHasher`].
 #[expect(
     clippy::disallowed_types,
     reason = "IdBuildHasher is deterministic (no RandomState); iteration order is a pure function of the insertion sequence"

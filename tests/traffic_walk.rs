@@ -233,7 +233,7 @@ proptest! {
     #[test]
     fn nic_cuts_the_packets_a_packet_queue_would_send(
         mtu in 16u64..=4096,
-        actions in collection::vec((0u8..13, 0u64..5, 2u64..=16, 0u64..=65_536), 1..80),
+        actions in collection::vec((0u8..13, 0u32..5, 2u64..=16, 0u64..=65_536), 1..80),
     ) {
         let mut nic = Nic::new(mtu);
         let mut reference = PacketNic::default();
@@ -253,7 +253,7 @@ proptest! {
                 let msg = Message {
                     id: MessageId(i as u64),
                     src: NodeId(0),
-                    dst: NodeId(1 + flow as u32),
+                    dst: NodeId(1 + flow),
                     bytes: message_bytes(what - 4, mtu, k, raw),
                 };
                 nic.enqueue(flow, msg, packet_count(msg.bytes, mtu));
