@@ -119,11 +119,11 @@ pub struct ExperimentConfig {
     pub jobs: Parallelism,
     /// Runs every simulation under the invariant auditor
     /// ([`anp_simmpi::World::enable_audit`]); a tripped invariant surfaces
-    /// as [`ExperimentError::Invariant`]. Requires the `audit` cargo
-    /// feature — without it the flag is accepted but inert. The auditor
-    /// observes without perturbing the simulation, so this flag is
-    /// deliberately excluded from [`crate::journal::config_fingerprint`]:
-    /// audited and unaudited runs of one configuration share a journal.
+    /// as [`ExperimentError::Invariant`]. The auditor is always compiled
+    /// and this flag is its only switch. It observes without perturbing
+    /// the simulation, so this flag is deliberately excluded from
+    /// [`crate::journal::config_fingerprint`]: audited and unaudited runs
+    /// of one configuration share a journal.
     pub audit: bool,
 }
 
@@ -326,8 +326,8 @@ pub fn runtime_under_corun(
 }
 
 /// Drains a finished world's audit findings, turning a non-clean report
-/// into [`ExperimentError::Invariant`]. No-op when auditing is off or
-/// compiled out (the report is then `None`). Checked *before* the run
+/// into [`ExperimentError::Invariant`]. No-op when auditing is off (the
+/// report is then `None`). Checked *before* the run
 /// outcome: a broken conservation law invalidates even a "successful"
 /// run's artefacts, and under supervision it must surface as its own
 /// typed hole rather than hide behind a budget or stall error.
@@ -660,9 +660,7 @@ mod tests {
 
     #[test]
     fn audited_experiments_match_unaudited_results() {
-        // The auditor observes; it must not change a single sample. (With
-        // the `audit` feature compiled out the flag is inert and this
-        // reduces to a determinism check.)
+        // The auditor observes; it must not change a single sample.
         let plain = tiny_cfg();
         let audited = tiny_cfg().with_audit(true);
         let a = impact_profile(&plain, Some(noisy_members(4))).unwrap();

@@ -15,7 +15,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-#[cfg(feature = "audit")]
 use anp_simnet::audit::{AuditLog, InvariantKind};
 
 use anp_simnet::util::IdHashMap;
@@ -318,9 +317,8 @@ pub struct World {
     /// simulation.
     rank_timers: u64,
     /// World-level invariant auditor (FIFO ordering, sequence windows,
-    /// monotonic time). `None` until [`World::enable_audit`]; the field only
-    /// exists when the `audit` feature is compiled in.
-    #[cfg(feature = "audit")]
+    /// monotonic time). `None` until [`World::enable_audit`]; the hot path
+    /// then pays one `is_some` test per hook.
     audit: Option<Box<WorldAudit>>,
 }
 
@@ -328,35 +326,59 @@ pub struct World {
 /// by *issue indices*: every eager payload send on a (source rank,
 /// destination rank, tag) channel gets the next index, and the resequencer
 /// must hand strictly increasing indices to matching — exactly MPI's
-/// non-overtaking rule.
-#[cfg(feature = "audit")]
+/// non-overtaking rule. Every hook is `#[cold]` and never inlined, so
+/// [`World::step`] inlines as it does with the auditor off.
 struct WorldAudit {
-    log: AuditLog,
+    /// Flight recorder of the last popped events, formatted only when a
+    /// report is taken.
+    log: AuditLog<WorldEvent>,
     /// Clock of the previously popped event, for the monotonicity check.
     prev_now: SimTime,
-    /// Next issue index per (pair key, tag) channel.
-    issue_next: BTreeMap<(u64, u32), u64>,
-    /// (pair key, sequence number) → (channel, issue index), stamped at
-    /// send time and consumed when the resequencer hands the slot to
-    /// matching.
-    seq_issue: BTreeMap<(u64, u64), ((u64, u32), u64)>,
-    /// One past the last delivered issue index per channel.
-    delivered: BTreeMap<(u64, u32), u64>,
+    /// Per (pair key, tag) channel: the next issue index, and one past
+    /// the last delivered one.
+    channels: BTreeMap<(u64, u32), (u64, u64)>,
+    /// (pair key, sequence number) → (tag, issue index), stamped at send
+    /// time and consumed when the resequencer hands the slot to matching.
+    seq_issue: BTreeMap<(u64, u64), (u32, u64)>,
     /// Lowest legal value of each pair's resequencing cursor.
     seq_floor: BTreeMap<u64, u64>,
 }
 
-#[cfg(feature = "audit")]
 impl WorldAudit {
     fn new() -> Self {
         WorldAudit {
             log: AuditLog::new(),
             prev_now: SimTime::ZERO,
-            issue_next: BTreeMap::new(),
+            channels: BTreeMap::new(),
             seq_issue: BTreeMap::new(),
-            delivered: BTreeMap::new(),
             seq_floor: BTreeMap::new(),
         }
+    }
+
+    /// Checks that the clock did not run backwards and records the event
+    /// popped at `t` in the flight recorder.
+    #[cold]
+    #[inline(never)]
+    fn popped(&mut self, t: SimTime, ev: &WorldEvent) {
+        if t < self.prev_now {
+            let detail = format!("event clock moved backwards: {} after {}", t, self.prev_now);
+            self.log.violate(InvariantKind::TimeMonotonicity, t, detail);
+        }
+        self.prev_now = t;
+        self.log.note_event(t, ev.clone());
+    }
+
+    /// Stamps an eager send of sequence number `seq` from `src` to `dst`
+    /// with its channel's next issue index, so delivery can verify
+    /// non-overtaking independently of the resequencing buffer that
+    /// enforces it.
+    #[cold]
+    #[inline(never)]
+    fn sent(&mut self, src: u32, dst: u32, tag: u32, seq: u64) {
+        let key = pair_key(src, dst);
+        let next = &mut self.channels.entry((key, tag)).or_default().0;
+        self.seq_issue.insert((key, seq), (tag, *next));
+        *next += 1;
     }
 }
 
@@ -396,47 +418,38 @@ impl World {
             wall_deadline: None,
             budget_exhausted: false,
             rank_timers: 0,
-            #[cfg(feature = "audit")]
             audit: None,
         })
     }
 
-    /// Turns on the invariant auditor for this world and its fabric. No-op
-    /// unless compiled with the `audit` feature (see
-    /// [`anp_simnet::audit::audit_compiled`]), so callers never need feature
-    /// gates of their own. Call before running; enabling mid-run misses
-    /// events sent earlier.
+    /// Turns on the invariant auditor for this world and its fabric. It
+    /// observes without perturbing the run: results and event counts are
+    /// those of an unaudited run. Call before running; enabling mid-run
+    /// misses events sent earlier.
     pub fn enable_audit(&mut self) {
         self.fabric.enable_audit();
-        #[cfg(feature = "audit")]
         if self.audit.is_none() {
             self.audit = Some(Box::new(WorldAudit::new()));
         }
     }
 
-    /// `true` when the auditor is compiled in and enabled.
+    /// `true` when the auditor is enabled.
     pub fn audit_enabled(&self) -> bool {
-        self.fabric.audit_enabled()
+        self.audit.is_some()
     }
 
     /// Drains the auditor's findings — the world-level checks (FIFO,
     /// sequence windows, monotonic time) merged with the fabric's
-    /// conservation sweep. Returns `None` when auditing is off or compiled
-    /// out. A non-clean report means the *simulator* broke its own physics:
-    /// the run's artefacts cannot be trusted.
+    /// conservation sweep, stamped with the current simulated time.
+    /// Returns `None` when auditing is off. A non-clean report means the
+    /// *simulator* broke its own physics: the run's artefacts cannot be
+    /// trusted.
     pub fn take_audit_report(&mut self) -> Option<AuditReport> {
-        #[cfg(feature = "audit")]
-        {
-            let mut report = self.audit.as_deref_mut()?.log.take_report();
-            if let Some(fabric_report) = self.fabric.take_audit_report() {
-                report.merge(fabric_report);
-            }
-            Some(report)
+        let mut report = self.audit.as_deref_mut()?.log.take_report();
+        if let Some(fabric_report) = self.fabric.take_audit_report(self.q.now()) {
+            report.merge(fabric_report);
         }
-        #[cfg(not(feature = "audit"))]
-        {
-            None
-        }
+        Some(report)
     }
 
     /// Installs a run budget: the run loops stop once
@@ -709,15 +722,8 @@ impl World {
         let Some((_, ev)) = self.q.pop_until(horizon) else {
             return false;
         };
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
-            let t = self.q.now();
-            if t < a.prev_now {
-                let detail = format!("event clock moved backwards: {} after {}", t, a.prev_now);
-                a.log.violate(InvariantKind::TimeMonotonicity, t, detail);
-            }
-            a.prev_now = t;
-            a.log.note_event(format!("t={t} {ev:?}"));
+            a.popped(self.q.now(), &ev);
         }
         match ev {
             WorldEvent::Net(ne) => {
@@ -787,10 +793,8 @@ impl World {
             );
             if seq == stored {
                 cursors[src_global as usize] = stored + 1;
-                #[cfg(feature = "audit")]
-                {
-                    let key = pair_key(src_global, dst_global);
-                    self.audit_fifo_delivery(key, seq);
+                if self.audit.is_some() {
+                    self.audit_fifo_delivery(pair_key(src_global, dst_global), seq);
                     self.audit_seq_window(src_global, dst_global);
                 }
                 self.deliver_envelope(dst_global, env);
@@ -809,14 +813,16 @@ impl World {
         );
         buffer.insert(seq, env);
         self.drain_sequenced(src_global, dst_global);
-        #[cfg(feature = "audit")]
-        self.audit_seq_window(src_global, dst_global);
+        if self.audit.is_some() {
+            self.audit_seq_window(src_global, dst_global);
+        }
     }
 
     /// Checks a pair's resequencing window after it absorbed an arrival:
     /// the delivery cursor must never regress, and nothing below the cursor
     /// may remain buffered (it would be delivered out of order or never).
-    #[cfg(feature = "audit")]
+    #[cold]
+    #[inline(never)]
     fn audit_seq_window(&mut self, src_global: u32, dst_global: u32) {
         let Some(a) = self.audit.as_deref_mut() else {
             return;
@@ -854,17 +860,18 @@ impl World {
     /// resequencer drains a slot; an independent check of the pipeline
     /// (fabric reordering + resequencing buffer) using only send-time
     /// stamps.
-    #[cfg(feature = "audit")]
+    #[cold]
+    #[inline(never)]
     fn audit_fifo_delivery(&mut self, key: u64, seq: u64) {
         let Some(a) = self.audit.as_deref_mut() else {
             return;
         };
-        let Some((chan, issue)) = a.seq_issue.remove(&(key, seq)) else {
+        let Some((tag, issue)) = a.seq_issue.remove(&(key, seq)) else {
             return;
         };
-        let last = a.delivered.entry(chan).or_insert(0);
+        let last = &mut a.channels.entry((key, tag)).or_default().1;
         if issue < *last {
-            let ((_, tag), prev) = (chan, *last - 1);
+            let prev = *last - 1;
             let (src, dst) = (key >> 32, key & u64::from(u32::MAX));
             let detail = format!(
                 "channel (src {src}, dst {dst}, tag {tag}): send #{issue} \
@@ -901,8 +908,9 @@ impl World {
             };
             self.ranks[dst_global as usize].seq_recv[src_global as usize] =
                 (next + 1) | SEQ_BUFFERED;
-            #[cfg(feature = "audit")]
-            self.audit_fifo_delivery(key, next);
+            if self.audit.is_some() {
+                self.audit_fifo_delivery(key, next);
+            }
             self.deliver_envelope(dst_global, env);
         }
     }
@@ -1048,22 +1056,8 @@ impl World {
             tag,
             seq,
         };
-        #[cfg(feature = "audit")]
-        {
-            // Stamp the send with the channel's next issue index so
-            // delivery can verify non-overtaking independently of the
-            // resequencing buffer that enforces it.
-            if let Some(a) = self.audit.as_deref_mut() {
-                let chan = (pair_key(rank, dst_global), tag);
-                let issue = {
-                    let c = a.issue_next.entry(chan).or_insert(0);
-                    let v = *c;
-                    *c += 1;
-                    v
-                };
-                a.seq_issue
-                    .insert((pair_key(rank, dst_global), seq), (chan, issue));
-            }
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.sent(rank, dst_global, tag, seq);
         }
         self.ranks[rank as usize].outstanding += 1;
     }
@@ -2006,7 +2000,6 @@ mod tests {
         assert_eq!(w.take_audit_report(), None);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audited_ping_pong_is_clean_and_traces_events() {
         let (mut w, job) = ping_pong_world(5);
@@ -2016,13 +2009,13 @@ mod tests {
         let report = w.take_audit_report().expect("audit enabled");
         assert!(report.is_clean(), "unexpected violations: {report}");
         assert!(report.events_audited > 0);
+        assert_eq!(report.events_audited, w.events_processed());
         assert!(
             !report.trace_tail.is_empty(),
             "the flight recorder must capture the event stream"
         );
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audited_run_does_not_change_timing() {
         // The auditor observes; it must never perturb the simulation.

@@ -10,12 +10,10 @@
 //!
 //! This module provides the reporting half of the audit layer: a typed
 //! [`AuditReport`] carrying each [`AuditViolation`] plus the tail of the event
-//! trace leading up to it. The checking half lives behind the `audit` cargo
-//! feature inside [`crate::fabric`] and `anp-simmpi`; when the feature is off
-//! the hooks compile to nothing and runtime cost is zero. The types here are
-//! always compiled so that callers (the experiment layer and the monitor's
-//! probe trains) never need `cfg` gates of their own.
-
+//! trace leading up to it. The checking half lives inside [`crate::fabric`]
+//! and `anp-simmpi`. It is always compiled and switched on at run time
+//! (`World::enable_audit`); while it is off, each hook costs one
+//! `Option::is_some` test before an out-of-line cold call.
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
@@ -154,44 +152,47 @@ impl fmt::Display for AuditReport {
     }
 }
 
-/// `true` when the crate was compiled with the `audit` feature, i.e. the
-/// invariant hooks exist at all. Callers can use this to warn that a
-/// requested audit is compiled out rather than silently reporting "clean".
-pub const fn audit_compiled() -> bool {
-    cfg!(feature = "audit")
-}
-
 /// Shared flight recorder used by the fabric- and world-level checkers:
-/// a bounded event-trace ring plus the accumulated violations.
+/// a bounded ring of the last events, kept as values, plus the accumulated
+/// violations.
+///
+/// The ring stores `(time, event)` pairs and formats them only in
+/// [`AuditLog::take_report`], so an audited run pays a copy per event,
+/// not a `format!`.
 ///
 /// Exposed so `anp-simmpi` can reuse it; not intended for direct use by
 /// experiment code, which should only consume [`AuditReport`]s.
-#[derive(Debug, Default)]
-pub struct AuditLog {
-    trace: VecDeque<String>,
+#[derive(Debug)]
+pub struct AuditLog<E> {
+    trace: VecDeque<(SimTime, E)>,
     violations: Vec<AuditViolation>,
     suppressed: u64,
     events: u64,
 }
 
-impl AuditLog {
+impl<E> Default for AuditLog<E> {
+    fn default() -> Self {
+        AuditLog {
+            trace: VecDeque::with_capacity(TRACE_TAIL_LEN),
+            violations: Vec::new(),
+            suppressed: 0,
+            events: 0,
+        }
+    }
+}
+
+impl<E: fmt::Debug> AuditLog<E> {
     /// Fresh, empty recorder.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records one event description in the trace ring and counts it.
-    pub fn note_event(&mut self, desc: String) {
+    /// Records one event, popped at `at`, in the trace ring and counts it.
+    pub fn note_event(&mut self, at: SimTime, ev: E) {
         if self.trace.len() == TRACE_TAIL_LEN {
             self.trace.pop_front();
         }
-        self.trace.push_back(desc);
-        self.events += 1;
-    }
-
-    /// Counts an audited event without recording a trace line (used by the
-    /// fabric layer when the world layer already owns the trace).
-    pub fn count_event(&mut self) {
+        self.trace.push_back((at, ev));
         self.events += 1;
     }
 
@@ -209,7 +210,11 @@ impl AuditLog {
         AuditReport {
             violations: std::mem::take(&mut self.violations),
             suppressed: std::mem::take(&mut self.suppressed),
-            trace_tail: std::mem::take(&mut self.trace).into(),
+            trace_tail: self
+                .trace
+                .drain(..)
+                .map(|(t, ev)| format!("t={t} {ev:?}"))
+                .collect(),
             events_audited: std::mem::take(&mut self.events),
         }
     }
@@ -218,25 +223,39 @@ impl AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::NetEvent;
+    use crate::packet::MessageId;
+
+    /// A recorder fed `n` deliveries, the `i`-th at `i` µs.
+    fn log_of(n: u64) -> AuditLog<NetEvent> {
+        let mut log = AuditLog::new();
+        for i in 0..n {
+            log.note_event(
+                SimTime::from_nanos(i * 1_000),
+                NetEvent::Deliver { msg: MessageId(i) },
+            );
+        }
+        log
+    }
 
     #[test]
     fn clean_report_displays_event_count() {
-        let mut log = AuditLog::new();
-        log.note_event("ev-1".into());
-        log.note_event("ev-2".into());
-        let report = log.take_report();
+        let report = log_of(2).take_report();
         assert!(report.is_clean());
         assert_eq!(report.events_audited, 2);
-        assert_eq!(report.trace_tail, vec!["ev-1", "ev-2"]);
+        assert_eq!(
+            report.trace_tail,
+            vec![
+                "t=0.000000s Deliver { msg: MessageId(0) }",
+                "t=0.000001s Deliver { msg: MessageId(1) }",
+            ]
+        );
         assert!(report.to_string().contains("audit clean: 2 events"));
     }
 
     #[test]
     fn violations_carry_kind_time_and_trace_tail() {
-        let mut log = AuditLog::new();
-        for i in 0..40 {
-            log.note_event(format!("ev-{i}"));
-        }
+        let mut log = log_of(40);
         log.violate(
             InvariantKind::CreditConservation,
             SimTime::from_nanos(17),
@@ -246,19 +265,36 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.violation_count(), 1);
         assert_eq!(report.violations[0].kind, InvariantKind::CreditConservation);
-        // Ring keeps only the newest TRACE_TAIL_LEN entries.
-        assert_eq!(report.trace_tail.len(), TRACE_TAIL_LEN);
-        assert_eq!(report.trace_tail.first().unwrap(), "ev-8");
-        assert_eq!(report.trace_tail.last().unwrap(), "ev-39");
+        // The ring keeps only the newest TRACE_TAIL_LEN events, formatted
+        // as `t={time} {event:?}`, oldest first.
+        let expected: Vec<String> = (8..40u64)
+            .map(|i| {
+                format!(
+                    "t={} Deliver {{ msg: MessageId({i}) }}",
+                    SimTime::from_nanos(i * 1_000)
+                )
+            })
+            .collect();
+        assert_eq!(report.trace_tail, expected);
+        assert_eq!(
+            report.trace_tail.first().unwrap(),
+            "t=0.000008s Deliver { msg: MessageId(8) }"
+        );
+        assert_eq!(
+            report.trace_tail.last().unwrap(),
+            "t=0.000039s Deliver { msg: MessageId(39) }"
+        );
+        assert_eq!(report.events_audited, 40);
         let shown = report.to_string();
         assert!(shown.contains("audit FAILED"));
         assert!(shown.contains("credit-conservation"));
         assert!(shown.contains("release without acquire"));
+        assert!(shown.contains("    t=0.000039s Deliver { msg: MessageId(39) }\n"));
     }
 
     #[test]
     fn violation_flood_is_capped_not_unbounded() {
-        let mut log = AuditLog::new();
+        let mut log = log_of(0);
         for i in 0..(MAX_VIOLATIONS + 10) {
             log.violate(
                 InvariantKind::SeqWindow,
@@ -275,16 +311,14 @@ mod tests {
 
     #[test]
     fn merge_folds_violations_and_keeps_longer_trace() {
-        let mut fabric_log = AuditLog::new();
-        fabric_log.count_event();
+        // The fabric records violations but no trace; the world owns it.
+        let mut fabric_log = log_of(0);
         fabric_log.violate(
             InvariantKind::EgressByteConservation,
             SimTime::from_nanos(5),
             "port 3 held 128 bytes at quiescence".into(),
         );
-        let mut world_log = AuditLog::new();
-        world_log.note_event("step-1".into());
-        world_log.note_event("step-2".into());
+        let mut world_log = log_of(2);
         world_log.violate(
             InvariantKind::FifoOrdering,
             SimTime::from_nanos(9),
@@ -299,8 +333,7 @@ mod tests {
 
     #[test]
     fn take_report_resets_the_recorder() {
-        let mut log = AuditLog::new();
-        log.note_event("ev".into());
+        let mut log = log_of(1);
         log.violate(
             InvariantKind::TimeMonotonicity,
             SimTime::from_nanos(1),

@@ -59,9 +59,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::audit::AuditReport;
-#[cfg(feature = "audit")]
-use crate::audit::{AuditLog, InvariantKind};
+use crate::audit::{AuditLog, AuditReport, InvariantKind};
 use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
 use crate::nic::{Backlog, FlowId, Nic};
@@ -337,28 +335,24 @@ pub struct Fabric {
     handled: [u64; NetEvent::KINDS],
     stats: FabricStats,
     /// Invariant auditor state. `None` until [`Fabric::enable_audit`]; the
-    /// field itself only exists when the `audit` feature is compiled in, so
-    /// unaudited builds carry no state and no branches.
-    #[cfg(feature = "audit")]
+    /// hot path then pays one `is_some` test per hook.
     audit: Option<Box<FabricAudit>>,
 }
 
 /// Shadow accounting for the fabric-level conservation invariants: per-port
 /// egress byte ledgers plus the shared violation recorder. Boxed off the
 /// `Fabric` hot path; allocated only when auditing is enabled at runtime.
-#[cfg(feature = "audit")]
+/// Its hooks are `#[cold]` and never inlined, so the handlers they sit in
+/// stay as small as they are with the auditor off.
 struct FabricAudit {
-    log: AuditLog,
+    /// Violations only: the event trace and count are the world's.
+    log: AuditLog<NetEvent>,
     /// Per (switch, port): `(bytes accepted into the FIFO, bytes transmitted
     /// out)`. Conservation demands `out ≤ in` always and `out == in` at
     /// quiescence.
     egress_bytes: Vec<Vec<(u64, u64)>>,
-    /// Clock of the most recent audited event, for timestamps on checks that
-    /// run outside the event loop (e.g. the final quiescence sweep).
-    last_now: SimTime,
 }
 
-#[cfg(feature = "audit")]
 impl FabricAudit {
     fn new(routes: &Routes) -> Self {
         FabricAudit {
@@ -366,14 +360,17 @@ impl FabricAudit {
             egress_bytes: (0..routes.switch_count())
                 .map(|sw| vec![(0u64, 0u64); routes.port_count(sw) as usize])
                 .collect(),
-            last_now: SimTime::ZERO,
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn egress_accept(&mut self, sw: u32, port: u32, bytes: u64) {
         self.egress_bytes[sw as usize][port as usize].0 += bytes;
     }
 
+    #[cold]
+    #[inline(never)]
     fn egress_transmit(&mut self, sw: u32, port: u32, bytes: u64, now: SimTime) {
         let (accepted, transmitted) = &mut self.egress_bytes[sw as usize][port as usize];
         *transmitted += bytes;
@@ -385,6 +382,22 @@ impl FabricAudit {
             self.log
                 .violate(InvariantKind::EgressByteConservation, now, detail);
         }
+    }
+
+    /// Reports a release of a (switch, class) credit when `in_use` of them
+    /// are out. `true` when there is none to release: the caller must then
+    /// skip the release rather than corrupt the pool.
+    #[cold]
+    #[inline(never)]
+    fn unmatched_release(&mut self, in_use: usize, sw: u32, class: usize, now: SimTime) -> bool {
+        if in_use != 0 {
+            return false;
+        }
+        let detail =
+            format!("credit release without matching acquire (switch {sw}, class {class})");
+        self.log
+            .violate(InvariantKind::CreditConservation, now, detail);
+        true
     }
 }
 
@@ -435,76 +448,41 @@ impl Fabric {
             handled: [0; NetEvent::KINDS],
             stats: FabricStats::default(),
             cfg,
-            #[cfg(feature = "audit")]
             audit: None,
         })
     }
 
-    /// Turns on the invariant auditor for this fabric. No-op unless the
-    /// crate was compiled with the `audit` feature (check with
-    /// [`audit_compiled`](crate::audit::audit_compiled)), so callers never
-    /// need feature gates of their own.
+    /// Turns on the invariant auditor for this fabric. Call before the
+    /// first message is sent; enabling mid-run misses bytes already queued.
     pub fn enable_audit(&mut self) {
-        #[cfg(feature = "audit")]
         if self.audit.is_none() {
             self.audit = Some(Box::new(FabricAudit::new(&self.routes)));
         }
     }
 
-    /// `true` when the auditor is compiled in and enabled.
+    /// `true` when the auditor is enabled.
     pub fn audit_enabled(&self) -> bool {
-        #[cfg(feature = "audit")]
-        {
-            self.audit.is_some()
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            false
-        }
+        self.audit.is_some()
     }
 
-    /// Runs the end-of-run conservation sweep and drains the auditor's
-    /// findings. Returns `None` when auditing is off or compiled out.
-    #[cfg_attr(
-        feature = "audit",
-        expect(
-            clippy::expect_used,
-            reason = "locally proven: guarded by the explicit check a few lines above"
-        )
-    )]
-    pub fn take_audit_report(&mut self) -> Option<AuditReport> {
-        #[cfg(feature = "audit")]
-        {
-            self.audit.as_ref()?;
-            self.audit_quiescence_check();
-            Some(
-                self.audit
-                    .as_deref_mut()
-                    .expect("checked above")
-                    .log
-                    .take_report(),
-            )
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            None
-        }
+    /// Runs the end-of-run conservation sweep, stamping what it finds with
+    /// `now` (the caller's clock), and drains the auditor's findings.
+    /// Returns `None` when auditing is off.
+    pub fn take_audit_report(&mut self, now: SimTime) -> Option<AuditReport> {
+        let mut audit = self.audit.take()?;
+        self.audit_quiescence_check(&mut audit, now);
+        let report = audit.log.take_report();
+        self.audit = Some(audit);
+        Some(report)
     }
 
     /// At any quiescent point every admission credit must be back in its
     /// pool and every egress port's byte ledger must balance — a packet
     /// cannot be "gone" while still holding a credit or occupying a FIFO.
-    #[cfg(feature = "audit")]
-    fn audit_quiescence_check(&mut self) {
-        if self.audit.is_none() || !self.is_quiescent() {
+    fn audit_quiescence_check(&self, audit: &mut FabricAudit, now: SimTime) {
+        if !self.is_quiescent() {
             return;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "locally proven: guarded by the explicit check a few lines above"
-        )]
-        let audit = self.audit.as_deref_mut().expect("checked above");
-        let now = audit.last_now;
         for (sw, unit) in self.switches.iter().enumerate() {
             for (class, pool) in unit.pools.iter().enumerate() {
                 if pool.in_use() != 0 {
@@ -642,11 +620,6 @@ impl Fabric {
         ev: NetEvent,
         out: &mut Vec<Notice>,
     ) {
-        #[cfg(feature = "audit")]
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.last_now = q.now();
-            a.log.count_event();
-        }
         // Each arm counts its own kind, in `NetEvent` declaration order.
         match ev {
             NetEvent::NicTxDone { node } => {
@@ -684,7 +657,6 @@ impl Fabric {
                     Self::schedule_service(q, sw, start);
                 }
                 let port = self.routes.route_port(sw, packet.dst);
-                #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
                     a.egress_accept(sw, port, packet.bytes);
                 }
@@ -694,7 +666,6 @@ impl Fabric {
             NetEvent::EgressTxDone { sw, port } => {
                 self.handled[3] += 1;
                 let pkt = self.switches[sw as usize].egress[port as usize].tx_done();
-                #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
                     a.egress_transmit(sw, port, pkt.bytes, q.now());
                 }
@@ -803,13 +774,9 @@ impl Fabric {
     /// [`InvariantKind::CreditConservation`] violation and skipped, instead
     /// of corrupting the pool (or aborting on the pool's debug assertion).
     fn release_credit<E: From<NetEvent>>(&mut self, q: &mut EventQueue<E>, sw: u32, class: usize) {
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
-            if self.switches[sw as usize].pools[class].in_use() == 0 {
-                let detail =
-                    format!("credit release without matching acquire (switch {sw}, class {class})");
-                a.log
-                    .violate(InvariantKind::CreditConservation, q.now(), detail);
+            let in_use = self.switches[sw as usize].pools[class].in_use();
+            if a.unmatched_release(in_use, sw, class, q.now()) {
                 return;
             }
         }
@@ -1057,10 +1024,9 @@ mod tests {
         assert!(!fab.audit_enabled());
         fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
         drain(&mut fab, &mut q, SimTime::from_secs(1));
-        assert_eq!(fab.take_audit_report(), None);
+        assert_eq!(fab.take_audit_report(q.now()), None);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audited_clean_run_reports_no_violations() {
         let (mut fab, mut q) = setup();
@@ -1071,12 +1037,10 @@ mod tests {
         }
         drain(&mut fab, &mut q, SimTime::from_secs(10));
         assert!(fab.is_quiescent());
-        let report = fab.take_audit_report().expect("audit enabled");
+        let report = fab.take_audit_report(q.now()).expect("audit enabled");
         assert!(report.is_clean(), "unexpected violations: {report}");
-        assert!(report.events_audited > 0);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn double_release_is_reported_not_panicked() {
         let (mut fab, mut q) = setup();
@@ -1085,7 +1049,7 @@ mod tests {
         // the auditor exists to catch. It must come back as a typed
         // violation, not a debug-assert abort.
         fab.release_credit(&mut q, 0, 0);
-        let report = fab.take_audit_report().expect("audit enabled");
+        let report = fab.take_audit_report(q.now()).expect("audit enabled");
         assert_eq!(report.violation_count(), 1);
         assert_eq!(report.violations[0].kind, InvariantKind::CreditConservation);
         assert!(report.violations[0]

@@ -53,7 +53,7 @@ pub mod switch;
 pub mod time;
 pub mod util;
 
-pub use audit::{audit_compiled, AuditReport, AuditViolation, InvariantKind};
+pub use audit::{AuditReport, AuditViolation, InvariantKind};
 pub use config::{ConfigError, SwitchConfig, Topology};
 pub use event::EventQueue;
 pub use fabric::{drain, Fabric, NetEvent, Notice};

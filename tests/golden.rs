@@ -6,13 +6,11 @@
 //! unchanged must leave every pinned value here unchanged; a change that
 //! moves one on purpose re-pins it and says why in CHANGES.md.
 //!
-//! Every DES surface runs with [`ExperimentConfig::audit`] set. In a
-//! plain `cargo test` the flag is inert; CI also runs
-//! `cargo test --release --features audit --test golden`, where the
+//! Every DES surface runs with [`ExperimentConfig::audit`] set, so the
 //! simulator's conservation auditor is live on every pinned DES run (the
 //! tiny study, `backend_xval`, the Cab table and impact profile, and the
-//! monitor study). That run must reproduce the same
-//! committed digests with zero violations: a tripped invariant fails the
+//! monitor study) in a plain `cargo test`. Each must reproduce its
+//! committed digest with zero violations: a tripped invariant fails the
 //! surface as `ExperimentError::Invariant`.
 
 use anp_bench::xval::run_xval_supervised;

@@ -5,7 +5,8 @@
 //! that receive, so the run stops long before its horizon as
 //! `RunOutcome::Stalled`. Its `StallReport` names the blocked rank and
 //! the `(source, tag)` it waits on, and the experiment layer hands the
-//! same report back as `ExperimentError::Stalled`.
+//! same report back as `ExperimentError::Stalled`. Replayed under the
+//! invariant auditor, the run stalls identically and audits clean.
 
 use active_netprobe::core::{runtime_of, ExperimentConfig, ExperimentError, Members};
 use active_netprobe::simmpi::{
@@ -75,15 +76,18 @@ fn assert_names_the_orphan(report: &StallReport) {
 #[test]
 fn unmatched_receive_fails_with_a_structured_stall_report_not_a_hang() {
     let horizon = SimTime::from_secs(30);
-    let run = || {
+    let run = |audit: bool| {
         let mut w = World::new(SwitchConfig::tiny_deterministic());
+        if audit {
+            w.enable_audit();
+        }
         let job = w.add_job("exchange", members());
         match w.run_until_job_done(job, horizon) {
-            RunOutcome::Stalled(report) => report,
+            RunOutcome::Stalled(report) => (report, w),
             other => panic!("an unmatched receive must end in a stall, got {other:?}"),
         }
     };
-    let report = run();
+    let (report, mut plain) = run(false);
     assert_names_the_orphan(&report);
     // The queue drained once the exchange was done, long before the
     // horizon.
@@ -92,8 +96,19 @@ fn unmatched_receive_fails_with_a_structured_stall_report_not_a_hang() {
         "stalled at {}",
         report.at
     );
-    // Deterministic: the diagnosis itself replays identically.
-    assert_eq!(run(), report);
+    assert_eq!(plain.take_audit_report(), None);
+
+    // Deterministic: the diagnosis itself replays identically, and the
+    // invariant auditor, switched on at run time, observes the replay
+    // without changing it.
+    let (replay, mut audited) = run(true);
+    assert_eq!(replay, report);
+    assert_eq!(audited.events_processed(), plain.events_processed());
+    let audit = audited
+        .take_audit_report()
+        .expect("the auditor is switched on at run time");
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.events_audited, audited.events_processed());
 
     // The experiment layer returns the same report as a typed error.
     let mut cfg = ExperimentConfig::cab();
